@@ -208,7 +208,6 @@ void BM_ExecuteFragmentNative(benchmark::State &State) {
     return;
   }
   Code.Fn = Code.Module->entry();
-  Code.Meta = native::buildMeta(R.Frag.Body);
   iisa::IExecState Exec;
   Exec.writeGpr(16, 0x20000000);
   Exec.writeGpr(17, 1);

@@ -11,18 +11,6 @@
 using namespace ildp;
 using namespace ildp::alpha;
 
-static const OpInfo OpInfos[] = {
-#define ILDP_ALPHA_INFO(Enum, Mnemonic, Form, Kind, Prim, Func, Size, Signed) \
-  {Mnemonic, Format::Form, InstKind::Kind, Prim, Func, Size, Signed},
-    ILDP_ALPHA_OPCODES(ILDP_ALPHA_INFO)
-#undef ILDP_ALPHA_INFO
-};
-
-const OpInfo &alpha::getOpInfo(Opcode Op) {
-  assert(Op != Opcode::Invalid && "No info for invalid opcode");
-  return OpInfos[static_cast<unsigned>(Op)];
-}
-
 const char *alpha::getMnemonic(Opcode Op) {
   if (Op == Opcode::Invalid)
     return "invalid";
@@ -76,10 +64,6 @@ bool alpha::isCall(Opcode Op) {
   InstKind Kind = kindOf(Op);
   return Kind == InstKind::Bsr || Kind == InstKind::Jsr;
 }
-
-bool alpha::isCondMove(Opcode Op) { return kindOf(Op) == InstKind::CondMove; }
-
-bool alpha::isMul(Opcode Op) { return kindOf(Op) == InstKind::Mul; }
 
 bool alpha::isPei(Opcode Op) {
   if (Op == Opcode::Invalid)

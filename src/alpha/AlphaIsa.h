@@ -24,6 +24,7 @@
 #ifndef ILDP_ALPHA_ALPHAISA_H
 #define ILDP_ALPHA_ALPHAISA_H
 
+#include <cassert>
 #include <cstdint>
 
 namespace ildp {
@@ -197,8 +198,21 @@ struct OpInfo {
   bool MemSigned;    ///< Load result is sign-extended.
 };
 
-/// Returns the static properties of \p Op. \p Op must be valid.
-const OpInfo &getOpInfo(Opcode Op);
+namespace detail {
+inline constexpr OpInfo OpInfos[] = {
+#define ILDP_ALPHA_INFO(Enum, Mnemonic, Form, Kind, Prim, Func, Size, Signed) \
+  {Mnemonic, Format::Form, InstKind::Kind, Prim, Func, Size, Signed},
+    ILDP_ALPHA_OPCODES(ILDP_ALPHA_INFO)
+#undef ILDP_ALPHA_INFO
+};
+} // namespace detail
+
+/// Returns the static properties of \p Op. \p Op must be valid. Inline:
+/// every interpreter and executor step consults it.
+inline const OpInfo &getOpInfo(Opcode Op) {
+  assert(Op != Opcode::Invalid && "No info for invalid opcode");
+  return detail::OpInfos[static_cast<unsigned>(Op)];
+}
 
 /// Returns the mnemonic of \p Op ("invalid" for Opcode::Invalid).
 const char *getMnemonic(Opcode Op);
@@ -219,8 +233,12 @@ bool isIndirectBranch(Opcode Op);
 bool isControl(Opcode Op);
 /// BSR or JSR (pushes a return address in the software convention).
 bool isCall(Opcode Op);
-bool isCondMove(Opcode Op);
-bool isMul(Opcode Op);
+inline bool isCondMove(Opcode Op) {
+  return Op != Opcode::Invalid && getOpInfo(Op).Kind == InstKind::CondMove;
+}
+inline bool isMul(Opcode Op) {
+  return Op != Opcode::Invalid && getOpInfo(Op).Kind == InstKind::Mul;
+}
 /// Potentially excepting instruction: may raise a precise trap
 /// (memory access or CALL_PAL GENTRAP).
 bool isPei(Opcode Op);

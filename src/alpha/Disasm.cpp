@@ -11,7 +11,13 @@
 using namespace ildp;
 using namespace ildp::alpha;
 
-static std::string reg(unsigned R) { return "r" + std::to_string(R); }
+// Names are formatted into a buffer (as hex() does): GCC 12 at -O3 raises
+// a false-positive -Wrestrict on "literal" + std::string.
+static std::string reg(unsigned R) {
+  char Buffer[8];
+  std::snprintf(Buffer, sizeof(Buffer), "r%u", R);
+  return Buffer;
+}
 
 static std::string hex(uint64_t Value) {
   char Buffer[32];
@@ -42,13 +48,16 @@ std::string alpha::disassemble(const AlphaInst &Inst, uint64_t Pc) {
       Text += std::to_string(unsigned(Inst.Lit));
     else
       Text += reg(Inst.Rb);
-    Text += ", " + reg(Inst.Rc);
+    Text += ", ";
+    Text += reg(Inst.Rc);
     break;
   }
   case Format::Jump:
     if (Info.Kind != InstKind::Ret)
       Text += reg(Inst.Ra) + ", ";
-    Text += "(" + reg(Inst.Rb) + ")";
+    Text += '(';
+    Text += reg(Inst.Rb);
+    Text += ')';
     break;
   case Format::Pal:
     if (Inst.PalFunc == PalHalt)

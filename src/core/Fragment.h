@@ -9,6 +9,14 @@
 /// (Sections 3.1-3.2), stored in decoded I-ISA form together with its PEI
 /// side table (Section 2.2) and its patchable exit records.
 ///
+/// It also carries its exit accounting: every tier executes a body
+/// linearly from index 0, so an exit at body index i has executed exactly
+/// instructions 0..i, and everything the VM counts per run (V-instruction
+/// credit, copy instructions, source ops, usage classes, dual-RAS pushes)
+/// is a pure function of i. TranslationCache::install() precomputes those
+/// prefix sums once per fragment; the interpretive and native tiers both
+/// account an exit from them (DESIGN.md §16).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ILDP_CORE_FRAGMENT_H
@@ -17,6 +25,7 @@
 #include "core/Superblock.h"
 #include "iisa/IisaInst.h"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -48,6 +57,34 @@ struct ExitRecord {
   bool Pending = false; ///< Still a call-translator exit (not yet patched).
 };
 
+constexpr size_t NumUsageClasses =
+    size_t(iisa::UsageClass::NoUserToGlobal) + 1;
+
+/// Accounting totals over body instructions 0..i inclusive.
+struct CumCounters {
+  uint32_t VCredit = 0;
+  uint32_t CopyInsts = 0;
+  uint32_t SourceOps = 0;
+  std::array<uint32_t, NumUsageClasses> Usage{};
+};
+
+/// Exit accounting of one fragment body (see the file comment).
+struct ExitAccounting {
+  std::vector<CumCounters> Cum; ///< One entry per body instruction.
+  /// push_dual_ras sites: (body index, V-ISA return address), ascending.
+  std::vector<std::pair<uint32_t, uint64_t>> RasPushes;
+};
+
+struct Fragment;
+
+/// Cached successor of a static exit (a chained branch/cond_exit or a
+/// software-prediction hit): valid only while Gen equals the cache's
+/// current link generation (TranslationCache::linkGeneration()).
+struct SuccessorSlot {
+  Fragment *Next = nullptr;
+  uint64_t Gen = 0; ///< 0 never matches: generations start at 1.
+};
+
 /// A translated superblock in the translation cache.
 struct Fragment {
   uint64_t EntryVAddr = 0;
@@ -69,6 +106,11 @@ struct Fragment {
   unsigned SourceInsts = 0;  ///< Source instructions recorded (incl. NOPs).
   unsigned NopsRemoved = 0;
   unsigned BodyBytes = 0;    ///< Encoded size of the body.
+
+  /// Derived at install (never persisted): per-exit-index accounting and
+  /// one successor slot per body instruction, used at exit instructions.
+  ExitAccounting Accounting;
+  std::vector<SuccessorSlot> Successors;
 
   // Native-tier linkage (src/native). The core library never touches
   // these beyond default construction/destruction; the VM manages them.

@@ -13,6 +13,29 @@
 
 using namespace ildp;
 using namespace ildp::dbt;
+using namespace ildp::iisa;
+
+/// Prefix sums of everything the VM accounts per executed instruction
+/// (see Fragment.h).
+static ExitAccounting buildExitAccounting(const std::vector<IisaInst> &Body) {
+  ExitAccounting Acct;
+  Acct.Cum.resize(Body.size());
+  CumCounters Run;
+  for (size_t I = 0; I != Body.size(); ++I) {
+    const IisaInst &Inst = Body[I];
+    Run.VCredit += Inst.VCredit;
+    if (Inst.Kind == IKind::CopyToGpr || Inst.Kind == IKind::CopyFromGpr)
+      ++Run.CopyInsts;
+    if (Inst.IsSourceOp) {
+      ++Run.SourceOps;
+      ++Run.Usage[size_t(Inst.Usage)];
+    }
+    if (Inst.Kind == IKind::PushDualRas)
+      Acct.RasPushes.emplace_back(uint32_t(I), Inst.VTarget);
+    Acct.Cum[I] = Run;
+  }
+  return Acct;
+}
 
 Fragment &TranslationCache::install(Fragment Frag) {
   assert(!Index.count(Frag.EntryVAddr) &&
@@ -31,6 +54,11 @@ Fragment &TranslationCache::install(Fragment Frag) {
 
   auto Owned = std::make_unique<Fragment>(std::move(Frag));
   Fragment &F = *Owned;
+  // Derived per-install state: slots copied from another cache (warm
+  // start, async hand-off) must never be trusted here.
+  F.Accounting = buildExitAccounting(F.Body);
+  F.Successors.assign(F.Body.size(), SuccessorSlot());
+  ++LinkGen;
   F.IBase = NextIBase;
   NextIBase += F.BodyBytes + 64; // Pad fragments apart (stub/alignment).
   TotalBytes += F.BodyBytes;
@@ -102,6 +130,8 @@ size_t TranslationCache::patchPendingExitsTo(uint64_t EntryVAddr) {
     ++Patched;
   }
   Pending.erase(It, End);
+  if (Patched)
+    ++LinkGen;
   return Patched;
 }
 
@@ -126,6 +156,8 @@ size_t TranslationCache::unchainExitsTo(uint64_t EntryVAddr) {
   }
   ChainedIn.erase(It, End);
   UnchainedExits += Unchained;
+  if (Unchained)
+    ++LinkGen;
   return Unchained;
 }
 
@@ -200,6 +232,7 @@ void TranslationCache::evictFragment(Fragment &F) {
   TotalBytes -= F.BodyBytes;
   EvictedBytes += F.BodyBytes;
   ++Evictions;
+  ++LinkGen;
   moveToGraveyard(F);
 }
 
@@ -280,6 +313,7 @@ void TranslationCache::flush() {
   RecentUse.clear();
   TotalBytes = 0;
   ++Flushes;
+  ++LinkGen;
   // NextIBase keeps advancing monotonically so old I-PCs are never reused
   // (predictor state indexed by I-PC stays coherent across flushes).
 }
@@ -288,13 +322,8 @@ Fragment *TranslationCache::lookup(uint64_t VAddr) {
   auto It = Index.find(VAddr);
   if (It == Index.end())
     return nullptr;
-  Fragment *F = It->second;
-  if (Budget != 0) { // Recency stamps exist only for the eviction policy.
-    F->LastUseTick = ++UseTick;
-    if (RecentUse.empty() || RecentUse.back() != VAddr)
-      RecentUse.pushBackEvict(VAddr);
-  }
-  return F;
+  touch(*It->second);
+  return It->second;
 }
 
 const Fragment *TranslationCache::lookup(uint64_t VAddr) const {

@@ -21,6 +21,12 @@
 /// to a non-resident I-PC. With no budget set (the default) none of this
 /// machinery runs and behavior is bit-identical to the append-only cache.
 ///
+/// Static exits cache their successor fragment (Fragment::Successors)
+/// tagged with the cache's link generation, which every install,
+/// eviction, flush, unchain and pending-exit patch bumps; a slot is only
+/// trusted while its tag matches, so a hit always equals what lookup()
+/// would return (DESIGN.md §16).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ILDP_CORE_TRANSLATIONCACHE_H
@@ -70,6 +76,21 @@ public:
   /// eviction policy.
   Fragment *lookup(uint64_t VAddr);
   const Fragment *lookup(uint64_t VAddr) const;
+
+  /// Applies the recency stamp lookup() applies to a hit. A cached
+  /// successor hit calls this in place of lookup(), so eviction order is
+  /// unchanged by the successor cache.
+  void touch(Fragment &F) {
+    if (Budget == 0) // Recency stamps exist only for the eviction policy.
+      return;
+    F.LastUseTick = ++UseTick;
+    if (RecentUse.empty() || RecentUse.back() != F.EntryVAddr)
+      RecentUse.pushBackEvict(F.EntryVAddr);
+  }
+
+  /// Current link generation. Starts at 1 and changes whenever the entry
+  /// index or any exit's chaining state may have changed.
+  uint64_t linkGeneration() const { return LinkGen; }
 
   bool contains(uint64_t VAddr) const { return Index.count(VAddr) != 0; }
 
@@ -237,6 +258,7 @@ private:
   /// Entries of the last RecentUseDepth distinct lookups, protected from
   /// eviction.
   FixedRing<uint64_t> RecentUse;
+  uint64_t LinkGen = 1;
   uint64_t NextIBase = TCacheBase;
   uint64_t TotalBytes = 0;
   uint64_t Budget = 0;

@@ -19,14 +19,22 @@ static std::string hex(uint64_t Value) {
   return Buffer;
 }
 
+/// "<Prefix><N>", formatted into a buffer: GCC 12 at -O3 raises a
+/// false-positive -Wrestrict on "literal" + std::string.
+static std::string named(char Prefix, unsigned N) {
+  char Buffer[16];
+  std::snprintf(Buffer, sizeof(Buffer), "%c%u", Prefix, N);
+  return Buffer;
+}
+
 static std::string operand(const IOperand &Op) {
   switch (Op.K) {
   case IOperand::Kind::None:
     return "?";
   case IOperand::Kind::Acc:
-    return "A" + std::to_string(Op.Reg);
+    return named('A', Op.Reg);
   case IOperand::Kind::Gpr:
-    return "R" + std::to_string(Op.Reg);
+    return named('R', Op.Reg);
   case IOperand::Kind::Imm:
     return std::to_string(Op.Imm);
   }
@@ -37,10 +45,10 @@ static std::string operand(const IOperand &Op) {
 /// (modified, destination GPR present).
 static std::string dest(const IisaInst &Inst) {
   std::string Acc =
-      Inst.DestAcc == NoReg ? "" : "A" + std::to_string(Inst.DestAcc);
+      Inst.DestAcc == NoReg ? std::string() : named('A', Inst.DestAcc);
   if (Inst.DestGpr == NoReg)
     return Acc;
-  std::string Gpr = "R" + std::to_string(Inst.DestGpr);
+  std::string Gpr = named('R', Inst.DestGpr);
   if (Acc.empty())
     return Gpr;
   return Gpr + " (" + Acc + ")";
@@ -165,16 +173,16 @@ std::string iisa::disassemble(const IisaInst &Inst) {
   case IKind::Store:
     return memOperand(Inst) + " <- " + operand(Inst.A);
   case IKind::CopyToGpr:
-    return "R" + std::to_string(Inst.DestGpr) + " <- " + operand(Inst.A);
+    return named('R', Inst.DestGpr) + " <- " + operand(Inst.A);
   case IKind::CopyFromGpr:
-    return "A" + std::to_string(Inst.DestAcc) + " <- " + operand(Inst.A);
+    return named('A', Inst.DestAcc) + " <- " + operand(Inst.A);
   case IKind::SetVpcBase:
     return "VPC <- " + hex(Inst.VTarget);
   case IKind::SaveRetAddr:
-    return "R" + std::to_string(Inst.DestGpr) + " <- ret " +
+    return named('R', Inst.DestGpr) + " <- ret " +
            hex(Inst.VTarget);
   case IKind::LoadEmbTarget:
-    return "A" + std::to_string(Inst.DestAcc) + " <- target " +
+    return named('A', Inst.DestAcc) + " <- target " +
            hex(Inst.VTarget);
   case IKind::PushDualRas:
     return "push_ras v=" + hex(Inst.VTarget);

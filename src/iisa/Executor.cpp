@@ -39,8 +39,14 @@ static void writeResult(const IisaInst &Inst, uint64_t Value,
     State.writeGpr(Inst.DestGpr, Value);
 }
 
-IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
-                    GuestMemory &Mem, std::vector<IisaEvent> *Events) {
+namespace {
+
+/// The executor loop. Record is a template parameter so the event-free
+/// instantiation (every run without a timing model) carries no per-
+/// instruction recording at all.
+template <bool Record>
+IExit run(const IisaInst *Insts, size_t Count, IExecState &State,
+          GuestMemory &Mem, std::vector<IisaEvent> *Events) {
   for (size_t Index = 0; Index != Count; ++Index) {
     const IisaInst &Inst = Insts[Index];
     IisaEvent Event;
@@ -83,7 +89,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
       Event.MemAddr = Addr;
       MemAccessResult Access = Mem.load(Addr, getOpInfo(Inst.AlphaOp).MemSize);
       if (!Access.ok()) {
-        if (Events)
+        if constexpr (Record)
           Events->push_back(Event);
         IExit Exit;
         Exit.K = IExit::Kind::Trap;
@@ -102,7 +108,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
       MemFaultKind Fault = Mem.store(Addr, readOperand(Inst.A, State),
                                      getOpInfo(Inst.AlphaOp).MemSize);
       if (Fault != MemFaultKind::None) {
-        if (Events)
+        if constexpr (Record)
           Events->push_back(Event);
         IExit Exit;
         Exit.K = IExit::Kind::Trap;
@@ -137,7 +143,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
       uint64_t A = readOperand(Inst.A, State);
       bool Taken = alpha::evalBranchCond(Inst.AlphaOp, A);
       Event.Taken = Taken;
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       if (Taken) {
         IExit Exit;
@@ -151,7 +157,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
     }
     case IKind::Branch: {
       Event.Taken = true;
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       IExit Exit;
       Exit.K = Inst.ToTranslator ? IExit::Kind::ToTranslator
@@ -163,7 +169,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
     case IKind::JumpPredict: {
       bool Hit = readOperand(Inst.A, State) != 0;
       Event.Taken = Hit;
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       IExit Exit;
       Exit.K = Hit ? IExit::Kind::PredictHit : IExit::Kind::PredictMiss;
@@ -174,7 +180,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
     }
     case IKind::JumpDispatch: {
       Event.Taken = true;
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       IExit Exit;
       Exit.K = IExit::Kind::Dispatch;
@@ -184,7 +190,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
     }
     case IKind::ReturnDual: {
       Event.Taken = true;
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       IExit Exit;
       Exit.K = IExit::Kind::Return;
@@ -193,7 +199,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
       return Exit;
     }
     case IKind::Halt: {
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       IExit Exit;
       Exit.K = IExit::Kind::Halt;
@@ -201,7 +207,7 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
       return Exit;
     }
     case IKind::Gentrap: {
-      if (Events)
+      if constexpr (Record)
         Events->push_back(Event);
       IExit Exit;
       Exit.K = IExit::Kind::Trap;
@@ -211,11 +217,19 @@ IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
     }
     }
 
-    if (Events)
+    if constexpr (Record)
       Events->push_back(Event);
   }
   assert(false && "Fragment body fell off the end without an exit");
   IExit Exit;
   Exit.K = IExit::Kind::Halt;
   return Exit;
+}
+
+} // namespace
+
+IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
+                    GuestMemory &Mem, std::vector<IisaEvent> *Events) {
+  return Events ? run<true>(Insts, Count, State, Mem, Events)
+                : run<false>(Insts, Count, State, Mem, nullptr);
 }

@@ -14,6 +14,13 @@
 /// (memory faults, GENTRAP, illegal instructions) are reported precisely —
 /// architected state is left exactly as of the trapping instruction.
 ///
+/// Decoded instructions live in per-page arrays indexed by
+/// (pc & 4095) / 4, each slot decoded lazily on its first execution (a
+/// per-page bitmap marks decoded slots), behind a one-entry last-page
+/// cache (DESIGN.md §16). run() retires ordinary instructions without
+/// building a StepInfo and defers to step() — the reference — for any
+/// instruction that traps, halts, fails to decode, or is the final step.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ILDP_INTERP_INTERPRETER_H
@@ -23,7 +30,9 @@
 #include "interp/ArchState.h"
 #include "mem/GuestMemory.h"
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 namespace ildp {
@@ -99,14 +108,46 @@ public:
   uint64_t retiredCount() const { return Retired; }
 
   /// Decodes the instruction at \p Addr via the decode cache (shared with
-  /// the superblock recorder so decode work is not repeated).
-  const alpha::AlphaInst *decodeAt(uint64_t Addr);
+  /// the superblock recorder so decode work is not repeated). Returns
+  /// nullptr when the fetch faults. A slot is decoded once, at its first
+  /// use: later stores to that word are not observed.
+  const alpha::AlphaInst *decodeAt(uint64_t Addr) {
+    uint64_t PageIndex = Addr >> GuestMemory::PageShift;
+    unsigned Slot = unsigned(Addr & (GuestMemory::PageSize - 1)) >> 2;
+    if (PageIndex == LastPageIndex && (Addr & 3) == 0 &&
+        LastPage->isDecoded(Slot))
+      return &LastPage->Insts[Slot];
+    return decodeSlow(Addr);
+  }
 
 private:
+  static constexpr unsigned SlotsPerPage =
+      unsigned(GuestMemory::PageSize / alpha::InstBytes);
+
+  /// Decoded instructions of one guest page.
+  struct DecodedPage {
+    std::array<alpha::AlphaInst, SlotsPerPage> Insts;
+    std::array<uint64_t, SlotsPerPage / 64> Decoded{};
+
+    bool isDecoded(unsigned Slot) const {
+      return (Decoded[Slot / 64] >> (Slot % 64)) & 1;
+    }
+  };
+
+  const alpha::AlphaInst *decodeSlow(uint64_t Addr);
+  /// Retires the instruction at State.Pc if it completes normally and
+  /// returns true; returns false with all state untouched when it would
+  /// trap, halt, or fail to decode.
+  bool tryRetire();
+
   GuestMemory &Mem;
   ArchState State;
   uint64_t Retired = 0;
-  std::unordered_map<uint64_t, alpha::AlphaInst> DecodeCache;
+  std::unordered_map<uint64_t, std::unique_ptr<DecodedPage>> DecodePages;
+  /// One-entry cache over DecodePages (NoPage when empty).
+  static constexpr uint64_t NoPage = ~uint64_t(0);
+  uint64_t LastPageIndex = NoPage;
+  DecodedPage *LastPage = nullptr;
 };
 
 } // namespace ildp

@@ -43,42 +43,28 @@ bool GuestMemory::isMapped(uint64_t Addr) const {
   return pageFor(Addr) != nullptr;
 }
 
-MemAccessResult GuestMemory::load(uint64_t Addr, unsigned Size) const {
-  MemAccessResult Result;
-  if (Size != 1 && Size != 2 && Size != 4 && Size != 8) {
-    Result.Fault = MemFaultKind::BadSize;
-    return Result;
-  }
-  if (Addr & (Size - 1)) {
-    Result.Fault = MemFaultKind::Unaligned;
-    return Result;
-  }
-  const uint8_t *Page = pageFor(Addr);
-  if (!Page) {
-    Result.Fault = MemFaultKind::Unmapped;
-    return Result;
-  }
-  // Natural alignment guarantees the access does not cross a page boundary.
-  uint64_t Offset = Addr & (PageSize - 1);
-  uint64_t Value = 0;
-  for (unsigned I = 0; I != Size; ++I)
-    Value |= uint64_t(Page[Offset + I]) << (8 * I);
-  Result.Value = Value;
-  return Result;
+GuestMemory &GuestMemory::operator=(GuestMemory &&Other) noexcept {
+  if (this == &Other)
+    return *this;
+  Pages = std::move(Other.Pages);
+  Other.Pages.clear();
+  resetTlb();
+  Other.resetTlb();
+  return *this;
 }
 
-MemFaultKind GuestMemory::store(uint64_t Addr, uint64_t Value, unsigned Size) {
-  if (Size != 1 && Size != 2 && Size != 4 && Size != 8)
-    return MemFaultKind::BadSize;
-  if (Addr & (Size - 1))
-    return MemFaultKind::Unaligned;
-  uint8_t *Page = pageFor(Addr, /*Allocate=*/false);
-  if (!Page)
-    return MemFaultKind::Unmapped;
-  uint64_t Offset = Addr & (PageSize - 1);
-  for (unsigned I = 0; I != Size; ++I)
-    Page[Offset + I] = uint8_t(Value >> (8 * I));
-  return MemFaultKind::None;
+void GuestMemory::resetTlb() {
+  Tlb.fill(TlbEntry{NoTag, nullptr});
+  TlbMisses = 0;
+}
+
+uint8_t *GuestMemory::refillTlb(uint64_t PageIndex) const {
+  ++TlbMisses;
+  auto It = Pages.find(PageIndex);
+  if (It == Pages.end())
+    return nullptr; // Unmapped pages are never cached: mapping may follow.
+  Tlb[tlbSet(PageIndex)] = {PageIndex, It->second.get()};
+  return It->second.get();
 }
 
 void GuestMemory::writeBlob(uint64_t Addr, const void *Data, uint64_t Size) {

@@ -27,6 +27,15 @@ std::string hexU64(uint64_t V) {
 
 std::string decU32(uint32_t V) { return std::to_string(V) + "u"; }
 
+/// Local variable name "<Prefix><N>" (a0, g17). Formatted into a buffer:
+/// GCC 12 at -O3 raises a false-positive -Wrestrict on "literal" +
+/// std::string.
+std::string var(char Prefix, unsigned N) {
+  char Buf[16];
+  std::snprintf(Buf, sizeof(Buf), "%c%u", Prefix, N);
+  return Buf;
+}
+
 /// Mirrors alpha::evalIntOp term for term. Returns "" for opcodes outside
 /// the integer-operate set (the emitter refuses the fragment).
 std::string intOpExpr(Opcode Op, const std::string &A, const std::string &B) {
@@ -282,10 +291,9 @@ private:
     case IOperand::Kind::None:
       return "0";
     case IOperand::Kind::Acc:
-      return "a" + std::to_string(Op.Reg);
+      return var('a', Op.Reg);
     case IOperand::Kind::Gpr:
-      return Op.Reg == alpha::RegZero ? std::string("0")
-                                      : "g" + std::to_string(Op.Reg);
+      return Op.Reg == alpha::RegZero ? std::string("0") : var('g', Op.Reg);
     case IOperand::Kind::Imm:
       return hexU64(uint64_t(Op.Imm));
     }
@@ -299,12 +307,11 @@ private:
     bool ToAcc = Inst.DestAcc != NoReg;
     bool ToGpr = Inst.DestGpr != NoReg && Inst.DestGpr != alpha::RegZero;
     if (ToAcc) {
-      Out += "a" + std::to_string(Inst.DestAcc) + " = " + Value + "; ";
+      Out += var('a', Inst.DestAcc) + " = " + Value + "; ";
       if (ToGpr)
-        Out += "g" + std::to_string(Inst.DestGpr) + " = a" +
-               std::to_string(Inst.DestAcc) + "; ";
+        Out += var('g', Inst.DestGpr) + " = " + var('a', Inst.DestAcc) + "; ";
     } else if (ToGpr) {
-      Out += "g" + std::to_string(Inst.DestGpr) + " = " + Value + "; ";
+      Out += var('g', Inst.DestGpr) + " = " + Value + "; ";
     } else {
       Out += "; "; // Value is pure; a write to r31 alone is a no-op.
     }

@@ -12,26 +12,6 @@ using namespace ildp;
 using namespace ildp::native;
 using namespace ildp::iisa;
 
-NativeMeta native::buildMeta(const std::vector<IisaInst> &Body) {
-  NativeMeta Meta;
-  Meta.Cum.resize(Body.size());
-  CumCounters Run;
-  for (size_t I = 0; I != Body.size(); ++I) {
-    const IisaInst &Inst = Body[I];
-    Run.VCredit += Inst.VCredit;
-    if (Inst.Kind == IKind::CopyToGpr || Inst.Kind == IKind::CopyFromGpr)
-      ++Run.CopyInsts;
-    if (Inst.IsSourceOp) {
-      ++Run.SourceOps;
-      ++Run.Usage[size_t(Inst.Usage)];
-    }
-    if (Inst.Kind == IKind::PushDualRas)
-      Meta.RasPushes.emplace_back(uint32_t(I), Inst.VTarget);
-    Meta.Cum[I] = Run;
-  }
-  return Meta;
-}
-
 namespace {
 
 /// ABI callbacks: thin shims over GuestMemory, returning the fault kind

@@ -7,22 +7,13 @@
 /// \file
 /// The host side of native fragment execution. NativeCode is what a
 /// fragment carries once tiered up: the shared dlopen'd module (shared
-/// across all fragments with the same content key, fleet-wide), the
-/// resolved entry function, and per-fragment accounting metadata.
+/// across all fragments with the same content key, fleet-wide) and the
+/// resolved entry function.
 ///
-/// The metadata exists because the I-ISA executor emits one IisaEvent per
-/// executed instruction and the VM accounts V-instruction credit, copy
-/// instructions, source ops, and usage-class tallies from those events.
-/// Native bodies produce no events — but the executor's event stream for
-/// an exit at body index i is always exactly instructions 0..i inclusive
-/// (events are recorded for not-taken cond_exits and for faulting memory
-/// ops before the trap return), so all of that accounting is a pure
-/// function of the exit index. NativeMeta precomputes it as prefix sums
-/// at attach time; dual-RAS pushes (the one event side effect that is
-/// not a counter) are replayed from an (index, target) list. Metadata is
-/// per-fragment, not per-module: fragments sharing a compiled body can
-/// still differ in VCredit/usage metadata, which is excluded from the
-/// content key precisely because it does not affect emitted code.
+/// Native bodies produce no per-instruction events and need none: the VM
+/// accounts every tier's exit from the fragment's prefix sums
+/// (dbt::ExitAccounting, core/Fragment.h), a pure function of the exit
+/// index that runFragment() reports exactly as the I-ISA executor would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,33 +37,11 @@ struct Fragment;
 
 namespace native {
 
-constexpr size_t NumUsageClasses =
-    size_t(iisa::UsageClass::NoUserToGlobal) + 1;
-
-/// Cumulative accounting over body instructions 0..i inclusive.
-struct CumCounters {
-  uint64_t VCredit = 0;
-  uint64_t CopyInsts = 0;
-  uint64_t SourceOps = 0;
-  std::array<uint64_t, NumUsageClasses> Usage{};
-};
-
-/// Per-fragment accounting metadata (see file comment).
-struct NativeMeta {
-  std::vector<CumCounters> Cum; ///< One entry per body instruction.
-  /// push_dual_ras sites: (body index, V-ISA return address), ascending.
-  std::vector<std::pair<uint32_t, uint64_t>> RasPushes;
-};
-
 /// Everything a fragment needs to run natively.
 struct NativeCode {
   std::shared_ptr<NativeModule> Module; ///< Keeps the mapping alive.
   NativeEntryFn Fn = nullptr;
-  NativeMeta Meta;
 };
-
-/// Builds the prefix-sum metadata for \p Body.
-NativeMeta buildMeta(const std::vector<iisa::IisaInst> &Body);
 
 /// Runs \p Code over \p State / \p Mem and maps the NativeContext outputs
 /// to the same iisa::IExit the interpretive executor would have returned

@@ -12,8 +12,8 @@ using namespace ildp;
 using namespace ildp::native;
 
 NativeService::NativeService(const HostCompiler &CC, unsigned Workers,
-                             size_t QueueDepth, dbt::FaultInjector *Fault)
-    : CC(CC), Fault(Fault), Requests(QueueDepth) {
+                             size_t QueueDepth)
+    : CC(CC), Requests(QueueDepth) {
   if (Workers == 0)
     Workers = 1;
   this->Workers.reserve(Workers);
@@ -56,20 +56,16 @@ void NativeService::workerMain() {
     C.Key = Req->Key;
     C.EntryVAddr = Req->EntryVAddr;
 
-    if (Fault && Fault->shouldFail(dbt::FaultSite::NativeCompile)) {
-      C.Reason = "injected-fault";
+    EmitResult Emitted = emitFragmentC(Req->Body, Req->Variant);
+    if (!Emitted.Ok) {
+      C.Reason = Emitted.Reason;
     } else {
-      EmitResult Emitted = emitFragmentC(Req->Body, Req->Variant);
-      if (!Emitted.Ok) {
-        C.Reason = Emitted.Reason;
+      CompileResult Compiled = compileToObject(CC, Emitted.Source);
+      if (Compiled.Ok) {
+        C.Ok = true;
+        C.Object = std::move(Compiled.Object);
       } else {
-        CompileResult Compiled = compileToObject(CC, Emitted.Source);
-        if (Compiled.Ok) {
-          C.Ok = true;
-          C.Object = std::move(Compiled.Object);
-        } else {
-          C.Reason = "host-compile-failed";
-        }
+        C.Reason = "host-compile-failed";
       }
     }
 

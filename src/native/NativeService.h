@@ -16,18 +16,18 @@
 /// chain-environment ordering constraint; each completion is keyed by the
 /// fragment content key).
 ///
-/// The worker emits C (NativeEmitter), checks the NativeCompile fault
-/// site, and runs the host compiler (NativeCompiler). Emission refusal,
-/// injected faults, and compiler failures all come back as typed failure
-/// completions — the fragment is marked failed and stays on the I-ISA
-/// tier, never retried in a loop.
+/// The worker emits C (NativeEmitter) and runs the host compiler
+/// (NativeCompiler). Emission refusal and compiler failures come back as
+/// typed failure completions — the fragment is marked failed and stays on
+/// the I-ISA tier, never retried in a loop. (The NativeCompile fault site
+/// is decided by the VM at submission, so an injected failure is counted
+/// even when the run ends before a worker picks the request up.)
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ILDP_NATIVE_NATIVESERVICE_H
 #define ILDP_NATIVE_NATIVESERVICE_H
 
-#include "core/FaultInjector.h"
 #include "iisa/IisaInst.h"
 #include "native/NativeCompiler.h"
 #include "support/WorkQueue.h"
@@ -55,17 +55,16 @@ struct NativeCompletion {
   uint64_t Key = 0;
   uint64_t EntryVAddr = 0;
   bool Ok = false;
-  const char *Reason = ""; ///< Static string ("emit", "fault", "compile").
+  const char *Reason = ""; ///< Static string (emit refusal or compile).
   std::vector<uint8_t> Object;
 };
 
 /// A pool of native-compilation worker threads with unordered delivery.
 class NativeService {
 public:
-  /// Spawns \p Workers threads compiling with \p CC. \p Fault may be
-  /// null. \p QueueDepth bounds the request queue.
-  NativeService(const HostCompiler &CC, unsigned Workers, size_t QueueDepth,
-                dbt::FaultInjector *Fault);
+  /// Spawns \p Workers threads compiling with \p CC. \p QueueDepth
+  /// bounds the request queue.
+  NativeService(const HostCompiler &CC, unsigned Workers, size_t QueueDepth);
   ~NativeService();
 
   NativeService(const NativeService &) = delete;
@@ -105,7 +104,6 @@ private:
   /// By value: hostCompiler()'s reference is only stable until the next
   /// ILDP_NATIVE_CC change, and workers outlive any such change.
   const HostCompiler CC;
-  dbt::FaultInjector *Fault;
   WorkQueue<NativeRequest> Requests;
   std::vector<std::thread> Workers;
 

@@ -365,10 +365,12 @@ bool CacheStore::save(const std::string &Path) const {
   // Durability of the rename itself: fsync the containing directory so
   // the new directory entry survives power loss (best-effort — a store in
   // an unfsyncable location still saved correctly for process death).
+  // (Constructed rather than assigned: GCC 12 at -O3 raises a
+  // false-positive -Wrestrict on assigning a literal here.)
   size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+  std::string Dir = Slash == std::string::npos ? std::string(".")
+                    : Slash == 0                ? std::string("/")
+                                                : Path.substr(0, Slash);
   int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (DirFd >= 0) {
     ::fsync(DirFd);

@@ -58,8 +58,7 @@ VirtualMachine::VirtualMachine(GuestMemory &Mem, uint64_t EntryPc,
     const native::HostCompiler &CC = native::hostCompiler();
     if (CC.Found)
       NativeSvc = std::make_unique<native::NativeService>(
-          CC, Config.NativeWorkers, Config.NativeQueueDepth,
-          Config.Dbt.Fault);
+          CC, Config.NativeWorkers, Config.NativeQueueDepth);
     else
       Nat.NoToolchain = 1;
   }
@@ -325,7 +324,6 @@ bool VirtualMachine::attachNative(dbt::Fragment &Frag,
   auto Code = std::make_shared<native::NativeCode>();
   Code->Fn = Module->entry();
   Code->Module = std::move(Module);
-  Code->Meta = native::buildMeta(Frag.Body);
   Frag.Native = std::move(Code);
   Frag.NativeState = dbt::Fragment::NativeNone;
   return true;
@@ -344,6 +342,16 @@ void VirtualMachine::maybeNativeTierUp(dbt::Fragment *Frag) {
     // a host compile.
     if (attachNative(*Frag, Known->second))
       ++Nat.Reattached;
+    return;
+  }
+  if (Config.Dbt.Fault &&
+      Config.Dbt.Fault->shouldFail(dbt::FaultSite::NativeCompile)) {
+    // Decided here rather than on a worker: an injected compile failure
+    // is accounted even when the run ends before a worker would have
+    // dequeued the request (workers may start only milliseconds later).
+    ++Nat.Submitted;
+    ++Nat.CompileFailed;
+    Frag->NativeState = dbt::Fragment::NativeFailed;
     return;
   }
   native::NativeRequest Req;
@@ -541,10 +549,12 @@ void VirtualMachine::installFragment(dbt::Fragment Frag) {
   installPrepared(std::move(Frag));
 }
 
-void VirtualMachine::recordAndTranslate(uint64_t HotPc) {
+bool VirtualMachine::recordAndTranslate(uint64_t HotPc) {
   dbt::SuperblockBuilder Builder(HotPc, Config.Dbt.MaxSuperblockInsts);
+  bool Halted = false;
   for (;;) {
     StepInfo Info = Interp.step();
+    Halted = Info.Status == StepStatus::Halted;
     if (Info.Status != StepStatus::Trapped) {
       ++GuestInsts;
       ++Hot.InterpInsts;
@@ -560,7 +570,7 @@ void VirtualMachine::recordAndTranslate(uint64_t HotPc) {
   if (Sb.Insts.empty()) {
     // The very first instruction trapped; nothing to translate.
     Profile.markTranslated(HotPc);
-    return;
+    return Halted;
   }
 
   // A re-profile of an entry that failed translation before is a retry.
@@ -569,7 +579,7 @@ void VirtualMachine::recordAndTranslate(uint64_t HotPc) {
 
   if (Service) {
     submitTranslation(std::move(Sb));
-    return;
+    return Halted;
   }
 
   dbt::ChainEnv Env;
@@ -578,7 +588,7 @@ void VirtualMachine::recordAndTranslate(uint64_t HotPc) {
       translate(Sb, Config.Dbt, Env);
   if (!Xlated) {
     noteTranslateFailure(HotPc, Xlated.status(), Sb.Insts.size());
-    return;
+    return Halted;
   }
   dbt::TranslationResult Result = Xlated.take();
   Result.Cost.addTo(Stats);
@@ -588,6 +598,7 @@ void VirtualMachine::recordAndTranslate(uint64_t HotPc) {
   Stats.add("dbt.precopies", Result.PreCopies);
   Stats.add("dbt.trap_promotions", Result.TrapPromotions);
   installFragment(std::move(Result.Frag));
+  return Halted;
 }
 
 void VirtualMachine::noteTranslateFailure(uint64_t EntryPc,
@@ -619,7 +630,10 @@ VirtualMachine::InterpOutcome VirtualMachine::interpretUntilTranslated() {
     if (dbt::Fragment *Frag = lookupSettled(Pc))
       return {StepStatus::Ok, {}, Frag};
     if (Profile.bump(Pc)) {
-      recordAndTranslate(Pc);
+      // A recording that retired the HALT ends the run here: the HALT
+      // leaves the PC in place, and stepping it again would count it twice.
+      if (recordAndTranslate(Pc))
+        return {StepStatus::Halted, {}, nullptr};
       continue;
     }
     StepInfo Info = Interp.step();
@@ -906,6 +920,41 @@ uint64_t VirtualMachine::exitTargetIPc(const iisa::IExit &Exit,
   return Next ? Next->IBase : TranslatorIPc;
 }
 
+void VirtualMachine::accountExit(const dbt::Fragment &Frag,
+                                 uint32_t ExitIndex) {
+  // Every tier executes instructions 0..ExitIndex of the body, so the
+  // accounting is the fragment's prefix sums at the exit index.
+  const dbt::CumCounters &Cum = Frag.Accounting.Cum[ExitIndex];
+  Hot.FragInsts += ExitIndex + 1;
+  GuestInsts += Cum.VCredit;
+  Hot.VInstsTranslated += Cum.VCredit;
+  Hot.CopyInsts += Cum.CopyInsts;
+  Hot.SourceOps += Cum.SourceOps;
+  for (size_t U = 0; U != Cum.Usage.size(); ++U)
+    Hot.Usage[U] += Cum.Usage[U];
+  if (Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas)
+    for (const auto &[PushIdx, VRet] : Frag.Accounting.RasPushes) {
+      if (PushIdx > ExitIndex)
+        break;
+      dualRasPush(VRet);
+    }
+}
+
+dbt::Fragment *VirtualMachine::staticSuccessor(dbt::Fragment &Frag,
+                                               const iisa::IExit &Exit) {
+  dbt::SuccessorSlot &Slot = Frag.Successors[Exit.InstIndex];
+  if (Slot.Gen == TCache.linkGeneration()) {
+    TCache.touch(*Slot.Next);
+    return Slot.Next;
+  }
+  dbt::Fragment *Next = lookupSettled(Exit.VTarget);
+  // Read the generation after the lookup: settling a pending translation
+  // installs fragments. Misses are not cached; they leave translated code.
+  if (Next)
+    Slot = {Next, TCache.linkGeneration()};
+  return Next;
+}
+
 VirtualMachine::SegmentOutcome
 VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
   ExecState.loadArchState(Interp.state());
@@ -929,7 +978,6 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       return Out;
     }
 
-    Events.clear();
     iisa::IExit Exit;
     bool RanNative = false;
     if (NativeSvc && !Timing) {
@@ -941,51 +989,19 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       maybeNativeTierUp(Frag);
       if (Frag->Native) {
         Exit = native::runFragment(*Frag->Native, ExecState, Mem, Frag->Body);
-        ++Frag->ExecCount;
         ++Nat.Runs;
-        RanNative = true;
-        // The accounting below is a pure function of the exit index: the
-        // executor's event stream for an exit at body index i is exactly
-        // instructions 0..i, precomputed as prefix sums at attach time.
-        const native::CumCounters &Cum = Frag->Native->Meta.Cum[Exit.InstIndex];
         Nat.Insts += Exit.InstIndex + 1;
-        Hot.FragInsts += Exit.InstIndex + 1;
-        GuestInsts += Cum.VCredit;
-        Hot.VInstsTranslated += Cum.VCredit;
-        Hot.CopyInsts += Cum.CopyInsts;
-        Hot.SourceOps += Cum.SourceOps;
-        for (size_t U = 0; U != Cum.Usage.size(); ++U)
-          Hot.Usage[U] += Cum.Usage[U];
-        if (Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas)
-          for (const auto &[PushIdx, VRet] : Frag->Native->Meta.RasPushes) {
-            if (PushIdx > Exit.InstIndex)
-              break;
-            dualRasPush(VRet);
-          }
+        RanNative = true;
       }
     }
     if (!RanNative) {
+      // Per-instruction events feed only the timing model.
+      Events.clear();
       Exit = iisa::execute(Frag->Body.data(), Frag->Body.size(), ExecState,
-                           Mem, &Events);
-      ++Frag->ExecCount;
-
-      // Accounting pass (also performs dual-RAS pushes).
-      for (const IisaEvent &Ev : Events) {
-        const IisaInst &Inst = Frag->Body[Ev.Index];
-        ++Hot.FragInsts;
-        GuestInsts += Inst.VCredit;
-        Hot.VInstsTranslated += Inst.VCredit;
-        if (Inst.Kind == IKind::CopyToGpr || Inst.Kind == IKind::CopyFromGpr)
-          ++Hot.CopyInsts;
-        if (Inst.IsSourceOp) {
-          ++Hot.SourceOps;
-          ++Hot.Usage[size_t(Inst.Usage)];
-        }
-        if (Inst.Kind == IKind::PushDualRas &&
-            Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas)
-          dualRasPush(Inst.VTarget);
-      }
+                           Mem, Timing ? &Events : nullptr);
     }
+    ++Frag->ExecCount;
+    accountExit(*Frag, Exit.InstIndex);
 
     // Exit decision.
     dbt::Fragment *Next = nullptr;
@@ -993,14 +1009,14 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
     bool RasMiss = false;
     switch (Exit.K) {
     case iisa::IExit::Kind::Chained:
-      Next = lookupSettled(Exit.VTarget);
+      Next = staticSuccessor(*Frag, Exit);
       ++(Next ? Hot.ExitChained : Hot.ExitChainedMissing);
       break;
     case iisa::IExit::Kind::ToTranslator:
       ++Hot.ExitTranslator;
       break;
     case iisa::IExit::Kind::PredictHit:
-      Next = lookupSettled(Exit.VTarget);
+      Next = staticSuccessor(*Frag, Exit);
       ++(Next ? Hot.PredictHit : Hot.PredictHitUntranslated);
       break;
     case iisa::IExit::Kind::PredictMiss:

@@ -319,7 +319,9 @@ private:
     dbt::Fragment *Frag = nullptr;
   };
   InterpOutcome interpretUntilTranslated();
-  void recordAndTranslate(uint64_t HotPc);
+  /// Records a superblock at \p HotPc and translates (or submits) it.
+  /// Returns true when the recording retired the guest's HALT.
+  bool recordAndTranslate(uint64_t HotPc);
   /// Accounts a translation bailout for \p EntryPc and feeds it back into
   /// the profiler (backoff, eventually blacklisting). Never throws; the VM
   /// simply keeps interpreting the entry.
@@ -415,6 +417,13 @@ private:
     dbt::RecoveredState Trap;
   };
   SegmentOutcome executeTranslated(dbt::Fragment *Frag);
+  /// Accounts one run of \p Frag that exited at body index \p ExitIndex
+  /// (counters and dual-RAS pushes), for every tier.
+  void accountExit(const dbt::Fragment &Frag, uint32_t ExitIndex);
+  /// Successor of a static exit (Chained / PredictHit): the exit's cached
+  /// slot while the cache's link generation is unchanged, else
+  /// lookupSettled() — which refills the slot on a hit.
+  dbt::Fragment *staticSuccessor(dbt::Fragment &Frag, const iisa::IExit &Exit);
   void emitFragmentTrace(const dbt::Fragment &Frag,
                          const std::vector<iisa::IisaEvent> &Events,
                          const iisa::IExit &Exit, uint64_t NextIPc);

@@ -15,6 +15,7 @@
 #include "workloads/Builders.h"
 
 #include <cassert>
+#include <cstdio>
 
 using namespace ildp;
 using namespace ildp::workloads;
@@ -22,6 +23,14 @@ using namespace ildp::alpha;
 using Op = alpha::Opcode;
 
 namespace {
+
+/// Label name "<Prefix><N>", formatted into a buffer: GCC 12 at -O3 raises
+/// a false-positive -Wrestrict on "literal" + std::string.
+std::string numbered(const char *Prefix, unsigned N) {
+  char Buffer[32];
+  std::snprintf(Buffer, sizeof(Buffer), "%s%u", Prefix, N);
+  return Buffer;
+}
 
 /// Writes assembled words into guest memory.
 void commit(GuestMemory &Mem, Assembler &Asm, std::vector<uint32_t> Words) {
@@ -72,7 +81,7 @@ WorkloadImage workloads::buildGap(GuestMemory &Mem, unsigned Scale) {
   auto Done = Asm.createLabel("done");
   std::vector<Assembler::Label> Handlers;
   for (unsigned I = 0; I != NumOps; ++I)
-    Handlers.push_back(Asm.createLabel("h" + std::to_string(I)));
+    Handlers.push_back(Asm.createLabel(numbered("h", I)));
   auto Builtin1 = Asm.createLabel("builtin1");
   auto Builtin2 = Asm.createLabel("builtin2");
   Asm.loadLabelAddr(21, Builtin1);
@@ -204,7 +213,7 @@ WorkloadImage workloads::buildPerlbmk(GuestMemory &Mem, unsigned Scale) {
   auto Helper = Asm.createLabel("helper");
   std::vector<Assembler::Label> Handlers;
   for (unsigned I = 0; I != NumOps; ++I)
-    Handlers.push_back(Asm.createLabel("op" + std::to_string(I)));
+    Handlers.push_back(Asm.createLabel(numbered("op", I)));
 
   Asm.bind(PassLoop);
   Asm.loadImm(16, int64_t(DataBase));
@@ -336,7 +345,7 @@ WorkloadImage workloads::buildEon(GuestMemory &Mem, unsigned Scale) {
   auto ObjLoop = Asm.createLabel("obj");
   std::vector<Assembler::Label> Methods;
   for (unsigned I = 0; I != NumKinds; ++I)
-    Methods.push_back(Asm.createLabel("m" + std::to_string(I)));
+    Methods.push_back(Asm.createLabel(numbered("m", I)));
 
   Asm.bind(PassLoop);
   Asm.loadImm(16, int64_t(DataBase));

@@ -111,3 +111,81 @@ TEST(TranslationCache, InstPcFromOffsets) {
   EXPECT_EQ(A.instPc(0), A.IBase);
   EXPECT_EQ(A.instPc(1), A.IBase + 6);
 }
+
+// ---- Link generation and the successor cache (DESIGN.md §16) ----
+
+TEST(TranslationCache, LinkGenerationChangesWithEveryLinkChange) {
+  TranslationCache TC;
+  uint64_t Gen = TC.linkGeneration();
+  auto Changed = [&] {
+    uint64_t Now = TC.linkGeneration();
+    bool Moved = Now != Gen;
+    Gen = Now;
+    return Moved;
+  };
+  Fragment &A = TC.install(makeFragment(0x1000, 0x2000, true));
+  EXPECT_TRUE(Changed()); // Install.
+  // Install-derived state is rebuilt, never inherited.
+  EXPECT_EQ(A.Accounting.Cum.size(), A.Body.size());
+  ASSERT_EQ(A.Successors.size(), A.Body.size());
+  EXPECT_EQ(A.Successors[1].Gen, 0u);
+
+  ASSERT_NE(TC.lookup(0x1000), nullptr);
+  EXPECT_FALSE(Changed()); // Lookups never move it.
+  EXPECT_EQ(TC.patchPendingExitsTo(0x7777), 0u);
+  EXPECT_FALSE(Changed()); // Nothing patched.
+
+  TC.install(makeFragment(0x2000, 0x3000, true));
+  EXPECT_TRUE(Changed());
+  EXPECT_EQ(TC.unchainExitsTo(0x2000), 1u);
+  EXPECT_TRUE(Changed()); // Unchain.
+  EXPECT_EQ(TC.patchPendingExitsTo(0x2000), 1u);
+  EXPECT_TRUE(Changed()); // Pending-exit patch.
+  TC.flush();
+  EXPECT_TRUE(Changed()); // Flush.
+}
+
+TEST(TranslationCache, EvictionChangesLinkGeneration) {
+  TranslationCache TC;
+  TC.setByteBudget(20); // Two 10-byte fragments.
+  TC.install(makeFragment(0x1000, 0x2000, true));
+  TC.install(makeFragment(0x2000, 0x1000, true));
+  uint64_t Gen = TC.linkGeneration();
+  uint64_t Evictions = TC.evictionCount();
+  TC.install(makeFragment(0x3000, 0x1000, true));
+  EXPECT_EQ(TC.evictionCount(), Evictions + 1);
+  EXPECT_GT(TC.linkGeneration(), Gen + 1); // The eviction and the install.
+}
+
+TEST(TranslationCache, TouchStampsExactlyLikeLookup) {
+  // A cached-successor hit calls touch() instead of lookup(); eviction
+  // order must not be able to tell the difference.
+  TranslationCache ByLookup, ByTouch;
+  for (TranslationCache *TC : {&ByLookup, &ByTouch}) {
+    TC->setByteBudget(30);
+    TC->install(makeFragment(0x1000, 0x2000, true));
+    TC->install(makeFragment(0x2000, 0x3000, true));
+    TC->install(makeFragment(0x3000, 0x1000, true));
+  }
+  auto Resident = [](const TranslationCache &TC, uint64_t Entry) {
+    for (const std::unique_ptr<Fragment> &F : TC.fragments())
+      if (F->EntryVAddr == Entry)
+        return F.get();
+    return static_cast<Fragment *>(nullptr);
+  };
+  for (uint64_t Entry : {0x1000u, 0x3000u, 0x1000u, 0x2000u, 0x1000u}) {
+    ASSERT_NE(ByLookup.lookup(Entry), nullptr);
+    ByTouch.touch(*Resident(ByTouch, Entry));
+  }
+  for (uint64_t Entry : {0x1000u, 0x2000u, 0x3000u})
+    EXPECT_EQ(Resident(ByLookup, Entry)->LastUseTick,
+              Resident(ByTouch, Entry)->LastUseTick);
+  // Identical recency state: the same victims leave both caches.
+  for (uint64_t New : {0x4000u, 0x5000u}) {
+    ByLookup.install(makeFragment(New, 0x1000, true));
+    ByTouch.install(makeFragment(New, 0x1000, true));
+    for (uint64_t Entry : {0x1000u, 0x2000u, 0x3000u, 0x4000u, 0x5000u})
+      EXPECT_EQ(ByLookup.contains(Entry), ByTouch.contains(Entry)) << Entry;
+  }
+  EXPECT_EQ(ByLookup.evictionCount(), 2u);
+}

@@ -8,12 +8,15 @@
 /// Interpreter run-loop semantics: the MaxSteps boundary, retired-count
 /// accounting, precise-trap state and resumability, and decode-cache
 /// behaviour. These are the contracts the VM's interpret/profile stage
-/// and the trap-recovery path rely on.
+/// and the trap-recovery path rely on. run() has its own lean loop; the
+/// equivalence tests below hold it to N calls of step(), the reference.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "alpha/Assembler.h"
+#include "alpha/Decoder.h"
 #include "interp/Interpreter.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -214,4 +217,227 @@ TEST(RunSemantics, MemAddrReportedForLoadsAndStores) {
   ASSERT_EQ(Addrs.size(), 2u);
   EXPECT_EQ(Addrs[0], 0x20018u);
   EXPECT_EQ(Addrs[1], 0x20018u);
+}
+
+// ---- run(N) == N x step() ----
+
+namespace {
+
+void expectSameStep(const StepInfo &A, const StepInfo &B) {
+  EXPECT_EQ(A.Status, B.Status);
+  EXPECT_EQ(A.Pc, B.Pc);
+  EXPECT_EQ(A.NextPc, B.NextPc);
+  EXPECT_EQ(A.IsControl, B.IsControl);
+  EXPECT_EQ(A.Taken, B.Taken);
+  EXPECT_EQ(A.MemAddr, B.MemAddr);
+  EXPECT_EQ(A.TrapInfo.Kind, B.TrapInfo.Kind);
+  EXPECT_EQ(A.TrapInfo.Pc, B.TrapInfo.Pc);
+  EXPECT_EQ(A.TrapInfo.MemAddr, B.TrapInfo.MemAddr);
+  EXPECT_EQ(A.Inst.Op, B.Inst.Op);
+  EXPECT_EQ(A.Inst.Ra, B.Inst.Ra);
+  EXPECT_EQ(A.Inst.Rb, B.Inst.Rb);
+  EXPECT_EQ(A.Inst.Rc, B.Inst.Rc);
+  EXPECT_EQ(A.Inst.HasLit, B.Inst.HasLit);
+  EXPECT_EQ(A.Inst.Lit, B.Inst.Lit);
+  EXPECT_EQ(A.Inst.Disp, B.Inst.Disp);
+  EXPECT_EQ(A.Inst.JumpHint, B.Inst.JumpHint);
+  EXPECT_EQ(A.Inst.PalFunc, B.Inst.PalFunc);
+}
+
+/// A workload image, optionally with one instruction word replaced.
+struct Image {
+  GuestMemory Mem;
+  uint64_t Entry = 0;
+};
+
+Image buildImage(const std::string &Name, uint64_t PatchPc = 0,
+                 uint32_t PatchWord = 0) {
+  Image Img;
+  Img.Entry = workloads::buildWorkload(Name, Img.Mem, 1).EntryPc;
+  if (PatchPc)
+    Img.Mem.poke32(PatchPc, PatchWord);
+  return Img;
+}
+
+/// Runs \p Budget steps both ways over identical images and compares the
+/// final state, the retired count, and the StepInfo run() returns with the
+/// one the last step() call returned, which it returns.
+StepInfo expectRunMatchesSteps(const std::string &Name, uint64_t Budget,
+                               uint64_t PatchPc = 0, uint32_t PatchWord = 0) {
+  SCOPED_TRACE(Name + " budget " + std::to_string(Budget));
+  Image A = buildImage(Name, PatchPc, PatchWord);
+  Image B = buildImage(Name, PatchPc, PatchWord);
+  Interpreter Stepper(A.Mem), Runner(B.Mem);
+  Stepper.state().Pc = A.Entry;
+  Runner.state().Pc = B.Entry;
+
+  StepInfo Last;
+  for (uint64_t I = 0; I != Budget; ++I) {
+    Last = Stepper.step();
+    if (Last.Status != StepStatus::Ok)
+      break;
+  }
+  StepInfo Ran = Runner.run(Budget);
+  expectSameStep(Ran, Last);
+  EXPECT_EQ(Runner.state(), Stepper.state());
+  EXPECT_EQ(Runner.retiredCount(), Stepper.retiredCount());
+  return Last;
+}
+
+/// step() count to HALT and the PC of instruction number \p Probe.
+struct Trace {
+  uint64_t Steps = 0;
+  uint64_t ProbePc = 0;
+};
+
+Trace traceToHalt(const std::string &Name, uint64_t Probe) {
+  Image Img = buildImage(Name);
+  Interpreter Interp(Img.Mem);
+  Interp.state().Pc = Img.Entry;
+  Trace T;
+  for (;;) {
+    StepInfo Info = Interp.step();
+    ++T.Steps;
+    if (T.Steps == Probe)
+      T.ProbePc = Info.Pc;
+    if (Info.Status != StepStatus::Ok)
+      break;
+  }
+  return T;
+}
+
+/// Steps until \p Pc first executes; returns that step's number (1-based).
+uint64_t firstExecution(const std::string &Name, uint64_t Pc) {
+  Image Img = buildImage(Name);
+  Interpreter Interp(Img.Mem);
+  Interp.state().Pc = Img.Entry;
+  for (uint64_t N = 1;; ++N) {
+    if (Interp.state().Pc == Pc)
+      return N;
+    if (Interp.step().Status != StepStatus::Ok)
+      return 0;
+  }
+}
+
+uint32_t wordOf(void (*Emit)(Assembler &)) {
+  Assembler Asm(0);
+  Emit(Asm);
+  return Asm.finalize()[0];
+}
+
+} // namespace
+
+class RunEquivalence : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RunEquivalence, BudgetsAroundHaltAndLastStep) {
+  const std::string &Name = GetParam();
+  Trace T = traceToHalt(Name, 0);
+  ASSERT_GT(T.Steps, 3u);
+  // HALT is step T.Steps: land exactly on it, just before it (the final
+  // step retires Ok), past it, and on ordinary mid-run boundaries.
+  for (uint64_t Budget :
+       {uint64_t(0), uint64_t(1), uint64_t(2), T.Steps / 3, T.Steps / 2 + 1,
+        T.Steps - 1})
+    EXPECT_EQ(expectRunMatchesSteps(Name, Budget).Status, StepStatus::Ok);
+  for (uint64_t Budget : {T.Steps, T.Steps + 7})
+    EXPECT_EQ(expectRunMatchesSteps(Name, Budget).Status, StepStatus::Halted);
+}
+
+TEST_P(RunEquivalence, BudgetsLandingOnTraps) {
+  const std::string &Name = GetParam();
+  Trace T = traceToHalt(Name, 0);
+  T = traceToHalt(Name, T.Steps / 2);
+  ASSERT_NE(T.ProbePc, 0u);
+  // Replace a mid-run instruction with each trapping form; the trap fires
+  // at that PC's first execution.
+  const uint32_t Traps[] = {
+      wordOf([](Assembler &A) { A.gentrap(); }),
+      wordOf([](Assembler &A) { A.ldq(1, 8, RegZero); }), // Unmapped.
+      wordOf([](Assembler &A) { A.stl(1, 2, RegZero); }), // Unaligned.
+      0x04000000u, // Reserved primary opcode 0x01: illegal.
+  };
+  ASSERT_FALSE(decode(Traps[3]).valid());
+  uint64_t TrapStep = firstExecution(Name, T.ProbePc);
+  ASSERT_NE(TrapStep, 0u);
+  for (uint32_t Word : Traps) {
+    SCOPED_TRACE(Word);
+    EXPECT_EQ(
+        expectRunMatchesSteps(Name, TrapStep - 1, T.ProbePc, Word).Status,
+        StepStatus::Ok);
+    for (uint64_t Budget : {TrapStep, TrapStep + 1, T.Steps})
+      EXPECT_EQ(
+          expectRunMatchesSteps(Name, Budget, T.ProbePc, Word).Status,
+          StepStatus::Trapped);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, RunEquivalence,
+    ::testing::ValuesIn(workloads::workloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
+
+TEST(RunSemantics, StoreToUnexecutedCodeSlotIsDecodedFresh) {
+  // The decode cache fills a slot at its first execution, so a guest store
+  // into a not-yet-executed slot of an already-executed code page is
+  // observed — by step() and run() alike.
+  for (bool UseRun : {false, true}) {
+    Assembler Asm(0x10000);
+    auto Slot = Asm.createLabel("slot");
+    Asm.loadLabelAddr(16, Slot);
+    Asm.loadImm(2, wordOf([](Assembler &A) {
+                  A.operatei(Op::ADDQ, RegZero, 42, 9);
+                }));
+    Asm.stl(2, 0, 16);
+    Asm.bind(Slot);
+    Asm.operatei(Op::ADDQ, RegZero, 1, 9); // Overwritten before it runs.
+    Asm.halt();
+    GuestMemory Mem = loadProgram(Asm, Asm.finalize());
+    Interpreter Interp(Mem);
+    Interp.state().Pc = 0x10000;
+    StepInfo Last;
+    if (UseRun) {
+      Last = Interp.run(1000);
+    } else {
+      do
+        Last = Interp.step();
+      while (Last.Status == StepStatus::Ok);
+    }
+    ASSERT_EQ(Last.Status, StepStatus::Halted);
+    EXPECT_EQ(Interp.state().readGpr(9), 42u);
+  }
+}
+
+TEST(RunSemantics, StoreToExecutedCodeSlotStaysStale) {
+  // The known stale-code hole, kept on purpose until CALL_PAL IMB exists:
+  // a slot already decoded keeps executing its first decode.
+  for (bool UseRun : {false, true}) {
+    Assembler Asm(0x10000);
+    auto Slot = Asm.createLabel("slot");
+    Asm.loadLabelAddr(16, Slot);
+    Asm.loadImm(2, wordOf([](Assembler &A) {
+                  A.operatei(Op::ADDQ, 9, 100, 9);
+                }));
+    Asm.loadImm(17, 2);
+    Asm.bind(Slot);
+    Asm.operatei(Op::ADDQ, 9, 1, 9);
+    Asm.stl(2, 0, 16);
+    Asm.operatei(Op::SUBL, 17, 1, 17);
+    Asm.condBr(Op::BNE, 17, Slot);
+    Asm.halt();
+    GuestMemory Mem = loadProgram(Asm, Asm.finalize());
+    Interpreter Interp(Mem);
+    Interp.state().Pc = 0x10000;
+    StepInfo Last;
+    if (UseRun) {
+      Last = Interp.run(1000);
+    } else {
+      do
+        Last = Interp.step();
+      while (Last.Status == StepStatus::Ok);
+    }
+    ASSERT_EQ(Last.Status, StepStatus::Halted);
+    EXPECT_EQ(Interp.state().readGpr(9), 2u);
+  }
 }

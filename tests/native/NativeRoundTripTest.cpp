@@ -71,7 +71,6 @@ compileBody(const std::vector<IisaInst> &Body, IsaVariant Variant) {
   auto Code = std::make_shared<native::NativeCode>();
   Code->Fn = Module->entry();
   Code->Module = std::move(Module);
-  Code->Meta = native::buildMeta(Body);
   return Code;
 }
 
