@@ -16,8 +16,10 @@
 /// Emits BENCH_native_tier.json next to the binary with every sample and
 /// checks the headline claim where a host toolchain exists: warm native
 /// execution reaches at least 2x the guest-MIPS of the warm I-ISA tier on
-/// at least 8 of the 12 workloads. Without a toolchain the native columns
-/// are reported as unavailable and the check is skipped.
+/// at least 8 of the 12 workloads. Every native run must also finish with
+/// zero failed host compiles, and the warm run with zero compiles and
+/// zero submissions. Without a toolchain the native columns are reported
+/// as unavailable and the check is skipped.
 ///
 /// Runs at a minimum workload scale of 4 (ILDP_BENCH_SCALE can raise it
 /// further): warm-start fixed costs — opening the store, dlopen'ing the
@@ -107,7 +109,9 @@ vm::VmConfig nativeConfig() {
 /// Converges one workload's native store: save-runs until a run performs
 /// zero host compilations (the save path waits out in-flight compiles, so
 /// each round persists everything its run qualified). Exits the process
-/// if six rounds aren't enough — that would be a product bug.
+/// on any failed host compile (such a fragment is resubmitted on every
+/// run, yet never counts as a compile) or if six rounds aren't enough —
+/// either would be a product bug.
 void convergeNativeStore(const std::string &Workload,
                          const std::string &StorePath) {
   for (int Round = 0; Round != 6; ++Round) {
@@ -115,6 +119,11 @@ void convergeNativeStore(const std::string &Workload,
     Config.PersistPath = StorePath;
     StatisticSet Stats;
     vmRun(Workload, Config, &Stats);
+    if (uint64_t Failed = Stats.get("native.compile_failed")) {
+      std::fprintf(stderr, "%s: %llu native host compile(s) failed\n",
+                   Workload.c_str(), (unsigned long long)Failed);
+      std::exit(1);
+    }
     if (Stats.get("native.compiles") == 0)
       return;
   }
@@ -125,7 +134,13 @@ void convergeNativeStore(const std::string &Workload,
 struct Row {
   std::string Workload;
   Sample Interp, IisaCold, IisaWarm, NatCold, NatWarm;
-  uint64_t WarmCompiles = 0; ///< Must be 0: the acceptance criterion.
+  /// Warm-run acceptance criteria: no compile, no failed compile and no
+  /// submission at all (a failed compile is resubmitted on every run
+  /// without counting as a compile).
+  uint64_t ColdCompileFailed = 0; ///< Must be 0 too.
+  uint64_t WarmCompiles = 0;
+  uint64_t WarmCompileFailed = 0;
+  uint64_t WarmSubmitted = 0;
   uint64_t WarmNativeRuns = 0;
 };
 
@@ -160,8 +175,15 @@ void writeJson(const std::vector<Row> &Rows, bool Toolchain,
       Tier("native", "cold", R.NatCold, false);
       Tier("native", "warm", R.NatWarm, true);
     }
-    std::fprintf(Out, "    ], \"warm_native_compiles\": %llu}%s\n",
+    std::fprintf(Out,
+                 "    ], \"cold_native_compile_failed\": %llu, "
+                 "\"warm_native_compiles\": %llu, "
+                 "\"warm_native_compile_failed\": %llu, "
+                 "\"warm_native_submitted\": %llu}%s\n",
+                 (unsigned long long)R.ColdCompileFailed,
                  (unsigned long long)R.WarmCompiles,
+                 (unsigned long long)R.WarmCompileFailed,
+                 (unsigned long long)R.WarmSubmitted,
                  I + 1 == Rows.size() ? "" : ",");
   }
   std::fprintf(Out, "  ],\n  \"native_ge2x_iisa_warm\": %u\n}\n",
@@ -207,12 +229,16 @@ int main() {
       std::remove(NativeStore.c_str());
       vm::VmConfig Nat = nativeConfig();
       Nat.PersistPath = NativeStore;
-      R.NatCold = vmRun(W, Nat);
+      StatisticSet ColdStats;
+      R.NatCold = vmRun(W, Nat, &ColdStats);
+      R.ColdCompileFailed = ColdStats.get("native.compile_failed");
       convergeNativeStore(W, NativeStore);
       Nat.PersistSave = false;
       StatisticSet WarmStats;
       R.NatWarm = vmRun(W, Nat, &WarmStats);
       R.WarmCompiles = WarmStats.get("native.compiles");
+      R.WarmCompileFailed = WarmStats.get("native.compile_failed");
+      R.WarmSubmitted = WarmStats.get("native.submitted");
       R.WarmNativeRuns = WarmStats.get("native.runs");
       std::remove(NativeStore.c_str());
 
@@ -222,7 +248,9 @@ int main() {
         ++SpeedupCount;
       Consistent &= R.NatCold.Checksum == R.Interp.Checksum &&
                     R.NatWarm.Checksum == R.Interp.Checksum &&
-                    R.WarmCompiles == 0 && R.WarmNativeRuns > 0;
+                    R.ColdCompileFailed == 0 &&
+                    R.WarmCompiles == 0 && R.WarmCompileFailed == 0 &&
+                    R.WarmSubmitted == 0 && R.WarmNativeRuns > 0;
     }
     Consistent &= R.IisaCold.Checksum == R.Interp.Checksum &&
                   R.IisaWarm.Checksum == R.Interp.Checksum;
@@ -251,8 +279,9 @@ int main() {
   std::printf("\nsamples written to BENCH_native_tier.json\n");
 
   if (!Consistent) {
-    std::printf("NATIVE-TIER CHECK FAILED: checksum mismatch, warm "
-                "compilations, or no native execution on a warm run\n");
+    std::printf("NATIVE-TIER CHECK FAILED: checksum mismatch, a failed "
+                "compile, warm compilations or submissions, or no native "
+                "execution on a warm run\n");
     return 1;
   }
   if (Toolchain) {
@@ -263,8 +292,9 @@ int main() {
       std::printf("NATIVE-TIER SPEEDUP CHECK FAILED (need >= 8)\n");
       return 1;
     }
-    std::printf("native-tier check OK: zero warm compilations, bit-exact "
-                "checksums, speedup criterion met\n");
+    std::printf("native-tier check OK: zero warm compilations, "
+                "submissions and failed compiles, bit-exact checksums, "
+                "speedup criterion met\n");
   } else {
     std::printf("native-tier check SKIPPED (no toolchain); I-ISA and "
                 "interp columns verified bit-exact\n");

@@ -10,10 +10,12 @@
 /// updating accumulators, the GPR file, and guest memory, and optionally
 /// recording per-instruction events for the timing models.
 ///
-/// Arithmetic goes through alpha::evalIntOp and friends — the exact
-/// functions the reference interpreter uses — so architected-state
-/// equivalence between interpreted and translated execution is a matter of
-/// translation correctness only, never of divergent operator semantics.
+/// Arithmetic goes through alpha::evalIntOp and friends, which call the
+/// one definition of each operation in alpha/AlphaOps.h — the functions
+/// the reference interpreter and natively compiled fragments call too —
+/// so architected-state equivalence between interpreted and translated
+/// execution is a matter of translation correctness only, never of
+/// divergent operator semantics.
 ///
 //===----------------------------------------------------------------------===//
 

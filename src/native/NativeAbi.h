@@ -27,9 +27,16 @@
 ///
 /// The guest-instruction budget stays fragment-granular (the I-ISA tier
 /// checks it between body runs, never mid-body; bodies are linear and
-/// bounded so a run always terminates); InstBudget is carried in the
+/// bounded so a run always terminates); inst_budget is carried in the
 /// context for future intra-fragment slicing and currently ignored by
 /// emitted code.
+///
+/// The context struct, the exit codes and the GENTRAP fault value are
+/// defined once, in the C-compatible native/NativeCtx.h; the Alpha
+/// operations the emitted code calls are defined once, in
+/// alpha/AlphaOps.h. The build embeds both headers verbatim into
+/// nativeAbiPreamble(), so the host and every compiled fragment read the
+/// same text.
 ///
 /// NativeAbiVersion is folded into the compile-command checksum, so a
 /// persisted object compiled against an older ABI is rejected as stale
@@ -42,125 +49,29 @@
 
 #include <cstdint>
 
+// C-compatible; ildp_native_ctx and its constants live in the global
+// namespace.
+#include "native/NativeCtx.h"
+
 namespace ildp {
 namespace native {
 
-/// Bumped on any incompatible change to NativeContext, the exit-code
-/// numbering, or the emitted helper semantics.
-constexpr uint32_t NativeAbiVersion = 2;
+/// Bumped on any incompatible change to NativeCtx.h, the exit-code
+/// numbering, or the embedded operation semantics.
+constexpr uint32_t NativeAbiVersion = 3;
 
-/// How a natively executed body exited (NativeContext::ExitCode).
-enum NativeExitCode : uint32_t {
-  NativeExitDirect = 0,      ///< Taken cond_exit / branch at InstIndex; the
-                             ///< host reads the live body instruction for
-                             ///< the V-target and chained/translator flavor.
-  NativeExitPredictHit = 1,  ///< jump_predict hit (V-target from the body).
-  NativeExitPredictMiss = 2, ///< jump_predict miss; VTarget = actual.
-  NativeExitDispatch = 3,    ///< jump_dispatch; VTarget = actual.
-  NativeExitReturn = 4,      ///< return_dual; VTarget = actual.
-  NativeExitHalt = 5,
-  NativeExitTrap = 6,        ///< MemFault + TrapAddr describe the fault.
-};
+/// The pinned entry/exit context (see native/NativeCtx.h).
+using NativeContext = ::ildp_native_ctx;
 
-/// NativeContext::MemFault value for a GENTRAP trap exit (memory faults
-/// use the MemFaultKind numeric values, which are all small).
-constexpr uint32_t NativeGentrapFault = 255;
+/// How a natively executed body exited (NativeContext::exit_code).
+using NativeExitCode = ::ildp_native_exit;
 
-/// Guest-memory load callback: fills *Out, returns the MemFaultKind as an
-/// int (0 = success).
-using NativeLoadFn = int (*)(void *Mem, uint64_t Addr, uint32_t Size,
-                             uint64_t *Out);
-/// Guest-memory store callback: returns the MemFaultKind as an int.
-using NativeStoreFn = int (*)(void *Mem, uint64_t Addr, uint64_t Value,
-                              uint32_t Size);
+/// NativeContext::mem_fault value for a GENTRAP trap exit.
+constexpr uint32_t NativeGentrapFault = ILDP_GENTRAP_FAULT;
 
-/// The pinned entry/exit context. Field order and types are frozen by
-/// NativeAbiVersion; the emitted C declares a structurally identical
-/// struct (kNativeAbiPreamble below is the single source of that text).
-struct NativeContext {
-  uint64_t *Acc;        ///< MaxAccumulators entries of IExecState::Acc.
-  uint64_t *Gpr;        ///< NumIisaGprs entries; r31 reads as zero.
-  uint64_t *VpcBase;    ///< IExecState::VpcBase.
-  void *Mem;            ///< Opaque GuestMemory handle for the callbacks.
-  NativeLoadFn Load;
-  NativeStoreFn Store;
-  uint64_t InstBudget;  ///< Reserved (fragment-granular budget today).
-  // Outputs.
-  uint32_t ExitCode;    ///< A NativeExitCode value.
-  uint32_t InstIndex;   ///< Body index of the exiting/trapping instruction.
-  uint64_t VTarget;     ///< Indirect-exit target (already & ~3).
-  uint32_t MemFault;    ///< Trap exits: MemFaultKind or NativeGentrapFault.
-  uint64_t TrapAddr;    ///< Trap exits: faulting effective address.
-};
-
-/// C text of the context struct and helper functions, prepended to every
-/// emitted fragment. Kept next to NativeContext so the two cannot drift
-/// without touching the same file (and bumping NativeAbiVersion).
-inline const char *nativeAbiPreamble() {
-  return
-      "typedef unsigned char uint8_t;\n"
-      "typedef unsigned int uint32_t;\n"
-      "typedef unsigned long long uint64_t;\n"
-      "typedef int int32_t;\n"
-      "typedef long long int64_t;\n"
-      "typedef struct ildp_native_ctx {\n"
-      "  uint64_t *acc;\n"
-      "  uint64_t *gpr;\n"
-      "  uint64_t *vpc_base;\n"
-      "  void *mem;\n"
-      "  int (*ld)(void *mem, uint64_t addr, uint32_t size, uint64_t *out);\n"
-      "  int (*st)(void *mem, uint64_t addr, uint64_t value, uint32_t size);\n"
-      "  uint64_t inst_budget;\n"
-      "  uint32_t exit_code;\n"
-      "  uint32_t inst_index;\n"
-      "  uint64_t vtarget;\n"
-      "  uint32_t mem_fault;\n"
-      "  uint64_t trap_addr;\n"
-      "} ildp_native_ctx;\n"
-      "static inline uint64_t ildp_sextl(uint64_t x) {\n"
-      "  return (uint64_t)(int64_t)(int32_t)x;\n"
-      "}\n"
-      "static inline uint64_t ildp_cmpbge(uint64_t a, uint64_t b) {\n"
-      "  uint64_t m = 0; unsigned i;\n"
-      "  for (i = 0; i != 8; ++i)\n"
-      "    if ((uint8_t)(a >> (8 * i)) >= (uint8_t)(b >> (8 * i)))\n"
-      "      m |= (uint64_t)1 << i;\n"
-      "  return m;\n"
-      "}\n"
-      "static inline uint64_t ildp_zap(uint64_t a, uint64_t b) {\n"
-      "  uint64_t r = a; unsigned i;\n"
-      "  for (i = 0; i != 8; ++i)\n"
-      "    if (b & ((uint64_t)1 << i)) r &= ~((uint64_t)0xFF << (8 * i));\n"
-      "  return r;\n"
-      "}\n"
-      "static inline uint64_t ildp_zapnot(uint64_t a, uint64_t b) {\n"
-      "  uint64_t r = 0; unsigned i;\n"
-      "  for (i = 0; i != 8; ++i)\n"
-      "    if (b & ((uint64_t)1 << i)) r |= a & ((uint64_t)0xFF << (8 * i));\n"
-      "  return r;\n"
-      "}\n"
-      "static inline uint64_t ildp_umulh(uint64_t a, uint64_t b) {\n"
-      "  return (uint64_t)(((unsigned __int128)a * (unsigned __int128)b)"
-      " >> 64);\n"
-      "}\n"
-      "static inline uint64_t ildp_ctpop(uint64_t b) {\n"
-      "  uint64_t n = 0;\n"
-      "  for (; b; b &= b - 1) ++n;\n"
-      "  return n;\n"
-      "}\n"
-      "static inline uint64_t ildp_ctlz(uint64_t b) {\n"
-      "  uint64_t n = 0, bit;\n"
-      "  if (b == 0) return 64;\n"
-      "  for (bit = (uint64_t)1 << 63; !(b & bit); bit >>= 1) ++n;\n"
-      "  return n;\n"
-      "}\n"
-      "static inline uint64_t ildp_cttz(uint64_t b) {\n"
-      "  uint64_t n = 0, bit;\n"
-      "  if (b == 0) return 64;\n"
-      "  for (bit = 1; !(b & bit); bit <<= 1) ++n;\n"
-      "  return n;\n"
-      "}\n";
-}
+/// C text prepended to every emitted fragment: the fixed-width typedefs,
+/// then alpha/AlphaOps.h and native/NativeCtx.h verbatim.
+const char *nativeAbiPreamble();
 
 /// Name of the exported entry symbol in a compiled fragment object.
 inline const char *nativeEntrySymbol() { return "ildp_native_run"; }

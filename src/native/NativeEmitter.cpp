@@ -7,6 +7,7 @@
 #include "native/NativeEmitter.h"
 
 #include "alpha/AlphaIsa.h"
+#include "alpha/AlphaOps.h"
 #include "native/NativeAbi.h"
 
 #include <array>
@@ -36,146 +37,50 @@ std::string var(char Prefix, unsigned N) {
   return Buf;
 }
 
-/// Mirrors alpha::evalIntOp term for term. Returns "" for opcodes outside
-/// the integer-operate set (the emitter refuses the fragment).
-std::string intOpExpr(Opcode Op, const std::string &A, const std::string &B) {
+/// "ILDP_EXIT(<Code>, <Index>u, <VTarget>);" with \p Code an
+/// ildp_native_exit enumerator from native/NativeCtx.h.
+std::string exitCall(const char *Code, uint32_t Index,
+                     const std::string &VTarget) {
+  return std::string("ILDP_EXIT(") + Code + ", " + decU32(Index) + ", " +
+         VTarget + ");";
+}
+
+/// Name of the alpha/AlphaOps.h function that computes \p Op, or nullptr
+/// when the opcode is not in the group's list (the emitter refuses the
+/// fragment).
+const char *intOpFn(Opcode Op) {
   switch (Op) {
-  case Opcode::LDA:
-    return "(" + A + " + " + B + ")";
-  case Opcode::LDAH:
-    return "(" + A + " + (" + B + " << 16))";
-  case Opcode::ADDL:
-    return "ildp_sextl(" + A + " + " + B + ")";
-  case Opcode::ADDQ:
-    return "(" + A + " + " + B + ")";
-  case Opcode::SUBL:
-    return "ildp_sextl(" + A + " - " + B + ")";
-  case Opcode::SUBQ:
-    return "(" + A + " - " + B + ")";
-  case Opcode::S4ADDL:
-    return "ildp_sextl(" + A + " * 4 + " + B + ")";
-  case Opcode::S4ADDQ:
-    return "(" + A + " * 4 + " + B + ")";
-  case Opcode::S8ADDL:
-    return "ildp_sextl(" + A + " * 8 + " + B + ")";
-  case Opcode::S8ADDQ:
-    return "(" + A + " * 8 + " + B + ")";
-  case Opcode::S4SUBL:
-    return "ildp_sextl(" + A + " * 4 - " + B + ")";
-  case Opcode::S4SUBQ:
-    return "(" + A + " * 4 - " + B + ")";
-  case Opcode::S8SUBL:
-    return "ildp_sextl(" + A + " * 8 - " + B + ")";
-  case Opcode::S8SUBQ:
-    return "(" + A + " * 8 - " + B + ")";
-  case Opcode::CMPEQ:
-    return "((uint64_t)(" + A + " == " + B + "))";
-  case Opcode::CMPLT:
-    return "((uint64_t)((int64_t)" + A + " < (int64_t)" + B + "))";
-  case Opcode::CMPLE:
-    return "((uint64_t)((int64_t)" + A + " <= (int64_t)" + B + "))";
-  case Opcode::CMPULT:
-    return "((uint64_t)(" + A + " < " + B + "))";
-  case Opcode::CMPULE:
-    return "((uint64_t)(" + A + " <= " + B + "))";
-  case Opcode::CMPBGE:
-    return "ildp_cmpbge(" + A + ", " + B + ")";
-  case Opcode::AND:
-    return "(" + A + " & " + B + ")";
-  case Opcode::BIC:
-    return "(" + A + " & ~" + B + ")";
-  case Opcode::BIS:
-    return "(" + A + " | " + B + ")";
-  case Opcode::ORNOT:
-    return "(" + A + " | ~" + B + ")";
-  case Opcode::XOR:
-    return "(" + A + " ^ " + B + ")";
-  case Opcode::EQV:
-    return "(" + A + " ^ ~" + B + ")";
-  case Opcode::SLL:
-    return "(" + A + " << (" + B + " & 63))";
-  case Opcode::SRL:
-    return "(" + A + " >> (" + B + " & 63))";
-  case Opcode::SRA:
-    return "((uint64_t)((int64_t)" + A + " >> (" + B + " & 63)))";
-  case Opcode::ZAP:
-    return "ildp_zap(" + A + ", " + B + ")";
-  case Opcode::ZAPNOT:
-    return "ildp_zapnot(" + A + ", " + B + ")";
-  case Opcode::EXTBL:
-    return "((" + A + " >> (8 * (" + B + " & 7))) & 0xFF)";
-  case Opcode::EXTWL:
-    return "((" + A + " >> (8 * (" + B + " & 7))) & 0xFFFF)";
-  case Opcode::INSBL:
-    return "((" + A + " & 0xFF) << (8 * (" + B + " & 7)))";
-  case Opcode::MSKBL:
-    return "(" + A + " & ~((uint64_t)0xFF << (8 * (" + B + " & 7))))";
-  case Opcode::MULL:
-    return "ildp_sextl(" + A + " * " + B + ")";
-  case Opcode::MULQ:
-    return "(" + A + " * " + B + ")";
-  case Opcode::UMULH:
-    return "ildp_umulh(" + A + ", " + B + ")";
-  case Opcode::SEXTB:
-    return "((uint64_t)(int64_t)(int8_t)" + B + ")";
-  case Opcode::SEXTW:
-    return "((uint64_t)(int64_t)(int16_t)" + B + ")";
-  case Opcode::CTPOP:
-    return "ildp_ctpop(" + B + ")";
-  case Opcode::CTLZ:
-    return "ildp_ctlz(" + B + ")";
-  case Opcode::CTTZ:
-    return "ildp_cttz(" + B + ")";
+#define ILDP_FN_CASE(M)                                                        \
+  case Opcode::M:                                                              \
+    return "ildp_op_" #M;
+    ILDP_INT_OPS(ILDP_FN_CASE)
+#undef ILDP_FN_CASE
   default:
-    return "";
+    return nullptr;
   }
 }
 
-/// Mirrors alpha::evalBranchCond. "" for non-branch opcodes.
-std::string branchCondExpr(Opcode Op, const std::string &A) {
+const char *branchFn(Opcode Op) {
   switch (Op) {
-  case Opcode::BEQ:
-    return "(" + A + " == 0)";
-  case Opcode::BNE:
-    return "(" + A + " != 0)";
-  case Opcode::BLT:
-    return "((int64_t)" + A + " < 0)";
-  case Opcode::BLE:
-    return "((int64_t)" + A + " <= 0)";
-  case Opcode::BGT:
-    return "((int64_t)" + A + " > 0)";
-  case Opcode::BGE:
-    return "((int64_t)" + A + " >= 0)";
-  case Opcode::BLBC:
-    return "((" + A + " & 1) == 0)";
-  case Opcode::BLBS:
-    return "((" + A + " & 1) != 0)";
+#define ILDP_FN_CASE(M)                                                        \
+  case Opcode::M:                                                              \
+    return "ildp_br_" #M;
+    ILDP_BRANCH_OPS(ILDP_FN_CASE)
+#undef ILDP_FN_CASE
   default:
-    return "";
+    return nullptr;
   }
 }
 
-/// Mirrors alpha::evalCmovCond. "" for non-cmov opcodes.
-std::string cmovCondExpr(Opcode Op, const std::string &A) {
+const char *cmovFn(Opcode Op) {
   switch (Op) {
-  case Opcode::CMOVEQ:
-    return "(" + A + " == 0)";
-  case Opcode::CMOVNE:
-    return "(" + A + " != 0)";
-  case Opcode::CMOVLT:
-    return "((int64_t)" + A + " < 0)";
-  case Opcode::CMOVGE:
-    return "((int64_t)" + A + " >= 0)";
-  case Opcode::CMOVLE:
-    return "((int64_t)" + A + " <= 0)";
-  case Opcode::CMOVGT:
-    return "((int64_t)" + A + " > 0)";
-  case Opcode::CMOVLBS:
-    return "((" + A + " & 1) != 0)";
-  case Opcode::CMOVLBC:
-    return "((" + A + " & 1) == 0)";
+#define ILDP_FN_CASE(M)                                                        \
+  case Opcode::M:                                                              \
+    return "ildp_cmov_" #M;
+    ILDP_CMOV_OPS(ILDP_FN_CASE)
+#undef ILDP_FN_CASE
   default:
-    return "";
+    return nullptr;
   }
 }
 
@@ -355,8 +260,8 @@ private:
       if (alpha::isCondMove(Inst.AlphaOp)) {
         // Straightening backend only: whole conditional move, old value
         // from the destination register.
-        std::string Cond = cmovCondExpr(Inst.AlphaOp, A);
-        if (Cond.empty()) {
+        const char *Cond = cmovFn(Inst.AlphaOp);
+        if (!Cond) {
           refuse("unknown-cmov-op");
           return "";
         }
@@ -371,22 +276,24 @@ private:
           refuse("cmov-no-dest");
           return "";
         }
-        return writeResult(Inst, "(" + Cond + " ? " + B + " : " + Old + ")");
+        return writeResult(Inst, std::string("(") + Cond + "(" + A + ") ? " +
+                                     B + " : " + Old + ")");
       }
-      std::string Expr = intOpExpr(Inst.AlphaOp, A, B);
-      if (Expr.empty()) {
+      const char *Fn = intOpFn(Inst.AlphaOp);
+      if (!Fn) {
         refuse("unknown-int-op");
         return "";
       }
-      return writeResult(Inst, Expr);
+      return writeResult(Inst, std::string(Fn) + "(" + A + ", " + B + ")");
     }
     case IKind::CmovMask: {
-      std::string Cond = cmovCondExpr(Inst.AlphaOp, A);
-      if (Cond.empty()) {
+      const char *Cond = cmovFn(Inst.AlphaOp);
+      if (!Cond) {
         refuse("unknown-cmov-op");
         return "";
       }
-      return writeResult(Inst, "(" + Cond + " ? ~(uint64_t)0 : 0)");
+      return writeResult(Inst, std::string("(") + Cond + "(" + A +
+                                   ") ? ~(uint64_t)0 : 0)");
     }
     case IKind::CmovBlend: {
       // The destination-GPR field doubles as the old-value source.
@@ -435,29 +342,28 @@ private:
       // fragment metadata after the body returns.
       return "; /* push_dual_ras (host-side) */";
     case IKind::CondExit: {
-      std::string Cond = branchCondExpr(Inst.AlphaOp, A);
-      if (Cond.empty()) {
+      const char *Cond = branchFn(Inst.AlphaOp);
+      if (!Cond) {
         refuse("unknown-branch-op");
         return "";
       }
-      return "if " + Cond + " ILDP_EXIT(0u, " + decU32(Index) + ", 0);";
+      return std::string("if (") + Cond + "(" + A + ")) " +
+             exitCall("ILDP_EXIT_DIRECT", Index, "0");
     }
     case IKind::Branch:
-      return "ILDP_EXIT(0u, " + decU32(Index) + ", 0);";
+      return exitCall("ILDP_EXIT_DIRECT", Index, "0");
     case IKind::JumpPredict:
-      return "if (" + A + " != 0) ILDP_EXIT(1u, " + decU32(Index) +
-             ", 0); else ILDP_EXIT(2u, " + decU32(Index) + ", " + B +
-             " & ~(uint64_t)3);";
+      return "if (" + A + " != 0) " +
+             exitCall("ILDP_EXIT_PREDICT_HIT", Index, "0") + " else " +
+             exitCall("ILDP_EXIT_PREDICT_MISS", Index, B + " & ~(uint64_t)3");
     case IKind::JumpDispatch:
-      return "ILDP_EXIT(3u, " + decU32(Index) + ", " + B +
-             " & ~(uint64_t)3);";
+      return exitCall("ILDP_EXIT_DISPATCH", Index, B + " & ~(uint64_t)3");
     case IKind::ReturnDual:
-      return "ILDP_EXIT(4u, " + decU32(Index) + ", " + B +
-             " & ~(uint64_t)3);";
+      return exitCall("ILDP_EXIT_RETURN", Index, B + " & ~(uint64_t)3");
     case IKind::Halt:
-      return "ILDP_EXIT(5u, " + decU32(Index) + ", 0);";
+      return exitCall("ILDP_EXIT_HALT", Index, "0");
     case IKind::Gentrap:
-      return "ILDP_TRAP(" + decU32(Index) + ", 255, 0);";
+      return "ILDP_TRAP(" + decU32(Index) + ", ILDP_GENTRAP_FAULT, 0);";
     }
     refuse("unknown-kind");
     return "";
@@ -485,7 +391,7 @@ private:
          "c->exit_code = (code); c->inst_index = (idx); "
          "c->vtarget = (vt); return; } while (0)\n";
     S += "#define ILDP_TRAP(idx, fault, a) do { ILDP_WB(); "
-         "c->exit_code = 6u; c->inst_index = (idx); "
+         "c->exit_code = ILDP_EXIT_TRAP; c->inst_index = (idx); "
          "c->mem_fault = (uint32_t)(fault); c->trap_addr = (a); return; } "
          "while (0)\n";
 
@@ -512,7 +418,8 @@ private:
     }
     // Unreachable: the translator ends every body with an unconditional
     // exit. Mirror the executor's defensive Halt.
-    S += "  ILDP_EXIT(5u, " + decU32(uint32_t(Body.size() - 1)) + ", 0);\n";
+    S += "  " + exitCall("ILDP_EXIT_HALT", uint32_t(Body.size() - 1), "0") +
+         "\n";
     S += "}\n";
     (void)Variant;
     return S;
@@ -520,6 +427,14 @@ private:
 };
 
 } // namespace
+
+const char *native::nativeAbiPreamble() {
+  // Generated at configure time from NativePreamble.c.in (see
+  // CMakeLists.txt): one raw string literal.
+  return
+#include "NativePreamble.inc"
+      ;
+}
 
 EmitResult native::emitFragmentC(const std::vector<IisaInst> &Body,
                                  IsaVariant Variant) {

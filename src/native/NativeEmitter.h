@@ -7,17 +7,20 @@
 /// \file
 /// Lowers a settled I-ISA fragment body to a self-contained C translation
 /// unit implementing the NativeAbi entry point (DESIGN.md §13). Every
-/// instruction becomes straight-line C over locals that mirror exactly the
-/// accumulators and GPRs the body touches; the Alpha operation semantics
-/// are emitted as expressions that mirror alpha::evalIntOp and friends
-/// term for term, so the host compiler constant-folds operand selection
-/// and opcode dispatch away entirely — that interpretive dispatch is the
-/// cost the native tier exists to eliminate.
+/// instruction becomes straight-line C over locals for exactly the
+/// accumulators and GPRs the body touches. Each Alpha operation is a call
+/// into alpha/AlphaOps.h, which the preamble embeds verbatim and which
+/// alpha::evalIntOp and friends call too: ildp_op_ADDQ(a0, g3),
+/// ildp_br_BEQ(a1), ildp_cmov_CMOVNE(g4). The emitter writes only the
+/// per-fragment code, so the host compiler inlines the operation and
+/// constant-folds operand selection and opcode dispatch away entirely —
+/// that interpretive dispatch is the cost the native tier exists to
+/// eliminate.
 ///
 /// The emitter is total over the I-ISA the translator generates today and
-/// *refuses* anything else (unknown opcode, out-of-range register):
-/// refusal is a typed degrade — the fragment simply stays on the I-ISA
-/// tier — never a miscompile.
+/// *refuses* anything else (an opcode missing from AlphaOps.h's lists, an
+/// out-of-range register): refusal is a typed degrade — the fragment
+/// simply stays on the I-ISA tier — never a miscompile.
 ///
 /// fragmentKey() hashes only the emission-relevant instruction fields
 /// (kind, opcode, operands, destinations, embedded targets/displacements)
@@ -41,7 +44,7 @@ namespace native {
 
 /// Bumped whenever emitted code changes meaning; folded into the
 /// compile-command checksum so stale persisted objects are rejected.
-constexpr uint32_t NativeEmitterVersion = 1;
+constexpr uint32_t NativeEmitterVersion = 2;
 
 /// Result of lowering a fragment body to C.
 struct EmitResult {

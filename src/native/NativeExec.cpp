@@ -32,18 +32,18 @@ IExit native::runFragment(const NativeCode &Code, IExecState &State,
                           GuestMemory &Mem,
                           const std::vector<IisaInst> &Body) {
   NativeContext Ctx;
-  Ctx.Acc = State.Acc.data();
-  Ctx.Gpr = State.Gpr.data();
-  Ctx.VpcBase = &State.VpcBase;
-  Ctx.Mem = &Mem;
-  Ctx.Load = &hostLoad;
-  Ctx.Store = &hostStore;
-  Ctx.InstBudget = 0;
-  Ctx.ExitCode = NativeExitHalt;
-  Ctx.InstIndex = 0;
-  Ctx.VTarget = 0;
-  Ctx.MemFault = 0;
-  Ctx.TrapAddr = 0;
+  Ctx.acc = State.Acc.data();
+  Ctx.gpr = State.Gpr.data();
+  Ctx.vpc_base = &State.VpcBase;
+  Ctx.mem = &Mem;
+  Ctx.ld = &hostLoad;
+  Ctx.st = &hostStore;
+  Ctx.inst_budget = 0;
+  Ctx.exit_code = ILDP_EXIT_HALT;
+  Ctx.inst_index = 0;
+  Ctx.vtarget = 0;
+  Ctx.mem_fault = 0;
+  Ctx.trap_addr = 0;
 
   Code.Fn(&Ctx);
   // The emitted body never writes r31; keep the hardwired-zero invariant
@@ -51,7 +51,7 @@ IExit native::runFragment(const NativeCode &Code, IExecState &State,
   State.Gpr[alpha::RegZero] = 0;
 
   IExit Exit;
-  if (Ctx.InstIndex >= Body.size()) {
+  if (Ctx.inst_index >= Body.size()) {
     // Out-of-range index from a compiled object: never index the body on
     // its say-so; trap at the entry so recovery re-derives interpretively.
     Exit.InstIndex = 0;
@@ -59,43 +59,43 @@ IExit native::runFragment(const NativeCode &Code, IExecState &State,
     Exit.TrapInfo = Trap{TrapKind::IllegalInst, 0, 0};
     return Exit;
   }
-  Exit.InstIndex = Ctx.InstIndex;
-  const IisaInst &Inst = Body[Ctx.InstIndex];
-  switch (Ctx.ExitCode) {
-  case NativeExitDirect:
+  Exit.InstIndex = Ctx.inst_index;
+  const IisaInst &Inst = Body[Ctx.inst_index];
+  switch (Ctx.exit_code) {
+  case ILDP_EXIT_DIRECT:
     // Deopt-neutral: chained-vs-translator and the V-target come from the
     // LIVE instruction, so exit repatching never touches compiled code.
     Exit.K = Inst.ToTranslator ? IExit::Kind::ToTranslator
                                : IExit::Kind::Chained;
     Exit.VTarget = Inst.VTarget;
     break;
-  case NativeExitPredictHit:
+  case ILDP_EXIT_PREDICT_HIT:
     Exit.K = IExit::Kind::PredictHit;
     Exit.VTarget = Inst.VTarget;
     break;
-  case NativeExitPredictMiss:
+  case ILDP_EXIT_PREDICT_MISS:
     Exit.K = IExit::Kind::PredictMiss;
-    Exit.VTarget = Ctx.VTarget;
+    Exit.VTarget = Ctx.vtarget;
     break;
-  case NativeExitDispatch:
+  case ILDP_EXIT_DISPATCH:
     Exit.K = IExit::Kind::Dispatch;
-    Exit.VTarget = Ctx.VTarget;
+    Exit.VTarget = Ctx.vtarget;
     break;
-  case NativeExitReturn:
+  case ILDP_EXIT_RETURN:
     Exit.K = IExit::Kind::Return;
-    Exit.VTarget = Ctx.VTarget;
+    Exit.VTarget = Ctx.vtarget;
     break;
-  case NativeExitHalt:
+  case ILDP_EXIT_HALT:
     Exit.K = IExit::Kind::Halt;
     break;
-  case NativeExitTrap:
+  case ILDP_EXIT_TRAP:
     Exit.K = IExit::Kind::Trap;
-    if (Ctx.MemFault == NativeGentrapFault) {
+    if (Ctx.mem_fault == NativeGentrapFault) {
       Exit.TrapInfo = Trap{TrapKind::Gentrap, 0, 0};
     } else {
       Exit.TrapInfo =
-          Trap{trapKindForMemFault(MemFaultKind(Ctx.MemFault)), 0,
-               Ctx.TrapAddr};
+          Trap{trapKindForMemFault(MemFaultKind(Ctx.mem_fault)), 0,
+               Ctx.trap_addr};
     }
     break;
   default:

@@ -66,12 +66,6 @@ constexpr unsigned log2Floor(uint64_t Value) {
   return Result;
 }
 
-/// Truncates a 64-bit value to its low 32 bits and sign-extends back, the
-/// canonical Alpha longword canonicalization.
-constexpr uint64_t sextLongword(uint64_t Value) {
-  return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(Value)));
-}
-
 } // namespace ildp
 
 #endif // ILDP_SUPPORT_BITUTIL_H

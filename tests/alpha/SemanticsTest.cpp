@@ -127,5 +127,10 @@ TEST(Semantics, LoadExtension) {
   EXPECT_EQ(extendLoadedValue(Opcode::LDL, 0x80000000),
             0xFFFFFFFF80000000ull);
   EXPECT_EQ(extendLoadedValue(Opcode::LDL, 0x7FFFFFFF), 0x7FFFFFFFull);
+  // Longword sign extension (ildp_sextl) ignores the upper half.
+  EXPECT_EQ(extendLoadedValue(Opcode::LDL, 0x00000000FFFFFFFFull),
+            ~uint64_t(0));
+  EXPECT_EQ(extendLoadedValue(Opcode::LDL, 0xABCDEF0080000000ull),
+            0xFFFFFFFF80000000ull);
   EXPECT_EQ(extendLoadedValue(Opcode::LDQ, ~uint64_t(0)), ~uint64_t(0));
 }

@@ -27,13 +27,21 @@ namespace {
 
 class OpcodeExecution : public ::testing::TestWithParam<unsigned> {};
 
+/// The operate-format opcodes, the only ones with a register and a
+/// literal form. (The instantiation keeps its historical "AllOpcodes"
+/// name so test IDs stay stable.)
+std::vector<unsigned> operateOpcodes() {
+  std::vector<unsigned> Ops;
+  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+    if (getOpInfo(static_cast<Opcode>(Op)).Form == Format::Operate)
+      Ops.push_back(Op);
+  return Ops;
+}
+
 } // namespace
 
 TEST_P(OpcodeExecution, RegisterFormMatchesSemantics) {
   Opcode Op = static_cast<Opcode>(GetParam());
-  const OpInfo &Info = getOpInfo(Op);
-  if (Info.Form != Format::Operate)
-    GTEST_SKIP() << "not operate-format";
 
   Rng Rand(GetParam() * 7919 + 3);
   for (int Trial = 0; Trial != 20; ++Trial) {
@@ -64,9 +72,6 @@ TEST_P(OpcodeExecution, RegisterFormMatchesSemantics) {
 
 TEST_P(OpcodeExecution, LiteralFormMatchesSemantics) {
   Opcode Op = static_cast<Opcode>(GetParam());
-  const OpInfo &Info = getOpInfo(Op);
-  if (Info.Form != Format::Operate)
-    GTEST_SKIP() << "not operate-format";
 
   Rng Rand(GetParam() * 104729 + 5);
   for (int Trial = 0; Trial != 20; ++Trial) {
@@ -96,7 +101,7 @@ TEST_P(OpcodeExecution, LiteralFormMatchesSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, OpcodeExecution,
-                         ::testing::Range(0u, NumOpcodes),
+                         ::testing::ValuesIn(operateOpcodes()),
                          [](const ::testing::TestParamInfo<unsigned> &Info) {
                            return getMnemonic(
                                static_cast<Opcode>(Info.param));

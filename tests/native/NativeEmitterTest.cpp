@@ -142,3 +142,33 @@ TEST(NativeEmitter, RefusesMalformedBodiesWithTypedReason) {
   EXPECT_FALSE(R2.Ok);
   EXPECT_STREQ(R2.Reason, "gpr-out-of-range");
 }
+
+TEST(NativeEmitter, CallsSharedOperationsAndNamedExitCodes) {
+  native::EmitResult R =
+      native::emitFragmentC(sampleBody(), IsaVariant::Modified);
+  ASSERT_TRUE(R.Ok) << R.Reason;
+  // The operation is a call into the embedded alpha/AlphaOps.h, and exits
+  // name their native/NativeCtx.h code.
+  EXPECT_NE(R.Source.find("ildp_op_ADDQ(g1, 0x2ULL)"), std::string::npos);
+  EXPECT_NE(R.Source.find("ILDP_EXIT(ILDP_EXIT_DIRECT, "), std::string::npos);
+}
+
+TEST(NativeEmitter, RefusesOpcodesOutsideTheSharedLists) {
+  auto ReasonFor = [](IKind Kind, Opcode Op) {
+    std::vector<IisaInst> Body;
+    IisaInst I;
+    I.Kind = Kind;
+    I.AlphaOp = Op;
+    I.A = IOperand::gpr(1);
+    I.B = IOperand::gpr(2);
+    I.DestAcc = 0;
+    Body.push_back(I);
+    Body.push_back(branchTo(0x10000));
+    native::EmitResult R = native::emitFragmentC(Body, IsaVariant::Modified);
+    EXPECT_FALSE(R.Ok);
+    return std::string(R.Reason);
+  };
+  EXPECT_EQ(ReasonFor(IKind::Compute, Opcode::LDQ), "unknown-int-op");
+  EXPECT_EQ(ReasonFor(IKind::CmovMask, Opcode::ADDQ), "unknown-cmov-op");
+  EXPECT_EQ(ReasonFor(IKind::CondExit, Opcode::ADDQ), "unknown-branch-op");
+}

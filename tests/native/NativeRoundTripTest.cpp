@@ -11,8 +11,10 @@
 /// exit to be BIT-IDENTICAL to iisa::execute over the same body from the
 /// same initial state. Every kind the emitter supports is exercised,
 /// including side exits, software-predicted jumps, memory faults
-/// mid-body, and GENTRAP. Skipped wholesale when no host compiler exists
-/// (the VM-level suites prove that degrade separately).
+/// mid-body, and GENTRAP. Every operation in alpha/AlphaOps.h's lists is
+/// also compiled and run over edge and seeded random operands, against
+/// both iisa::execute and alpha::eval*. Skipped wholesale when no host
+/// compiler exists (the VM-level suites prove that degrade separately).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +23,14 @@
 #include "native/NativeExec.h"
 #include "native/NativeModule.h"
 
+#include "alpha/Semantics.h"
 #include "mem/GuestMemory.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <set>
 
 using namespace ildp;
 using namespace ildp::iisa;
@@ -89,28 +96,21 @@ void seedMemory(GuestMemory &Mem) {
     Mem.poke64(0x1000 + I * 8, 0xC0FFEE0000ull + I);
 }
 
-/// Runs \p Body through both engines from identical state and requires
-/// bit-identical outcomes: every accumulator, every GPR, the VPC base,
-/// the exit record, and guest memory.
-void expectSameRun(const std::vector<IisaInst> &Body, IsaVariant Variant,
-                   const char *Context,
-                   void (*Tweak)(IExecState &) = nullptr) {
-  std::shared_ptr<native::NativeCode> Code = compileBody(Body, Variant);
-  ASSERT_NE(Code, nullptr) << Context;
-
+/// Runs \p Body natively (\p Code) and through iisa::execute from \p Init
+/// over identical guest memory, requires bit-identical outcomes — every
+/// accumulator, every GPR, the VPC base, the exit record, and guest
+/// memory — and returns the native end state and exit.
+std::pair<IExecState, IExit>
+runAgainstExecutor(const native::NativeCode &Code,
+                   const std::vector<IisaInst> &Body, const IExecState &Init,
+                   const std::string &Context) {
   GuestMemory RefMem, NatMem;
   seedMemory(RefMem);
   seedMemory(NatMem);
-  IExecState Ref, Nat;
-  seedState(Ref);
-  seedState(Nat);
-  if (Tweak) {
-    Tweak(Ref);
-    Tweak(Nat);
-  }
+  IExecState Ref = Init, Nat = Init;
 
   IExit RefExit = execute(Body.data(), Body.size(), Ref, RefMem, nullptr);
-  IExit NatExit = native::runFragment(*Code, Nat, NatMem, Body);
+  IExit NatExit = native::runFragment(Code, Nat, NatMem, Body);
 
   EXPECT_EQ(NatExit.K, RefExit.K) << Context;
   EXPECT_EQ(NatExit.VTarget, RefExit.VTarget) << Context;
@@ -127,6 +127,57 @@ void expectSameRun(const std::vector<IisaInst> &Body, IsaVariant Variant,
     EXPECT_EQ(NatMem.load(0x1000 + I * 8, 8).Value,
               RefMem.load(0x1000 + I * 8, 8).Value)
         << Context << ": mem word " << I;
+  return {Nat, NatExit};
+}
+
+/// Compiles \p Body and runs it against the executor from the seeded
+/// state.
+void expectSameRun(const std::vector<IisaInst> &Body, IsaVariant Variant,
+                   const char *Context) {
+  std::shared_ptr<native::NativeCode> Code = compileBody(Body, Variant);
+  ASSERT_NE(Code, nullptr) << Context;
+  IExecState Init;
+  seedState(Init);
+  runAgainstExecutor(*Code, Body, Init, Context);
+}
+
+// The opcode lists of alpha/AlphaOps.h, and their lengths counted
+// independently of the arrays the sweeps build from them.
+#define ILDP_OPCODE_ENTRY(M) Opcode::M,
+const std::vector<Opcode> IntOps = {ILDP_INT_OPS(ILDP_OPCODE_ENTRY)};
+const std::vector<Opcode> BranchOps = {ILDP_BRANCH_OPS(ILDP_OPCODE_ENTRY)};
+const std::vector<Opcode> CmovOps = {ILDP_CMOV_OPS(ILDP_OPCODE_ENTRY)};
+#undef ILDP_OPCODE_ENTRY
+#define ILDP_COUNT_ENTRY(M) +1
+constexpr size_t NumListedIntOps = 0 ILDP_INT_OPS(ILDP_COUNT_ENTRY);
+constexpr size_t NumListedBranchOps = 0 ILDP_BRANCH_OPS(ILDP_COUNT_ENTRY);
+constexpr size_t NumListedCmovOps = 0 ILDP_CMOV_OPS(ILDP_COUNT_ENTRY);
+#undef ILDP_COUNT_ENTRY
+
+const uint64_t EdgeValues[] = {0,       ~uint64_t(0), uint64_t(1) << 63,
+                               0x80,    0x8000,       0x7FFFFFFF};
+
+/// Operand pairs for the sweeps: every pair of edge values, then seeded
+/// random pairs.
+std::vector<std::pair<uint64_t, uint64_t>> sweepOperands() {
+  std::vector<std::pair<uint64_t, uint64_t>> Pairs;
+  for (uint64_t A : EdgeValues)
+    for (uint64_t B : EdgeValues)
+      Pairs.emplace_back(A, B);
+  Rng R(0x5EED0A1F);
+  for (int I = 0; I != 64; ++I)
+    Pairs.emplace_back(R.next(), R.next());
+  return Pairs;
+}
+
+/// Seeded random I-ISA state, so untouched registers also get compared.
+IExecState randomState(Rng &R) {
+  IExecState S;
+  for (uint64_t &A : S.Acc)
+    A = R.next();
+  for (unsigned G = 0; G != NumIisaGprs; ++G)
+    S.writeGpr(G, R.next());
+  return S;
 }
 
 class NativeRoundTrip : public ::testing::Test {
@@ -417,4 +468,145 @@ TEST_F(NativeRoundTrip, ModuleRegistryDeduplicatesByContent) {
   EXPECT_EQ(native::liveModuleCount(), Before + 1);
   M2.reset();
   EXPECT_EQ(native::liveModuleCount(), Before);
+}
+
+TEST_F(NativeRoundTrip, EveryListedOperationMatchesSemantics) {
+  // Operands in r1 (Ra) and r2 (Rb); every other GPR but r31 takes one
+  // result, so a whole list fits one body and one host compile.
+  std::vector<uint8_t> Dests;
+  for (unsigned G = 0; G != NumIisaGprs; ++G)
+    if (G != 1 && G != 2 && G != alpha::RegZero)
+      Dests.push_back(uint8_t(G));
+  ASSERT_GE(Dests.size(), IntOps.size() + 2 * CmovOps.size());
+  auto AccFor = [](size_t I) { return uint8_t(I % MaxAccumulators); };
+
+  // Register form: every operation, then every cmov predicate as a
+  // straightened cmov (old value in its destination) and as a CmovMask.
+  std::vector<IisaInst> RegBody;
+  for (size_t I = 0; I != IntOps.size(); ++I)
+    RegBody.push_back(compute(IntOps[I], IOperand::gpr(1), IOperand::gpr(2),
+                              AccFor(I), Dests[I]));
+  const size_t CmovBase = IntOps.size();
+  const size_t MaskBase = CmovBase + CmovOps.size();
+  for (size_t I = 0; I != CmovOps.size(); ++I)
+    RegBody.push_back(compute(CmovOps[I], IOperand::gpr(1), IOperand::gpr(2),
+                              NoReg, Dests[CmovBase + I]));
+  for (size_t I = 0; I != CmovOps.size(); ++I) {
+    IisaInst Mask;
+    Mask.Kind = IKind::CmovMask;
+    Mask.AlphaOp = CmovOps[I];
+    Mask.A = IOperand::gpr(1);
+    Mask.DestAcc = AccFor(I);
+    Mask.DestGpr = Dests[MaskBase + I];
+    RegBody.push_back(Mask);
+  }
+  RegBody.push_back(branchTo(0xB0000));
+
+  // Literal form: every operation on r1 and a per-operation immediate
+  // (alternately an edge value and a random 8-bit literal), so the host
+  // compiler's constant folding of each operation is checked too.
+  std::vector<IisaInst> LitBody;
+  std::vector<uint64_t> Imms;
+  Rng LitRand(0x11712A1);
+  for (size_t I = 0; I != IntOps.size(); ++I) {
+    uint64_t Imm = I % 2 ? LitRand.nextBelow(256)
+                         : EdgeValues[(I / 2) % std::size(EdgeValues)];
+    Imms.push_back(Imm);
+    LitBody.push_back(compute(IntOps[I], IOperand::gpr(1),
+                              IOperand::imm(int64_t(Imm)), AccFor(I),
+                              Dests[I]));
+  }
+  LitBody.push_back(branchTo(0xB0040));
+
+  std::shared_ptr<native::NativeCode> RegCode =
+      compileBody(RegBody, IsaVariant::Modified);
+  std::shared_ptr<native::NativeCode> LitCode =
+      compileBody(LitBody, IsaVariant::Modified);
+  ASSERT_NE(RegCode, nullptr);
+  ASSERT_NE(LitCode, nullptr);
+
+  std::set<Opcode> IntSeen, CmovSeen;
+  Rng StateRand(0xC0DEC0DE);
+  for (auto [A, B] : sweepOperands()) {
+    IExecState Init = randomState(StateRand);
+    Init.writeGpr(1, A);
+    Init.writeGpr(2, B);
+    std::string Context =
+        "A=" + std::to_string(A) + " B=" + std::to_string(B);
+
+    IExecState Reg = runAgainstExecutor(*RegCode, RegBody, Init,
+                                        "register form, " + Context)
+                         .first;
+    for (size_t I = 0; I != IntOps.size(); ++I) {
+      EXPECT_EQ(Reg.readGpr(Dests[I]), alpha::evalIntOp(IntOps[I], A, B))
+          << alpha::getMnemonic(IntOps[I]) << " " << Context;
+      IntSeen.insert(IntOps[I]);
+    }
+    for (size_t I = 0; I != CmovOps.size(); ++I) {
+      bool Cond = alpha::evalCmovCond(CmovOps[I], A);
+      uint8_t Straight = Dests[CmovBase + I], Mask = Dests[MaskBase + I];
+      EXPECT_EQ(Reg.readGpr(Straight), Cond ? B : Init.readGpr(Straight))
+          << alpha::getMnemonic(CmovOps[I]) << " " << Context;
+      EXPECT_EQ(Reg.readGpr(Mask), Cond ? ~uint64_t(0) : 0)
+          << alpha::getMnemonic(CmovOps[I]) << " mask " << Context;
+      CmovSeen.insert(CmovOps[I]);
+    }
+
+    IExecState Lit = runAgainstExecutor(*LitCode, LitBody, Init,
+                                        "literal form, " + Context)
+                         .first;
+    for (size_t I = 0; I != IntOps.size(); ++I)
+      EXPECT_EQ(Lit.readGpr(Dests[I]),
+                alpha::evalIntOp(IntOps[I], A, Imms[I]))
+          << alpha::getMnemonic(IntOps[I]) << " A=" << A
+          << " imm=" << Imms[I];
+  }
+  EXPECT_EQ(IntSeen.size(), NumListedIntOps);
+  EXPECT_EQ(CmovSeen.size(), NumListedCmovOps);
+}
+
+TEST_F(NativeRoundTrip, EveryListedBranchPredicateMatchesSemantics) {
+  // One cond_exit per predicate, testing r(1 + I); the final branch is
+  // reached when none is taken.
+  std::vector<IisaInst> Body;
+  for (size_t I = 0; I != BranchOps.size(); ++I) {
+    IisaInst Exit;
+    Exit.Kind = IKind::CondExit;
+    Exit.AlphaOp = BranchOps[I];
+    Exit.A = IOperand::gpr(uint8_t(1 + I));
+    Exit.VTarget = 0xC0000 + 4 * I;
+    Body.push_back(Exit);
+  }
+  Body.push_back(branchTo(0xC1000));
+  std::shared_ptr<native::NativeCode> Code =
+      compileBody(Body, IsaVariant::Modified);
+  ASSERT_NE(Code, nullptr);
+
+  // A value each predicate rejects, so only the exit under test can fire.
+  auto NotTaken = [](Opcode Op) {
+    for (uint64_t V : {uint64_t(0), uint64_t(1), ~uint64_t(0)})
+      if (!alpha::evalBranchCond(Op, V))
+        return V;
+    ADD_FAILURE() << alpha::getMnemonic(Op) << " is taken on 0, 1 and ~0";
+    return uint64_t(0);
+  };
+
+  std::set<Opcode> Seen;
+  Rng StateRand(0xB4A7C4);
+  for (size_t I = 0; I != BranchOps.size(); ++I) {
+    for (auto [A, Unused] : sweepOperands()) {
+      (void)Unused;
+      IExecState Init = randomState(StateRand);
+      for (size_t J = 0; J != BranchOps.size(); ++J)
+        Init.writeGpr(unsigned(1 + J), J == I ? A : NotTaken(BranchOps[J]));
+      std::string Context = std::string(alpha::getMnemonic(BranchOps[I])) +
+                            " A=" + std::to_string(A);
+      IExit Exit = runAgainstExecutor(*Code, Body, Init, Context).second;
+      bool Taken = alpha::evalBranchCond(BranchOps[I], A);
+      EXPECT_EQ(Exit.K, IExit::Kind::Chained) << Context;
+      EXPECT_EQ(Exit.InstIndex, Taken ? I : BranchOps.size()) << Context;
+      Seen.insert(BranchOps[I]);
+    }
+  }
+  EXPECT_EQ(Seen.size(), NumListedBranchOps);
 }

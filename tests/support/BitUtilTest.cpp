@@ -57,9 +57,3 @@ TEST(BitUtil, PowerOfTwo) {
   EXPECT_EQ(log2Floor(1024), 10u);
   EXPECT_EQ(log2Floor(1025), 10u);
 }
-
-TEST(BitUtil, SextLongword) {
-  EXPECT_EQ(sextLongword(0x00000000FFFFFFFFull), ~uint64_t(0));
-  EXPECT_EQ(sextLongword(0x000000007FFFFFFFull), 0x7FFFFFFFull);
-  EXPECT_EQ(sextLongword(0xABCDEF0080000000ull), 0xFFFFFFFF80000000ull);
-}
