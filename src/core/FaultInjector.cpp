@@ -23,8 +23,6 @@ const char *dbt::getFaultSiteName(FaultSite Site) {
     return "codegen";
   case FaultSite::Assemble:
     return "assemble";
-  case FaultSite::AsyncWorker:
-    return "async_worker";
   case FaultSite::PersistImport:
     return "persist_import";
   case FaultSite::EvictSelect:

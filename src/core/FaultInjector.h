@@ -16,22 +16,21 @@
 ///   StrandAlloc   - formStrandsAndAllocate()
 ///   CodeGen       - generateCode() body emission
 ///   Assemble      - generateCode() encoding/sizing pass
-///   AsyncWorker   - TranslationService worker, before translate()
 ///   PersistImport - VM warm-start import of a persisted cache file
 ///   EvictSelect   - TranslationCache victim selection under a byte budget
 ///   Unchain       - TranslationCache exit unchaining during an eviction
-///   NativeCompile - NativeService worker, before host compilation
+///   NativeCompile - VM native tier-up, before a compile is submitted
 ///   NativeLoad    - dlopen/attach of a compiled native module
 ///
 /// A fire at either eviction site aborts the eviction sequence; the cache
 /// degrades to a wholesale flush rather than risking half-torn-down
 /// linkage (DESIGN.md §10).
 ///
-/// All counters are atomic: the injector is shared between the VM thread
-/// and translation workers. Firing decisions depend only on the per-site
-/// hit index, so a single-worker (or synchronous) run is exactly
-/// reproducible; with several workers the *set* of fired hits is still
-/// deterministic per site even though request interleaving is not.
+/// All counters are atomic: one injector may be shared by the VMs of a
+/// fleet, each running on its own scheduler worker. Firing decisions
+/// depend only on the per-site hit index, so a single-VM run is exactly
+/// reproducible; with several VMs the *set* of fired hits is still
+/// deterministic per site even though their interleaving is not.
 ///
 /// The injector is test/bench machinery: a VM without one attached
 /// (DbtConfig::Fault == nullptr) never pays more than a null-pointer check
@@ -57,7 +56,6 @@ enum class FaultSite : uint8_t {
   StrandAlloc,
   CodeGen,
   Assemble,
-  AsyncWorker,
   PersistImport,
   EvictSelect,
   Unchain,
@@ -65,7 +63,7 @@ enum class FaultSite : uint8_t {
   NativeLoad,
 };
 
-constexpr unsigned NumFaultSites = 12;
+constexpr unsigned NumFaultSites = 11;
 
 /// Stable lowercase site name ("decode", "strand_alloc", ...).
 const char *getFaultSiteName(FaultSite Site);

@@ -86,9 +86,8 @@ public:
   /// resets, its hot threshold is multiplied by \p Backoff (so it
   /// re-profiles exponentially longer before the next attempt), and once it
   /// has failed more than \p MaxRetries times it is blacklisted — bump()
-  /// never fires for it again. Also drops any translation mark (an async
-  /// submission marks optimistically). Returns true when the failure
-  /// crossed into blacklisting.
+  /// never fires for it again. Also drops any translation mark. Returns
+  /// true when the failure crossed into blacklisting.
   bool recordFailure(uint64_t VAddr, unsigned MaxRetries, uint64_t Backoff) {
     Translated.erase(VAddr);
     Counters.erase(VAddr);

@@ -50,16 +50,6 @@ struct Superblock {
   uint64_t FinalNextVAddr = 0;
 };
 
-/// The V-ISA targets of every patchable exit the translation of \p Sb will
-/// carry (side exits of conditional branches plus the terminal branch),
-/// computed from the recording alone. This mirrors the exit selection of
-/// lowering + codegen exactly, so the VM can register exit targets as
-/// trace-start candidates at recording time — before a background
-/// translation of the superblock has produced the fragment (asynchronous
-/// translation must register them at the same logical point a synchronous
-/// install would). May contain duplicates.
-std::vector<uint64_t> collectExitTargets(const Superblock &Sb);
-
 } // namespace dbt
 } // namespace ildp
 

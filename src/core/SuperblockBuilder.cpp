@@ -74,46 +74,3 @@ Superblock SuperblockBuilder::take() {
   assert(Finished && "take() before recording finished");
   return std::move(Sb);
 }
-
-std::vector<uint64_t> dbt::collectExitTargets(const Superblock &Sb) {
-  // Must match lowerCondBranch() + Generator::emitChainTail() exactly:
-  // every recordExit() call in codegen corresponds to one entry here.
-  std::vector<uint64_t> Out;
-  for (size_t I = 0; I != Sb.Insts.size(); ++I) {
-    const SourceInst &Src = Sb.Insts[I];
-    if (Src.Inst.info().Kind != InstKind::CondBranch)
-      continue;
-    if (Src.Inst.Ra == RegZero)
-      continue; // Constant condition: straightened away, no exit.
-    bool IsFinal =
-        I + 1 == Sb.Insts.size() && Sb.End == SbEndReason::BackwardTaken;
-    if (IsFinal) {
-      // Superblock-ending backward taken branch: the taken path exits.
-      Out.push_back(Src.Inst.branchTarget(Src.VAddr));
-    } else if (Src.Taken) {
-      // Condition reversed by lowering: the exit is the fall-through.
-      Out.push_back(Src.VAddr + InstBytes);
-    } else {
-      Out.push_back(Src.Inst.branchTarget(Src.VAddr));
-    }
-  }
-  switch (Sb.End) {
-  case SbEndReason::BackwardTaken:
-    // The unconditional fall-through branch codegen appends (Figure 2's
-    // "P <- L2").
-    Out.push_back(Sb.Insts.back().VAddr + InstBytes);
-    break;
-  case SbEndReason::Cycle:
-  case SbEndReason::MaxSize:
-  case SbEndReason::Aborted:
-    Out.push_back(Sb.FinalNextVAddr);
-    break;
-  case SbEndReason::IndirectJump:
-  case SbEndReason::Return:
-  case SbEndReason::Trap:
-    // Indirect ends chain through prediction/dispatch, not patchable
-    // exits; trap ends stop in the fragment.
-    break;
-  }
-  return Out;
-}

@@ -45,17 +45,14 @@ Fragment &TranslationCache::install(Fragment Frag) {
   // larger than the whole budget is installed best-effort into an emptied
   // cache (the VM clamps DbtConfig::MaxFragmentBytes to the budget, so it
   // never produces one; direct users get the least-bad degradation).
-  bool FlushedByThisInstall = false;
   if (Budget != 0 && TotalBytes + Frag.BodyBytes > Budget &&
-      !evictToFit(Frag.BodyBytes)) {
+      !evictToFit(Frag.BodyBytes))
     degradedFlush();
-    FlushedByThisInstall = true;
-  }
 
   auto Owned = std::make_unique<Fragment>(std::move(Frag));
   Fragment &F = *Owned;
   // Derived per-install state: slots copied from another cache (warm
-  // start, async hand-off) must never be trusted here.
+  // start) must never be trusted here.
   F.Accounting = buildExitAccounting(F.Body);
   F.Successors.assign(F.Body.size(), SuccessorSlot());
   ++LinkGen;
@@ -69,22 +66,16 @@ Fragment &TranslationCache::install(Fragment Frag) {
   Index.emplace(F.EntryVAddr, &F);
 
   // Authoritative exit pass. Codegen marked exits pending/chained against
-  // its own chainability snapshot; the self-entry case, racing installs,
-  // and — under a budget — evictions that happened since (including by
-  // this very install) make this pass the source of truth:
+  // its own chainability snapshot; the self-entry case and — under a
+  // budget — evictions that happened since (including by this very
+  // install) make this pass the source of truth:
   //   - pending exit, target chainable  -> patch + reverse-index
   //   - pending exit, target absent     -> pending multimap
   //   - chained exit, target absent     -> unchain back to call-translator
   //   - chained exit, target chainable  -> reverse-index only
   for (size_t E = 0; E != F.Exits.size(); ++E) {
     ExitRecord &Exit = F.Exits[E];
-    // After a wholesale flush inside this very install, the extra
-    // chainability view is stale until its owner observes the flush (the
-    // asynchronous VM rebuilds it only after install() returns, and every
-    // in-flight translation it describes will be discarded as stale), so
-    // only actually-resident targets may stay chained.
-    bool Chainable = FlushedByThisInstall ? Index.count(Exit.VTarget) != 0
-                                          : isChainable(Exit.VTarget);
+    bool Chainable = contains(Exit.VTarget);
     if (Exit.Pending) {
       if (Chainable) {
         Exit.Pending = false;
@@ -260,7 +251,7 @@ size_t TranslationCache::chainInvariantViolations() const {
     for (const ExitRecord &Exit : Frag->Exits) {
       if (Frag->Body[Exit.InstIndex].ToTranslator != Exit.Pending)
         ++Violations; // Record and branch instruction disagree.
-      if (!Exit.Pending && !isChainable(Exit.VTarget))
+      if (!Exit.Pending && !contains(Exit.VTarget))
         ++Violations; // Chained branch into a non-resident I-PC.
     }
   return Violations;

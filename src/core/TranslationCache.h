@@ -66,9 +66,8 @@ public:
   /// address, and patches pending exits in all fragments (including the
   /// new one) that target already-translated entries. Exits of the new
   /// fragment that arrive pre-chained to entries that are no longer
-  /// resident (an asynchronous worker translated against a stale snapshot,
-  /// or this very install evicted the target) are unchained back to their
-  /// call-translator form. Returns the installed fragment.
+  /// resident (this very install evicted the target) are unchained back to
+  /// their call-translator form. Returns the installed fragment.
   Fragment &install(Fragment Frag);
 
   /// Fragment for entry \p VAddr, or nullptr. The non-const form stamps
@@ -108,22 +107,8 @@ public:
 
   /// Patches every still-pending exit that targets \p EntryVAddr into its
   /// chained form and returns how many were patched. install() runs this
-  /// for the new fragment's entry; the asynchronous VM also calls it at
-  /// request-submission time — the logical point a synchronous translator
-  /// would have installed — so fragments already executing observe the
-  /// exact exit-kind sequence a synchronous run produces.
+  /// for the new fragment's entry.
   size_t patchPendingExitsTo(uint64_t EntryVAddr);
-
-  /// Optional extra chainability query consulted by install()'s patch pass
-  /// in addition to the installed-fragment index. The asynchronous VM
-  /// points this at its pending-translation set, so a draining fragment's
-  /// exits toward not-yet-installed (but submitted) entries come out
-  /// chained exactly as a synchronous install at the same logical time
-  /// would have left them. Unset (synchronous operation), install()
-  /// behaves bit-identically to before.
-  void setExtraChainable(std::function<bool(uint64_t)> Query) {
-    ExtraChainable = std::move(Query);
-  }
 
   // ---- Byte budget and eviction (DESIGN.md §10) ----
 
@@ -133,7 +118,7 @@ public:
   uint64_t byteBudget() const { return Budget; }
 
   /// Called once per evicted fragment, before its linkage is torn down
-  /// (the VM un-marks the entry in its profiler and drops its chain view).
+  /// (the VM un-marks the entry in its profiler).
   /// Not called for wholesale flushes, including the degradation flush.
   void setEvictionListener(std::function<void(const Fragment &)> Listener) {
     EvictionListener = std::move(Listener);
@@ -144,10 +129,9 @@ public:
 
   /// Rewrites every chained exit targeting \p EntryVAddr in any resident
   /// fragment back to its call-translator (pending) form and re-registers
-  /// it in the pending multimap. Used when an entry leaves the cache for
-  /// any reason other than a flush: eviction, or a failed asynchronous
-  /// completion whose exits were optimistically patched at submission
-  /// time. Returns the number of exits unchained.
+  /// it in the pending multimap. Used when an entry leaves the cache by
+  /// eviction (a flush discards every exit instead). Returns the number of
+  /// exits unchained.
   size_t unchainExitsTo(uint64_t EntryVAddr);
 
   /// Drops every pending exit targeting \p EntryVAddr (the owner keeps its
@@ -175,14 +159,10 @@ public:
   uint64_t budgetHighWater() const { return HighWater; }
   /// Warm-start imports skipped because they did not fit the budget.
   uint64_t importBudgetSkips() const { return ImportBudgetSkips; }
-  /// Monotonic count of eviction events (individual evictions and
-  /// degradation flushes); the VM snapshots it around installs to detect
-  /// that reconciliation work happened.
-  uint64_t evictionEpoch() const { return Evictions + DegradedFlushes; }
 
   /// Test hook: number of chaining-invariant violations — a non-pending
-  /// exit whose target is neither resident nor extra-chainable, or an exit
-  /// record disagreeing with its branch instruction's ToTranslator form.
+  /// exit whose target is not resident, or an exit record disagreeing
+  /// with its branch instruction's ToTranslator form.
   /// Zero after any sequence of installs/evictions/flushes.
   size_t chainInvariantViolations() const;
 
@@ -236,10 +216,6 @@ private:
   void registerChainedInto(uint64_t Target, Fragment *Owner, size_t ExitIdx);
   void forgetChainMemberships(Fragment &F);
   void moveToGraveyard(Fragment &F);
-  bool isChainable(uint64_t VAddr) const {
-    return Index.count(VAddr) != 0 ||
-           (ExtraChainable && ExtraChainable(VAddr));
-  }
 
   std::vector<std::unique_ptr<Fragment>> Fragments;
   std::unordered_map<uint64_t, Fragment *> Index;
@@ -250,7 +226,6 @@ private:
   /// so unchaining never scans the whole cache.
   std::unordered_multimap<uint64_t, std::pair<Fragment *, size_t>> ChainedIn;
   std::unordered_set<uint64_t> CoveredVAddrs;
-  std::function<bool(uint64_t)> ExtraChainable;
   std::function<void(const Fragment &)> EvictionListener;
   FaultInjector *Fault = nullptr;
   /// Storage of evicted/flushed fragments awaiting reclaimEvicted().

@@ -73,7 +73,6 @@
 
 // The persistent translation cache (warm starts).
 #include "persist/ByteStream.h"
-#include "persist/CacheFile.h"
 #include "persist/Crc32.h"
 #include "persist/Fingerprint.h"
 #include "persist/FragmentCodec.h"

@@ -22,7 +22,7 @@ NativeService::NativeService(const HostCompiler &CC, unsigned Workers,
 }
 
 NativeService::~NativeService() {
-  Requests.close();
+  Requests.closeAndClear();
   for (std::thread &W : Workers)
     W.join();
 }

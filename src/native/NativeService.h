@@ -5,16 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Out-of-line native compilation, following the TranslationService
-/// worker-pool idiom: the VM thread submits a fragment body (by value —
-/// workers never touch VM-owned state) and later drains completions at
-/// its safepoints. Two deliberate differences from TranslationService:
-/// submission is non-blocking (trySubmit drops the request when the queue
-/// is full — a fragment that stays hot simply re-qualifies at a later
-/// threshold crossing, and host compilation must NEVER stall dispatch),
-/// and completions are delivered unordered (native installation has no
-/// chain-environment ordering constraint; each completion is keyed by the
-/// fragment content key).
+/// Out-of-line native compilation, the VM's one worker pool: the VM thread
+/// submits a fragment body (by value — workers never touch VM-owned state)
+/// and later drains completions at its safepoints. Submission is
+/// non-blocking (trySubmit drops the request when the queue is full — a
+/// fragment that stays hot simply re-qualifies at a later threshold
+/// crossing, and host compilation must NEVER stall dispatch), and
+/// completions are delivered unordered (native installation has no
+/// ordering constraint; each completion is keyed by the fragment content
+/// key).
 ///
 /// The worker emits C (NativeEmitter) and runs the host compiler
 /// (NativeCompiler). Emission refusal and compiler failures come back as
@@ -22,6 +21,11 @@
 /// the I-ISA tier, never retried in a loop. (The NativeCompile fault site
 /// is decided by the VM at submission, so an injected failure is counted
 /// even when the run ends before a worker picks the request up.)
+///
+/// Destruction discards still-queued requests and joins only the compiles
+/// already in flight: nobody can drain a completion after the service is
+/// gone. Callers that need the results (the persist save) waitAllIdle()
+/// first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,6 +69,7 @@ public:
   /// Spawns \p Workers threads compiling with \p CC. \p QueueDepth
   /// bounds the request queue.
   NativeService(const HostCompiler &CC, unsigned Workers, size_t QueueDepth);
+  /// Drops queued requests; waits only for in-flight compiles.
   ~NativeService();
 
   NativeService(const NativeService &) = delete;

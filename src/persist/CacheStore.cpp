@@ -7,7 +7,6 @@
 #include "persist/CacheStore.h"
 
 #include "persist/ByteStream.h"
-#include "persist/CacheFile.h"
 #include "persist/Crc32.h"
 #include "persist/FragmentCodec.h"
 #include "persist/StoreLock.h"
@@ -56,8 +55,6 @@ const char *persist::getStoreStatusName(StoreStatus Status) {
     return "ok";
   case StoreStatus::FileNotFound:
     return "file-not-found";
-  case StoreStatus::LegacyFile:
-    return "legacy-file";
   case StoreStatus::BadMagic:
     return "bad-magic";
   case StoreStatus::BadVersion:
@@ -93,8 +90,6 @@ StoreStatus CacheStore::open(const std::string &Path) {
   uint64_t Magic = R.getU64();
   if (R.failed())
     return StoreStatus::Truncated;
-  if (Magic == CacheFileMagic)
-    return StoreStatus::LegacyFile;
   if (Magic != CacheStoreMagic)
     return StoreStatus::BadMagic;
   uint32_t Version = R.getU32();

@@ -20,8 +20,7 @@
 ///           u64, save count u32, translation cost units u64    (52 bytes)
 ///   images  per image: FragmentCodec encodings, back to back
 ///
-/// The loader is strictly fail-safe, mirroring CacheFile: magic/version
-/// gate first, then the index is CRC-checked as a unit (a flipped
+/// The loader is strictly fail-safe: magic/version gate first, then the index is CRC-checked as a unit (a flipped
 /// fingerprint or offset must be caught, not silently missed at lookup),
 /// then every payload is bounds- and CRC-checked, and duplicate
 /// fingerprints are rejected — all before a single fragment byte is
@@ -46,11 +45,6 @@
 /// crash model is chaos-tested by ildp-crashtest at named crash points
 /// (support/CrashInjector.h) covering every instant of this protocol.
 ///
-/// Legacy single-image cache files (CacheFile format, PR 1) are detected
-/// by magic: open() returns StoreStatus::LegacyFile and the caller imports
-/// them through loadCacheFile() instead; the next save rewrites the path
-/// in store format.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ILDP_PERSIST_CACHESTORE_H
@@ -65,8 +59,7 @@
 namespace ildp {
 namespace persist {
 
-/// "ILDPTS1\0" as a little-endian u64 (TS = translation store; distinct
-/// from the legacy single-image magic "ILDPTC1\0").
+/// "ILDPTS1\0" as a little-endian u64 (TS = translation store).
 constexpr uint64_t CacheStoreMagic = 0x0031535450444C49ull;
 /// Bumped on any incompatible change to the header, index, or fragment
 /// encoding.
@@ -80,8 +73,6 @@ constexpr uint32_t MaxStoreImages = 4096;
 enum class StoreStatus : uint8_t {
   Ok,
   FileNotFound,   ///< No file at the path (first run; not an error).
-  LegacyFile,     ///< Single-image CacheFile format; import via
-                  ///< loadCacheFile() instead (see persist.import_legacy).
   BadMagic,       ///< Not a translation-cache artifact at all.
   BadVersion,     ///< Produced by an incompatible format revision.
   Truncated,      ///< Header, index, or a payload extends past end of file.

@@ -24,7 +24,7 @@
 /// typed at dequeue ("wall-deadline") without consuming a VM or a worker
 /// slice.
 ///
-/// Shutdown mirrors TranslationService semantics: shutdown(true) drains —
+/// Shutdown has two modes: shutdown(true) drains —
 /// queued requests all execute before the workers exit; shutdown(false)
 /// cancels — in-flight requests complete, still-queued requests are
 /// rejected with a typed ExecStatus::ShutDown response. Either way every

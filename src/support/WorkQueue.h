@@ -6,12 +6,10 @@
 ///
 /// \file
 /// A bounded multi-producer/multi-consumer blocking queue: the transport
-/// between the VM thread and the background translation workers, and
-/// between request submitters and the fleet scheduler's execution workers.
-/// Producers block while the queue is full (back-pressure keeps the number
-/// of outstanding translation requests bounded) or use tryPush() to turn a
-/// full queue into an immediate typed rejection (admission control for the
-/// execution service); consumers block while it is empty. close() wakes
+/// between the VM thread and the native compile workers. Producers block
+/// while the queue is full (back-pressure) or use tryPush() to turn a full
+/// queue into an immediate rejection (the VM never waits on a compile);
+/// consumers block while it is empty. close() wakes
 /// everyone: pop() drains the remaining items first and then reports
 /// exhaustion, so a worker can either finish queued work or the owner can
 /// discard it with closeAndClear().

@@ -15,7 +15,6 @@
 #include "native/NativeModule.h"
 #include "native/NativeService.h"
 #include "native/NativeStore.h"
-#include "persist/CacheFile.h"
 #include "persist/CacheStore.h"
 #include "persist/Fingerprint.h"
 
@@ -72,17 +71,6 @@ VirtualMachine::VirtualMachine(GuestMemory &Mem, uint64_t EntryPc,
       warmStartFromPersisted();
   }
   LogicalFragments = TCache.fragmentCount();
-  if (Config.AsyncTranslate && Config.TranslateWorkers > 0) {
-    Service = std::make_unique<dbt::TranslationService>(
-        this->Config.Dbt, Config.TranslateWorkers, Config.TranslateQueueDepth);
-    // A draining fragment may chain to entries whose translation is still
-    // in flight: a synchronous install at the same logical time would
-    // already have them in the cache.
-    TCache.setExtraChainable(
-        [this](uint64_t VAddr) { return PendingSeqByEntry.count(VAddr) != 0; });
-    for (const std::unique_ptr<dbt::Fragment> &Frag : TCache.fragments())
-      ChainView.insert(Frag->EntryVAddr);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -108,38 +96,6 @@ void VirtualMachine::importFragments(std::vector<dbt::Fragment> Frags) {
     Stats.set("persist.fragments_skipped_budget", TCache.importBudgetSkips());
 }
 
-const char *VirtualMachine::importLegacyFile() {
-  Stats.add("persist.import_legacy");
-  persist::LoadResult Loaded =
-      persist::loadCacheFile(Config.PersistPath, PersistFingerprint);
-  switch (Loaded.Status) {
-  case persist::LoadStatus::Ok:
-    importFragments(std::move(Loaded.Fragments));
-    ImportedCostUnits = 0; // Legacy files carry no cost bookkeeping.
-    return nullptr;
-  case persist::LoadStatus::FingerprintMismatch: {
-    // A legacy file for some *other* image (or config). The old format
-    // would be clobbered by this run's save; instead preserve it as a
-    // store slot under its own fingerprint — converting a legacy
-    // single-image file into a multi-image store keeps the image.
-    persist::LoadResult Foreign =
-        persist::loadCacheFile(Config.PersistPath, Loaded.FileFingerprint);
-    if (Foreign.Status == persist::LoadStatus::Ok) {
-      std::vector<const dbt::Fragment *> Ptrs;
-      Ptrs.reserve(Foreign.Fragments.size());
-      for (const dbt::Fragment &Frag : Foreign.Fragments)
-        Ptrs.push_back(&Frag);
-      Store->put(Foreign.FileFingerprint, Ptrs, /*CostUnits=*/0);
-    }
-    Stats.add("persist.load_mismatch");
-    return persist::getLoadStatusName(Loaded.Status);
-  }
-  default:
-    Stats.add("persist.load_corrupt");
-    return persist::getLoadStatusName(Loaded.Status);
-  }
-}
-
 void VirtualMachine::warmStartFromPersisted() {
   Store = std::make_unique<persist::CacheStore>();
   persist::StoreStatus Opened = Store->open(Config.PersistPath);
@@ -159,9 +115,6 @@ void VirtualMachine::warmStartFromPersisted() {
     case persist::StoreStatus::FileNotFound:
       Stats.add("persist.load_nofile");
       return;
-    case persist::StoreStatus::LegacyFile:
-      Rejected = importLegacyFile();
-      break;
     case persist::StoreStatus::Ok: {
       Stats.set("persist.store_images", Store->imageCount());
       Stats.set("persist.store_bytes", Store->totalPayloadBytes());
@@ -468,9 +421,7 @@ void VirtualMachine::maybePhaseFlush() {
   // Dynamo-style phase-change detection: an abrupt increase in fragment
   // generation rate triggers a full cache flush so the new phase's paths
   // can form fresh fragments (Section 4.1 discussion). Runs at fragment
-  // *creation* time (synchronous install, or asynchronous submission) so
-  // both modes see the same GuestInsts stamps and the same logical
-  // fragment count, and decide flushes identically.
+  // creation time, before the new fragment is installed.
   if (!Config.FlushOnPhaseChange)
     return;
   RecentCreates.pushBackEvict(GuestInsts);
@@ -484,34 +435,12 @@ void VirtualMachine::maybePhaseFlush() {
     RecentCreates.clear();
     LogicalFragments = 0;
     ++Flushes;
-    if (Service) {
-      // In-flight translations now belong to a dead generation: account
-      // them when they drain, but never install them.
-      ++Epoch;
-      PendingSeqByEntry.clear();
-      ChainView.clear();
-    }
   }
-}
-
-void VirtualMachine::installPrepared(dbt::Fragment Frag) {
-  uint64_t DegradedBefore = TCache.degradedFlushCount();
-  dbt::Fragment &Installed = TCache.install(std::move(Frag));
-  Stats.add("dbt.fragments");
-  Stats.add("dbt.body_insts", Installed.Body.size());
-  Stats.add("dbt.body_bytes", Installed.BodyBytes);
-  Stats.add("dbt.source_insts", Installed.SourceInsts);
-  Stats.add("dbt.nops_removed", Installed.NopsRemoved);
-  if (TCache.degradedFlushCount() != DegradedBefore)
-    handleDegradedFlush();
 }
 
 void VirtualMachine::onFragmentEvicted(const dbt::Fragment &Frag) {
   Profile.noteEvicted(Frag.EntryVAddr);
   EvictedEntries.insert(Frag.EntryVAddr);
-  // New translations must stop chaining to the entry; exits already
-  // chained to it are unchained by the cache itself.
-  ChainView.erase(Frag.EntryVAddr);
 }
 
 void VirtualMachine::handleDegradedFlush() {
@@ -525,15 +454,6 @@ void VirtualMachine::handleDegradedFlush() {
   LogicalFragments = TCache.fragmentCount();
   for (const std::unique_ptr<dbt::Fragment> &Frag : TCache.fragments())
     Profile.markTranslated(Frag->EntryVAddr);
-  if (Service) {
-    // In-flight translations predate the flush: account them when they
-    // drain, but never install them (the phase-flush epoch rule).
-    ++Epoch;
-    PendingSeqByEntry.clear();
-    ChainView.clear();
-    for (const std::unique_ptr<dbt::Fragment> &Frag : TCache.fragments())
-      ChainView.insert(Frag->EntryVAddr);
-  }
 }
 
 void VirtualMachine::installFragment(dbt::Fragment Frag) {
@@ -546,7 +466,15 @@ void VirtualMachine::installFragment(dbt::Fragment Frag) {
   // Exit targets of existing fragments become trace-start candidates.
   for (const dbt::ExitRecord &Exit : Frag.Exits)
     Profile.addCandidate(Exit.VTarget);
-  installPrepared(std::move(Frag));
+  uint64_t DegradedBefore = TCache.degradedFlushCount();
+  dbt::Fragment &Installed = TCache.install(std::move(Frag));
+  Stats.add("dbt.fragments");
+  Stats.add("dbt.body_insts", Installed.Body.size());
+  Stats.add("dbt.body_bytes", Installed.BodyBytes);
+  Stats.add("dbt.source_insts", Installed.SourceInsts);
+  Stats.add("dbt.nops_removed", Installed.NopsRemoved);
+  if (TCache.degradedFlushCount() != DegradedBefore)
+    handleDegradedFlush();
 }
 
 bool VirtualMachine::recordAndTranslate(uint64_t HotPc) {
@@ -576,11 +504,6 @@ bool VirtualMachine::recordAndTranslate(uint64_t HotPc) {
   // A re-profile of an entry that failed translation before is a retry.
   if (Robust.Bailouts != 0 && Profile.failureCount(HotPc) > 0)
     ++Robust.Retries;
-
-  if (Service) {
-    submitTranslation(std::move(Sb));
-    return Halted;
-  }
 
   dbt::ChainEnv Env;
   Env.IsTranslated = [this](uint64_t VAddr) { return TCache.contains(VAddr); };
@@ -620,14 +543,12 @@ VirtualMachine::InterpOutcome VirtualMachine::interpretUntilTranslated() {
     // Dispatch-loop safepoint: no translated-code pointer is live here, so
     // storage of fragments evicted/flushed since the last pass can go.
     TCache.reclaimEvicted();
-    if (Service)
-      drainCompleted();
     if (NativeSvc)
       drainNativeCompleted();
     uint64_t Pc = Interp.state().Pc;
     // Single hash probe per dispatch: the fragment found here is handed
     // back to the run loop and executed directly.
-    if (dbt::Fragment *Frag = lookupSettled(Pc))
+    if (dbt::Fragment *Frag = TCache.lookup(Pc))
       return {StepStatus::Ok, {}, Frag};
     if (Profile.bump(Pc)) {
       // A recording that retired the HALT ends the run here: the HALT
@@ -646,131 +567,6 @@ VirtualMachine::InterpOutcome VirtualMachine::interpretUntilTranslated() {
     registerCandidates(Profile, Info);
   }
   return {StepStatus::Ok, {}, nullptr};
-}
-
-// ---------------------------------------------------------------------------
-// Asynchronous background translation.
-// ---------------------------------------------------------------------------
-
-void VirtualMachine::submitTranslation(dbt::Superblock Sb) {
-  // Everything a synchronous install exposes before the fragment's first
-  // execution happens here, at the sync install's logical point: profile
-  // marks, candidate registration, exit patching in live fragments, and
-  // the phase-flush decision. Only the fragment body arrives later.
-  maybePhaseFlush();
-  ++LogicalFragments;
-  uint64_t Entry = Sb.EntryVAddr;
-  if (!EvictedEntries.empty() && EvictedEntries.erase(Entry))
-    ++CacheRetranslations;
-  Profile.markTranslated(Entry);
-  for (uint64_t Target : dbt::collectExitTargets(Sb))
-    Profile.addCandidate(Target);
-  TCache.patchPendingExitsTo(Entry);
-  ChainView.insert(Entry);
-  if (Service->outstandingCount() == 0)
-    Async.XlateStartInsts = GuestInsts;
-  uint64_t Seq =
-      Service->submit(std::move(Sb), ChainView, Epoch, TCache.evictionEpoch());
-  PendingSeqByEntry[Entry] = Seq;
-  ++Async.Submitted;
-}
-
-void VirtualMachine::finishCompletion(dbt::TranslateCompletion C) {
-  if (!C.ok()) {
-    // A worker bailed out. Undo the optimistic submission-time effects:
-    // the entry is no longer pending (lookupSettled must not wait on it),
-    // new translations must not chain to it, and the profiler un-marks it
-    // as translated so it can re-qualify — or be blacklisted. Fragments
-    // whose exits were already patched to this entry self-heal: their
-    // Chained exit finds no fragment and falls back to the interpreter.
-    auto It = PendingSeqByEntry.find(C.EntryVAddr);
-    if (It != PendingSeqByEntry.end() && It->second == C.Seq) {
-      PendingSeqByEntry.erase(It);
-      ChainView.erase(C.EntryVAddr);
-      // Exits patched toward this entry at submission time now point at a
-      // translation that will never arrive; rewrite them back to their
-      // call-translator form so no chained branch leads nowhere.
-      TCache.unchainExitsTo(C.EntryVAddr);
-    }
-    if (LogicalFragments > 0)
-      --LogicalFragments; // Submission counted a fragment that never came.
-    noteTranslateFailure(C.EntryVAddr, C.Status, C.SourceInsts);
-    if (Service->outstandingCount() == 0)
-      Async.InstsDuringXlate += GuestInsts - Async.XlateStartInsts;
-    return;
-  }
-
-  dbt::TranslationResult &R = C.Result;
-  // Translation-cost accounting is identical to the synchronous path; the
-  // async split additionally attributes the decode share to the VM thread
-  // (the recorder decodes every source instruction while building the
-  // superblock there) and the rest — lowering, analysis, strands, codegen,
-  // cache copy, and chain resolution, all of which translate() performs on
-  // the worker — to the background pool. The VM thread's submission-time
-  // backpatching is a few stores and is not priced by the cost model.
-  R.Cost.addTo(Stats);
-  Stats.add("dbt.uops", R.Uops);
-  Stats.add("dbt.strands", R.Strands);
-  Stats.add("dbt.spills", R.Spills);
-  Stats.add("dbt.precopies", R.PreCopies);
-  Stats.add("dbt.trap_promotions", R.TrapPromotions);
-  Async.InlineUnits += R.Cost.Decode;
-  Async.OffloadedUnits += R.Cost.total() - R.Cost.Decode;
-
-  auto It = PendingSeqByEntry.find(C.EntryVAddr);
-  if (It != PendingSeqByEntry.end() && It->second == C.Seq)
-    PendingSeqByEntry.erase(It);
-
-  if (C.Epoch == Epoch) {
-    if (C.CacheGen != TCache.evictionEpoch())
-      ++EvictRaces; // Snapshot predates evictions; install() reconciles.
-    installPrepared(std::move(R.Frag));
-    ++Async.Installed;
-  } else {
-    // Stale generation: a synchronous run installed this fragment and then
-    // flushed it, so the dbt.* body statistics above still accrue — only
-    // the install is skipped.
-    Stats.add("dbt.fragments");
-    Stats.add("dbt.body_insts", R.Frag.Body.size());
-    Stats.add("dbt.body_bytes", R.Frag.BodyBytes);
-    Stats.add("dbt.source_insts", R.Frag.SourceInsts);
-    Stats.add("dbt.nops_removed", R.Frag.NopsRemoved);
-    ++Async.DiscardedStale;
-  }
-
-  if (Service->outstandingCount() == 0)
-    Async.InstsDuringXlate += GuestInsts - Async.XlateStartInsts;
-}
-
-void VirtualMachine::drainCompleted() {
-  while (Service->nextReady()) {
-    std::optional<dbt::TranslateCompletion> C = Service->tryTakeNext();
-    if (!C)
-      break;
-    finishCompletion(std::move(*C));
-  }
-}
-
-void VirtualMachine::waitForSeq(uint64_t Seq) {
-  ++Async.DemandWaits;
-  while (Service->deliveredCount() < Seq)
-    finishCompletion(Service->takeNext());
-}
-
-void VirtualMachine::drainAllOutstanding() {
-  if (!Service)
-    return;
-  while (Service->outstandingCount() != 0)
-    finishCompletion(Service->takeNext());
-}
-
-dbt::Fragment *VirtualMachine::lookupSettled(uint64_t VAddr) {
-  if (Service) {
-    auto It = PendingSeqByEntry.find(VAddr);
-    if (It != PendingSeqByEntry.end())
-      waitForSeq(It->second);
-  }
-  return TCache.lookup(VAddr);
 }
 
 // ---------------------------------------------------------------------------
@@ -947,9 +743,8 @@ dbt::Fragment *VirtualMachine::staticSuccessor(dbt::Fragment &Frag,
     TCache.touch(*Slot.Next);
     return Slot.Next;
   }
-  dbt::Fragment *Next = lookupSettled(Exit.VTarget);
-  // Read the generation after the lookup: settling a pending translation
-  // installs fragments. Misses are not cached; they leave translated code.
+  dbt::Fragment *Next = TCache.lookup(Exit.VTarget);
+  // Misses are not cached; they leave translated code.
   if (Next)
     Slot = {Next, TCache.linkGeneration()};
   return Next;
@@ -1020,18 +815,18 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       ++(Next ? Hot.PredictHit : Hot.PredictHitUntranslated);
       break;
     case iisa::IExit::Kind::PredictMiss:
-      Next = lookupSettled(Exit.VTarget);
+      Next = TCache.lookup(Exit.VTarget);
       NeedStubDispatch = true;
       ++Hot.PredictMiss;
       break;
     case iisa::IExit::Kind::Dispatch:
-      Next = lookupSettled(Exit.VTarget);
+      Next = TCache.lookup(Exit.VTarget);
       NeedStubDispatch = true;
       ++Hot.ExitDispatch;
       break;
     case iisa::IExit::Kind::Return: {
       bool VMatch = dualRasPop(Exit.VTarget);
-      Next = VMatch ? lookupSettled(Exit.VTarget) : nullptr;
+      Next = VMatch ? TCache.lookup(Exit.VTarget) : nullptr;
       if (Next) {
         ++Hot.ReturnHit;
       } else {
@@ -1039,7 +834,7 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
         // redirects to dispatch (Section 3.2).
         RasMiss = true;
         NeedStubDispatch = true;
-        Next = lookupSettled(Exit.VTarget);
+        Next = TCache.lookup(Exit.VTarget);
         ++Hot.ReturnMiss;
       }
       break;
@@ -1147,17 +942,6 @@ const StatisticSet &VirtualMachine::stats() {
       Stats.set(std::string("robust.bailout.") +
                     dbt::getTranslateStatusName(dbt::TranslateStatus(I)),
                 Robust.ByReason[I]);
-  if (Service) {
-    Stats.set("async.workers", Service->workerCount());
-    Stats.set("async.submitted", Async.Submitted);
-    Stats.set("async.installed", Async.Installed);
-    Stats.set("async.discarded_stale", Async.DiscardedStale);
-    Stats.set("async.demand_waits", Async.DemandWaits);
-    Stats.set("async.inline_units", Async.InlineUnits);
-    Stats.set("async.offloaded_units", Async.OffloadedUnits);
-    Stats.set("async.insts_during_xlate", Async.InstsDuringXlate);
-    Stats.set("async.evict_races", EvictRaces);
-  }
   if (Config.NativeTier) {
     Stats.set("native.enabled", NativeSvc ? 1 : 0);
     if (Nat.NoToolchain)
@@ -1191,10 +975,10 @@ const StatisticSet &VirtualMachine::stats() {
 static const char *const GaugeStats[] = {
     "tcache.fragments",        "tcache.body_bytes",
     "tcache.unique_source_insts", "cache.budget_high_water",
-    "robust.blacklisted_pcs",  "async.workers",
-    "persist.store_images",    "persist.store_bytes",
-    "native.enabled",          "native.workers",
-    "native.objects",          "native.modules_live",
+    "robust.blacklisted_pcs",  "persist.store_images",
+    "persist.store_bytes",     "native.enabled",
+    "native.workers",          "native.objects",
+    "native.modules_live",
 };
 
 StatisticSet VirtualMachine::statsDelta() {
@@ -1213,9 +997,6 @@ StatisticSet VirtualMachine::statsDelta() {
 
 RunResult VirtualMachine::run() {
   RunResult Result = runLoop();
-  // Settle in-flight translations before anything inspects the cache (the
-  // persisted file and final statistics must match a synchronous run).
-  drainAllOutstanding();
   if (NativeSvc)
     drainNativeCompleted();
   // A shared-store VM is a pure consumer: SharedStore takes precedence

@@ -26,7 +26,6 @@
 #include "core/ProfileController.h"
 #include "core/TranslateStatus.h"
 #include "core/TranslationCache.h"
-#include "core/TranslationService.h"
 #include "core/TrapRecovery.h"
 #include "interp/Interpreter.h"
 #include "support/FixedRing.h"
@@ -36,7 +35,7 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 
 namespace ildp {
 namespace persist {
@@ -72,11 +71,9 @@ struct VmConfig {
   /// the first instruction executes (PersistLoad), and saves-or-updates
   /// only its own image slot when run() returns (PersistSave), leaving
   /// every other image's slot intact — one artifact warm-starts a whole
-  /// fleet of guests. Legacy single-image cache files are detected by
-  /// magic and imported under "persist.import_legacy"; the next save
-  /// rewrites the path in store format. Any load problem — missing file,
-  /// truncation, corruption, bad index, duplicate image — is counted in
-  /// the statistics ("persist.*", typed under
+  /// fleet of guests. Any load problem — missing file, truncation,
+  /// corruption, bad index, duplicate image, a file that is not a store —
+  /// is counted in the statistics ("persist.*", typed under
   /// "persist.import_rejected.<reason>") and the run degrades to a normal
   /// cold start. A store miss (other images present, not this one) is a
   /// normal first run for this image, not a rejection.
@@ -105,22 +102,6 @@ struct VmConfig {
   /// and counted under "persist.store_compacted".
   size_t PersistMaxImages = 0;
 
-  /// Asynchronous background translation. When AsyncTranslate is set and
-  /// TranslateWorkers > 0, superblock recording stays on the VM thread but
-  /// the translation pipeline (lowering -> usage -> strands -> codegen)
-  /// runs on a pool of worker threads; the interpreter keeps executing
-  /// past a hot PC and completed fragments are drained — in submission
-  /// order — at dispatch-loop safepoints. Execution, statistics (all but
-  /// the "async.*" group), chaining, and the persisted cache are
-  /// deterministic and identical to a synchronous run; only wall-clock
-  /// dispatch-path stalls change. TranslateWorkers = 0 is the synchronous
-  /// fallback, bit-identical to a VM without this feature.
-  bool AsyncTranslate = false;
-  unsigned TranslateWorkers = 0;
-  /// Bound of the translation request queue (back-pressure: submission
-  /// blocks the VM thread when this many requests are in flight).
-  size_t TranslateQueueDepth = 64;
-
   /// Native-host execution tier (DESIGN.md §13). When NativeTier is set
   /// and a working host C compiler is found at startup, a fragment whose
   /// exec count crosses NativeThreshold is lowered to C, compiled to a
@@ -138,9 +119,9 @@ struct VmConfig {
   bool NativeTier = false;
   uint64_t NativeThreshold = 64;
   unsigned NativeWorkers = 1;
-  /// Bound of the compile request queue. Unlike translation, submission
-  /// never blocks: a full queue drops the request and the fragment simply
-  /// re-qualifies on a later execution.
+  /// Bound of the compile request queue. Submission never blocks: a full
+  /// queue drops the request and the fragment simply re-qualifies on a
+  /// later execution.
   size_t NativeQueueDepth = 16;
 
   /// Graceful degradation on translation failure (DESIGN.md §9). When a
@@ -249,10 +230,9 @@ private:
   /// the window, so older stamps are dead weight.
   FixedRing<uint64_t> RecentCreates;
   uint64_t Flushes = 0;
-  /// Fragments logically created since the last flush: installed ones
-  /// plus, under async translation, those still pending. Equals
-  /// TCache.fragmentCount() in synchronous operation; the phase-change
-  /// heuristic uses it so both modes decide flushes identically.
+  /// Fragments created since the last flush. Unlike TCache.fragmentCount(),
+  /// it still counts fragments evicted under a byte budget since then; the
+  /// phase-change heuristic decides flushes on this count.
   uint64_t LogicalFragments = 0;
 
   /// Hot-path counters (kept out of the string-keyed StatisticSet).
@@ -287,16 +267,11 @@ private:
   /// the cache.retranslations statistic.
   std::unordered_set<uint64_t> EvictedEntries;
   uint64_t CacheRetranslations = 0;
-  /// Asynchronous completions that drained after an eviction event their
-  /// chainability snapshot predates (install() reconciles their exits).
-  uint64_t EvictRaces = 0;
   /// Eviction listener body: un-marks the entry in the profiler (counters
-  /// intact, so a hot entry re-qualifies on its next bump) and drops it
-  /// from the async chain view.
+  /// intact, so a hot entry re-qualifies on its next bump).
   void onFragmentEvicted(const dbt::Fragment &Frag);
-  /// Rebuilds profile marks, phase bookkeeping, and the async chain view
-  /// after the cache degraded a failed eviction to a wholesale flush in
-  /// the middle of an install.
+  /// Rebuilds profile marks and phase bookkeeping after the cache degraded
+  /// a failed eviction to a wholesale flush in the middle of an install.
   void handleDegradedFlush();
 
   /// Robustness accounting (translation bailouts and their fallout).
@@ -319,7 +294,7 @@ private:
     dbt::Fragment *Frag = nullptr;
   };
   InterpOutcome interpretUntilTranslated();
-  /// Records a superblock at \p HotPc and translates (or submits) it.
+  /// Records a superblock at \p HotPc and translates it.
   /// Returns true when the recording retired the guest's HALT.
   bool recordAndTranslate(uint64_t HotPc);
   /// Accounts a translation bailout for \p EntryPc and feeds it back into
@@ -329,46 +304,6 @@ private:
                             uint64_t SourceInsts);
   void installFragment(dbt::Fragment Frag);
   void maybePhaseFlush();
-  void installPrepared(dbt::Fragment Frag);
-
-  // ---- Asynchronous background translation ----
-  //
-  // The invariant that makes an async run statistic-for-statistic equal to
-  // a synchronous one: every effect of a synchronous install that other
-  // code can observe *before the fragment itself executes* (profile marks,
-  // exit-target candidates, exit patching in live fragments, the phase
-  // flush decision) happens at submission time — exactly the logical point
-  // the synchronous translator installs — while the fragment body arrives
-  // later and is installed, in submission order, before anything looks it
-  // up (lookupSettled blocks on a pending entry).
-  std::unique_ptr<dbt::TranslationService> Service;
-  /// Entries submitted but not yet drained, by request sequence number.
-  std::unordered_map<uint64_t, uint64_t> PendingSeqByEntry;
-  /// Entries a new translation may chain to: installed plus pending.
-  /// Snapshot-copied into each request (the worker must not see entries
-  /// submitted after it).
-  std::unordered_set<uint64_t> ChainView;
-  /// Flush epoch; results from earlier epochs are accounted, not installed.
-  uint64_t Epoch = 0;
-  struct AsyncCounters {
-    uint64_t Submitted = 0;
-    uint64_t Installed = 0;
-    uint64_t DiscardedStale = 0;
-    uint64_t DemandWaits = 0;
-    uint64_t InlineUnits = 0;    ///< Translator work paid on the VM thread.
-    uint64_t OffloadedUnits = 0; ///< Translator work moved to the workers.
-    uint64_t InstsDuringXlate = 0; ///< Guest insts retired while >=1 pending.
-    uint64_t XlateStartInsts = 0;
-  };
-  AsyncCounters Async;
-  void submitTranslation(dbt::Superblock Sb);
-  void drainCompleted();
-  void finishCompletion(dbt::TranslateCompletion C);
-  void waitForSeq(uint64_t Seq);
-  void drainAllOutstanding();
-  /// TCache.lookup that first waits out a pending background translation
-  /// of \p VAddr (a synchronous run would already have installed it).
-  dbt::Fragment *lookupSettled(uint64_t VAddr);
 
   // ---- Native-host execution tier (src/native; DESIGN.md §13) ----
   /// Worker pool; null when the tier is off or no toolchain was found
@@ -421,8 +356,8 @@ private:
   /// (counters and dual-RAS pushes), for every tier.
   void accountExit(const dbt::Fragment &Frag, uint32_t ExitIndex);
   /// Successor of a static exit (Chained / PredictHit): the exit's cached
-  /// slot while the cache's link generation is unchanged, else
-  /// lookupSettled() — which refills the slot on a hit.
+  /// slot while the cache's link generation is unchanged, else a cache
+  /// lookup — which refills the slot on a hit.
   dbt::Fragment *staticSuccessor(dbt::Fragment &Frag, const iisa::IExit &Exit);
   void emitFragmentTrace(const dbt::Fragment &Frag,
                          const std::vector<iisa::IisaEvent> &Events,
@@ -455,13 +390,8 @@ private:
   /// no file I/O on this path). Same degrade taxonomy as the file path.
   void warmStartFromShared();
   /// Installs \p Frags as the warm-start image and marks their entries
-  /// translated in the profiler. Shared by the store and legacy paths.
+  /// translated in the profiler. Shared by the file and shared-store paths.
   void importFragments(std::vector<dbt::Fragment> Frags);
-  /// Legacy single-image CacheFile import ("persist.import_legacy"); a
-  /// foreign-fingerprint legacy image is preserved as a store slot instead
-  /// of being clobbered by the save. Returns the rejection reason, or
-  /// nullptr on success/clean miss.
-  const char *importLegacyFile();
   void savePersistedCache();
 
   RunResult runLoop();

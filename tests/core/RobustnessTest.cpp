@@ -233,7 +233,7 @@ TEST(ProfileBackoff, FailureResetsCounterAndInflatesThreshold) {
   EXPECT_EQ(bumpsUntilHot(P, 0x100, 100), 4u);
 
   // First failure: the threshold is multiplied by the backoff factor and
-  // the Translated mark (set optimistically by an async submission) drops.
+  // any Translated mark drops.
   P.markTranslated(0x100);
   EXPECT_FALSE(P.recordFailure(0x100, /*MaxRetries=*/3, /*Backoff=*/2));
   EXPECT_FALSE(P.isTranslated(0x100));

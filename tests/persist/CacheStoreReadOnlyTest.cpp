@@ -18,6 +18,7 @@
 #include "persist/CacheStore.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
@@ -231,6 +232,12 @@ TEST(CacheStoreReadOnly, ReadersNeverContendWithConcurrentWriter) {
 
   for (std::thread &T : Pool)
     T.join();
+  // On a loaded host the readers can finish before the writer's first
+  // save lands; give it a bounded chance to complete one.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (WriterSaves.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   Stop.store(true, std::memory_order_release);
   Writer.join();
 

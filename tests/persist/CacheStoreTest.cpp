@@ -9,13 +9,16 @@
 /// slots round-trip through one file, put() updates a slot in place (with
 /// SaveCount/CostUnits bookkeeping), compaction drops the stalest slots,
 /// saves are atomic, and saveMerged() adopts slots written by concurrent
-/// processes instead of clobbering them.
+/// processes instead of clobbering them. A file in the retired
+/// single-image format is followed through a VM run: rejected, run cold,
+/// rewritten as a store.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "persist/CacheStore.h"
 
-#include "persist/CacheFile.h"
+#include "vm/VirtualMachine.h"
+#include "workloads/Workloads.h"
 
 #include <cstdio>
 #include <dirent.h>
@@ -213,15 +216,36 @@ TEST(CacheStore, SaveIsAtomicAndLeavesNoStagingFile) {
   EXPECT_EQ(Loaded.imageCount(), 2u);
 }
 
-TEST(CacheStore, LegacyCacheFileIsDetectedNotRejected) {
+TEST(CacheStore, LegacyCacheFileIsRejectedAsBadMagic) {
+  // The retired single-image format's magic ("ILDPTC1\0") is not the
+  // store's: such a file is a typed bad-magic rejection like any foreign
+  // file, the VM runs cold, and its exit save rewrites the path as a store.
   std::string Path = tempPath("store-legacy.tstore");
-  Fragment F = makeFragment(0x1000, 0x2000);
-  std::vector<const Fragment *> Frags{&F};
-  ASSERT_TRUE(saveCacheFile(Path, 0xFEED, Frags));
-
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write("ILDPTC1\0", 8);
+    Out << "legacy single-image payload";
+  }
   CacheStore Store;
-  EXPECT_EQ(Store.open(Path), StoreStatus::LegacyFile);
+  EXPECT_EQ(Store.open(Path), StoreStatus::BadMagic);
   EXPECT_EQ(Store.imageCount(), 0u);
+
+  GuestMemory Mem;
+  workloads::WorkloadImage Image = workloads::buildWorkload("gzip", Mem, 1);
+  vm::VmConfig Config;
+  Config.PersistPath = Path;
+  vm::VirtualMachine Vm(Mem, Image.EntryPc, Config);
+  ASSERT_EQ(Vm.run().Reason, vm::StopReason::Halted);
+  const StatisticSet &Stats = Vm.stats();
+  EXPECT_EQ(Stats.get("persist.import_rejected"), 1u);
+  EXPECT_EQ(Stats.get("persist.import_rejected.bad-magic"), 1u);
+  EXPECT_EQ(Stats.get("persist.load_ok"), 0u);
+  EXPECT_GT(Stats.get("dbt.fragments"), 0u);
+  EXPECT_EQ(Stats.get("persist.save_ok"), 1u);
+
+  CacheStore Rewritten;
+  ASSERT_EQ(Rewritten.open(Path), StoreStatus::Ok);
+  EXPECT_EQ(Rewritten.imageCount(), 1u);
 }
 
 TEST(CacheStore, SaveMergedAdoptsSlotsFromConcurrentWriters) {

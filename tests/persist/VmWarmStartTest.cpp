@@ -14,8 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "persist/CacheFile.h"
-#include "persist/Fingerprint.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -212,70 +210,6 @@ TEST(VmWarmStart, StoreImageBoundEvictsStalestSlot) {
   EXPECT_EQ(ColdAgain.Stats.get("persist.store_miss"), 1u);
   Outcome WarmGcc = runWorkload("gcc", Config);
   EXPECT_EQ(WarmGcc.Stats.get("persist.store_hit"), 1u);
-}
-
-TEST(VmWarmStart, LegacyCacheFileImportsAndConvertsToStore) {
-  std::string Path = tempPath("legacy.tcache");
-  vm::VmConfig Config;
-  Config.PersistPath = Path;
-
-  // Produce a legacy single-image cache file for gzip by re-saving a cold
-  // run's fragments in the PR 1 format.
-  Outcome Cold = runWorkload("gzip", Config);
-  {
-    GuestMemory Mem;
-    workloads::WorkloadImage Image = workloads::buildWorkload("gzip", Mem, 1);
-    vm::VirtualMachine Vm(Mem, Image.EntryPc, Config);
-    vm::RunResult Result = Vm.run();
-    ASSERT_EQ(Result.Reason, vm::StopReason::Halted);
-    uint64_t Fp = persist::fingerprint(Mem, Image.EntryPc, Config.Dbt);
-    ASSERT_TRUE(
-        persist::saveCacheFile(Path, Fp, Vm.tcache().exportAll()));
-  }
-
-  // The legacy file warms the run and the exit save converts the path to
-  // store format, which warms the run after that.
-  Outcome Legacy = runWorkload("gzip", Config);
-  EXPECT_EQ(Legacy.Stats.get("persist.import_legacy"), 1u);
-  EXPECT_EQ(Legacy.Stats.get("persist.load_ok"), 1u);
-  EXPECT_EQ(Legacy.Stats.get("dbt.fragments"), 0u);
-  EXPECT_EQ(Legacy.Checksum, Cold.Checksum);
-
-  Outcome Warm = runWorkload("gzip", Config);
-  EXPECT_EQ(Warm.Stats.get("persist.import_legacy"), 0u);
-  EXPECT_EQ(Warm.Stats.get("persist.store_hit"), 1u);
-  EXPECT_EQ(Warm.Stats.get("dbt.fragments"), 0u);
-  EXPECT_EQ(Warm.Checksum, Cold.Checksum);
-}
-
-TEST(VmWarmStart, ForeignLegacyFileIsPreservedAsAStoreSlot) {
-  std::string Path = tempPath("legacy-foreign.tcache");
-  vm::VmConfig Config;
-  Config.PersistPath = Path;
-
-  // A legacy cache file for gzip, then a bzip2 run against it: the
-  // fingerprints differ, so bzip2 runs cold — but conversion to store
-  // format must carry gzip's image along instead of clobbering it.
-  {
-    GuestMemory Mem;
-    workloads::WorkloadImage Image = workloads::buildWorkload("gzip", Mem, 1);
-    vm::VirtualMachine Vm(Mem, Image.EntryPc, Config);
-    ASSERT_EQ(Vm.run().Reason, vm::StopReason::Halted);
-    uint64_t Fp = persist::fingerprint(Mem, Image.EntryPc, Config.Dbt);
-    std::remove(Path.c_str());
-    ASSERT_TRUE(
-        persist::saveCacheFile(Path, Fp, Vm.tcache().exportAll()));
-  }
-
-  Outcome Other = runWorkload("bzip2", Config);
-  EXPECT_EQ(Other.Stats.get("persist.import_legacy"), 1u);
-  EXPECT_EQ(Other.Stats.get("persist.load_mismatch"), 1u);
-  EXPECT_GT(Other.Stats.get("dbt.fragments"), 0u);
-  EXPECT_EQ(Other.Stats.get("persist.store_saved_images"), 2u);
-
-  Outcome WarmGzip = runWorkload("gzip", Config);
-  EXPECT_EQ(WarmGzip.Stats.get("persist.store_hit"), 1u);
-  EXPECT_EQ(WarmGzip.Stats.get("dbt.fragments"), 0u);
 }
 
 TEST(VmWarmStart, SaveAndLoadKnobsAreIndependent) {

@@ -8,8 +8,7 @@
 /// Whole-VM soak of the bounded translation cache (DESIGN.md §10): with
 /// VmConfig::CodeCacheBytes small enough to force constant eviction, every
 /// workload must finish with architected state bit-identical to the pure
-/// interpreter — synchronously and with background translation workers,
-/// and also with the evict_select / unchain fault sites armed (which
+/// interpreter, also with the evict_select / unchain fault sites armed (which
 /// degrade every eviction to a wholesale flush). The byte budget must hold
 /// after every install (budget high-water ≤ budget), the chaining
 /// invariant must hold at the end of every run, and a persisted cache
@@ -88,47 +87,31 @@ PressureOutcome runPressured(const std::string &Name, VmConfig Config) {
 
 } // namespace
 
-class VmCachePressureSoak : public ::testing::TestWithParam<bool> {};
-
 // The tentpole acceptance soak: all workloads under a budget that forces
 // heavy eviction, architected state bit-identical to pure interpretation.
-TEST_P(VmCachePressureSoak, TinyBudgetMatchesInterpreterOnAllWorkloads) {
-  bool Async = GetParam();
+TEST(VmCachePressure, TinyBudgetMatchesInterpreterOnAllWorkloads) {
   for (const std::string &W : workloads::workloadNames()) {
     ArchState Ref = referenceRun(W);
-    VmConfig Config = pressuredConfig();
-    if (Async) {
-      Config.AsyncTranslate = true;
-      Config.TranslateWorkers = 2;
-    }
-    PressureOutcome Out = runPressured(W, Config);
-    std::string Context = W + (Async ? "/async" : "/sync");
-    expectSameGprs(Out.Arch, Ref, Context);
+    PressureOutcome Out = runPressured(W, pressuredConfig());
+    expectSameGprs(Out.Arch, Ref, W);
 
     // The budget held after every single install (the high-water mark is
     // refreshed on each one) and still holds at exit.
-    EXPECT_LE(Out.Stats.get("cache.budget_high_water"), TinyBudget)
-        << Context;
-    EXPECT_LE(Out.ResidentBytes, TinyBudget) << Context;
+    EXPECT_LE(Out.Stats.get("cache.budget_high_water"), TinyBudget) << W;
+    EXPECT_LE(Out.ResidentBytes, TinyBudget) << W;
     // No chained exit in any resident fragment targets a non-resident
     // entry, and exit records agree with their branch instructions.
-    EXPECT_EQ(Out.InvariantViolations, 0u) << Context;
+    EXPECT_EQ(Out.InvariantViolations, 0u) << W;
     // The budget actually bit: sustained eviction pressure, with bytes
     // accounted for every victim.
-    EXPECT_GE(Out.Stats.get("cache.evictions"), 100u) << Context;
+    EXPECT_GE(Out.Stats.get("cache.evictions"), 100u) << W;
     EXPECT_GT(Out.Stats.get("cache.evicted_bytes"),
               Out.Stats.get("cache.evictions"))
-        << Context;
+        << W;
     // Evicted-hot entries re-entered profiling and were translated again.
-    EXPECT_GT(Out.Stats.get("cache.retranslations"), 0u) << Context;
+    EXPECT_GT(Out.Stats.get("cache.retranslations"), 0u) << W;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(SyncAndAsync, VmCachePressureSoak,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool> &Info) {
-                           return Info.param ? "Async" : "Sync";
-                         });
 
 TEST(VmCachePressure, HugeBudgetBehavesLikeUnbounded) {
   // A budget the run can never reach must not change what gets translated
@@ -151,30 +134,20 @@ TEST(VmCachePressure, HugeBudgetBehavesLikeUnbounded) {
             B.Stats.get("tcache.body_bytes"));
 }
 
-struct EvictFaultCase {
-  FaultSite Site;
-  bool Async;
-};
-
-class VmEvictFaultMatrix : public ::testing::TestWithParam<EvictFaultCase> {};
+class VmEvictFaultMatrix : public ::testing::TestWithParam<FaultSite> {};
 
 // Permanent faults at the eviction sites: every capacity overflow degrades
 // to a wholesale flush, and the run stays bit-identical to interpretation.
 TEST_P(VmEvictFaultMatrix, PermanentEvictFaultDegradesToFlush) {
-  EvictFaultCase Case = GetParam();
+  FaultSite Site = GetParam();
   for (const std::string &W : workloads::workloadNames()) {
     ArchState Ref = referenceRun(W);
     FaultInjector Inj;
-    Inj.armAlways(Case.Site);
+    Inj.armAlways(Site);
     VmConfig Config = pressuredConfig();
     Config.Dbt.Fault = &Inj;
-    if (Case.Async) {
-      Config.AsyncTranslate = true;
-      Config.TranslateWorkers = 2;
-    }
     PressureOutcome Out = runPressured(W, Config);
-    std::string Context = W + "/" + dbt::getFaultSiteName(Case.Site) +
-                          (Case.Async ? "/async" : "/sync");
+    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
     expectSameGprs(Out.Arch, Ref, Context);
     EXPECT_EQ(Out.InvariantViolations, 0u) << Context;
     EXPECT_LE(Out.Stats.get("cache.budget_high_water"), TinyBudget)
@@ -183,7 +156,7 @@ TEST_P(VmEvictFaultMatrix, PermanentEvictFaultDegradesToFlush) {
     // succeeds; every overflow becomes a degradation flush.
     EXPECT_EQ(Out.Stats.get("cache.evictions"), 0u) << Context;
     EXPECT_GT(Out.Stats.get("cache.degraded_flushes"), 0u) << Context;
-    EXPECT_EQ(Inj.firedCount(Case.Site),
+    EXPECT_EQ(Inj.firedCount(Site),
               Out.Stats.get("cache.degraded_flushes"))
         << Context;
   }
@@ -191,13 +164,9 @@ TEST_P(VmEvictFaultMatrix, PermanentEvictFaultDegradesToFlush) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sites, VmEvictFaultMatrix,
-    ::testing::Values(EvictFaultCase{FaultSite::EvictSelect, false},
-                      EvictFaultCase{FaultSite::Unchain, false},
-                      EvictFaultCase{FaultSite::EvictSelect, true},
-                      EvictFaultCase{FaultSite::Unchain, true}),
-    [](const ::testing::TestParamInfo<EvictFaultCase> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param.Site)) +
-             (Info.param.Async ? "Async" : "Sync");
+    ::testing::Values(FaultSite::EvictSelect, FaultSite::Unchain),
+    [](const ::testing::TestParamInfo<FaultSite> &Info) {
+      return std::string(dbt::getFaultSiteName(Info.param));
     });
 
 TEST(VmCachePressure, RandomEvictFaultScheduleStaysCorrect) {
@@ -205,21 +174,15 @@ TEST(VmCachePressure, RandomEvictFaultScheduleStaysCorrect) {
   // flush — the mix must never corrupt architected state.
   for (const std::string &W : {std::string("gzip"), std::string("vortex")}) {
     ArchState Ref = referenceRun(W);
-    for (bool Async : {false, true}) {
-      FaultInjector Inj;
-      Inj.armRandom(FaultSite::EvictSelect, /*Seed=*/0xE71C7, 1, 4);
-      VmConfig Config = pressuredConfig();
-      Config.Dbt.Fault = &Inj;
-      if (Async) {
-        Config.AsyncTranslate = true;
-        Config.TranslateWorkers = 3;
-      }
-      PressureOutcome Out = runPressured(W, Config);
-      std::string Context = W + (Async ? "/random/async" : "/random/sync");
-      expectSameGprs(Out.Arch, Ref, Context);
-      EXPECT_EQ(Out.InvariantViolations, 0u) << Context;
-      EXPECT_LE(Out.ResidentBytes, TinyBudget) << Context;
-    }
+    FaultInjector Inj;
+    Inj.armRandom(FaultSite::EvictSelect, /*Seed=*/0xE71C7, 1, 4);
+    VmConfig Config = pressuredConfig();
+    Config.Dbt.Fault = &Inj;
+    PressureOutcome Out = runPressured(W, Config);
+    std::string Context = W + "/random";
+    expectSameGprs(Out.Arch, Ref, Context);
+    EXPECT_EQ(Out.InvariantViolations, 0u) << Context;
+    EXPECT_LE(Out.ResidentBytes, TinyBudget) << Context;
   }
 }
 

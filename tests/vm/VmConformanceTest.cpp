@@ -6,15 +6,14 @@
 ///
 /// \file
 /// Cross-feature conformance matrix: every workload under every
-/// combination of {synchronous, background translation} x {unbounded,
-/// tiny code-cache budget} x {cold start, warm start from one shared
-/// multi-image store} x {no faults, one armed fault site} x {I-ISA only,
-/// native host tier}. The DBT features were each proven correct in
-/// isolation; this harness proves they compose — whatever the cell,
-/// architected state is bit-identical to pure interpretation, the chain
-/// invariant holds, the byte budget is never exceeded, and warm starts
-/// really warm: the unbounded no-fault warm cells must report ZERO
-/// translation work, sync and async alike, all twelve images served by a
+/// combination of {unbounded, tiny code-cache budget} x {cold start, warm
+/// start from one shared multi-image store} x {no faults, one armed fault
+/// site} x {I-ISA only, native host tier}. The DBT features were each
+/// proven correct in isolation; this harness proves they compose —
+/// whatever the cell, architected state is bit-identical to pure
+/// interpretation, the chain invariant holds, the byte budget is never
+/// exceeded, and warm starts really warm: the unbounded no-fault warm
+/// cells must report ZERO translation work, all twelve images served by a
 /// single store artifact. Native cells re-aim the armed fault at the
 /// native compile (cold) or dlopen (warm) site — degrading to the I-ISA
 /// tier, never to a wrong answer — and run unchanged where no host
@@ -70,8 +69,8 @@ void expectSameGprs(const ArchState &Got, const ArchState &Ref,
 
 /// One shared store warm-starting every workload. Built lazily by cold
 /// default-config runs of all twelve workloads saving into one path; the
-/// warm cells vary only knobs outside the fingerprint (budget, async,
-/// faults), so this single artifact serves every one of them.
+/// warm cells vary only knobs outside the fingerprint (budget, faults,
+/// native tier), so this single artifact serves every one of them.
 const std::string &sharedStorePath() {
   static std::string Path;
   if (!Path.empty())
@@ -95,7 +94,6 @@ const std::string &sharedStorePath() {
 }
 
 struct Cell {
-  bool Async = false;
   bool Tiny = false;
   bool Warm = false;
   bool Fault = false;
@@ -113,10 +111,6 @@ CellOutcome runCell(const std::string &Name, const Cell &C) {
   workloads::WorkloadImage Img = workloads::buildWorkload(Name, Mem, 1);
 
   VmConfig Config;
-  if (C.Async) {
-    Config.AsyncTranslate = true;
-    Config.TranslateWorkers = 2;
-  }
   if (C.Tiny)
     Config.CodeCacheBytes = TinyBudget;
   if (C.Warm) {
@@ -152,14 +146,12 @@ CellOutcome runCell(const std::string &Name, const Cell &C) {
 } // namespace
 
 class VmConformance
-    : public ::testing::TestWithParam<
-          std::tuple<bool, bool, bool, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, bool, bool, bool>> {};
 
 TEST_P(VmConformance, AllWorkloadsMatchInterpreter) {
   Cell C;
-  std::tie(C.Async, C.Tiny, C.Warm, C.Fault, C.Native) = GetParam();
-  std::string Suffix = std::string(C.Async ? "/async" : "/sync") +
-                       (C.Tiny ? "/tiny" : "/unbounded") +
+  std::tie(C.Tiny, C.Warm, C.Fault, C.Native) = GetParam();
+  std::string Suffix = std::string(C.Tiny ? "/tiny" : "/unbounded") +
                        (C.Warm ? "/warm" : "/cold") +
                        (C.Fault ? "/fault" : "") +
                        (C.Native ? "/native" : "");
@@ -201,7 +193,7 @@ TEST_P(VmConformance, AllWorkloadsMatchInterpreter) {
           << Context;
       if (!C.Tiny) {
         // The acceptance criterion: a warm start from the shared store
-        // does ZERO translation work, synchronous or background.
+        // does ZERO translation work.
         EXPECT_EQ(Out.Stats.get("dbt.fragments"), 0u) << Context;
         EXPECT_EQ(Out.Stats.get("dbt.cost.total"), 0u) << Context;
       } else {
@@ -217,13 +209,14 @@ TEST_P(VmConformance, AllWorkloadsMatchInterpreter) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, VmConformance,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<
-        std::tuple<bool, bool, bool, bool, bool>> &Info) {
-      return std::string(std::get<0>(Info.param) ? "Async" : "Sync") +
-             (std::get<1>(Info.param) ? "Tiny" : "Unbounded") +
-             (std::get<2>(Info.param) ? "Warm" : "Cold") +
-             (std::get<3>(Info.param) ? "Fault" : "NoFault") +
-             (std::get<4>(Info.param) ? "Native" : "Iisa");
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool, bool, bool>>
+           &Info) {
+      // "Sync" names the VM's one (synchronous) translation mode and keeps
+      // cell names stable across matrix revisions.
+      return std::string("Sync") +
+             (std::get<0>(Info.param) ? "Tiny" : "Unbounded") +
+             (std::get<1>(Info.param) ? "Warm" : "Cold") +
+             (std::get<2>(Info.param) ? "Fault" : "NoFault") +
+             (std::get<3>(Info.param) ? "Native" : "Iisa");
     });

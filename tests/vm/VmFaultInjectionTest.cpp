@@ -6,8 +6,7 @@
 ///
 /// \file
 /// Whole-VM graceful degradation (DESIGN.md §9): with deterministic faults
-/// injected at every guarded pipeline site — synchronously and through the
-/// background translation workers — the VM must fall back to
+/// injected at every guarded pipeline site, the VM must fall back to
 /// interpretation and finish every workload with architected state
 /// bit-identical to the pure interpreter, while the robust.* statistics
 /// account for every injected fault. Also covers recovery after transient
@@ -65,12 +64,7 @@ void expectSameGprs(const ArchState &Got, const ArchState &Ref,
         << Context << ": register r" << Reg << " diverged";
 }
 
-struct SiteCase {
-  FaultSite Site;
-  bool Async;
-};
-
-class VmFaultMatrix : public ::testing::TestWithParam<SiteCase> {};
+class VmFaultMatrix : public ::testing::TestWithParam<FaultSite> {};
 
 } // namespace
 
@@ -78,29 +72,23 @@ class VmFaultMatrix : public ::testing::TestWithParam<SiteCase> {};
 // pure interpreter with bit-identical architected state, and robust.*
 // must account for every fired injection.
 TEST_P(VmFaultMatrix, PermanentFaultDegradesToInterpreterOnAllWorkloads) {
-  SiteCase Case = GetParam();
+  FaultSite Site = GetParam();
   for (const std::string &W : workloads::workloadNames()) {
     ArchState Ref = referenceRun(W);
 
     FaultInjector Inj;
-    Inj.armAlways(Case.Site);
+    Inj.armAlways(Site);
     VmConfig Config;
     Config.Dbt.Fault = &Inj;
-    if (Case.Async) {
-      Config.AsyncTranslate = true;
-      Config.TranslateWorkers = 2;
-    }
     FaultedOutcome Out = runFaulted(W, Config);
-    std::string Context =
-        W + "/" + dbt::getFaultSiteName(Case.Site) +
-        (Case.Async ? "/async" : "/sync");
+    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
     expectSameGprs(Out.Arch, Ref, Context);
 
     // No fragment survives a permanent fault; every fired injection is a
     // counted bailout and every bailout carries the injected-fault reason.
     EXPECT_EQ(Out.Stats.get("tcache.fragments"), 0u) << Context;
     EXPECT_GT(Out.Stats.get("robust.bailouts"), 0u) << Context;
-    EXPECT_EQ(Out.Stats.get("robust.bailouts"), Inj.firedCount(Case.Site))
+    EXPECT_EQ(Out.Stats.get("robust.bailouts"), Inj.firedCount(Site))
         << Context;
     EXPECT_EQ(Out.Stats.get("robust.bailout.injected_fault"),
               Out.Stats.get("robust.bailouts"))
@@ -111,27 +99,11 @@ TEST_P(VmFaultMatrix, PermanentFaultDegradesToInterpreterOnAllWorkloads) {
 
 INSTANTIATE_TEST_SUITE_P(
     SyncSites, VmFaultMatrix,
-    ::testing::Values(SiteCase{FaultSite::Decode, false},
-                      SiteCase{FaultSite::Lowering, false},
-                      SiteCase{FaultSite::Usage, false},
-                      SiteCase{FaultSite::StrandAlloc, false},
-                      SiteCase{FaultSite::CodeGen, false},
-                      SiteCase{FaultSite::Assemble, false}),
-    [](const ::testing::TestParamInfo<SiteCase> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param.Site));
-    });
-
-INSTANTIATE_TEST_SUITE_P(
-    AsyncSites, VmFaultMatrix,
-    ::testing::Values(SiteCase{FaultSite::Decode, true},
-                      SiteCase{FaultSite::Lowering, true},
-                      SiteCase{FaultSite::Usage, true},
-                      SiteCase{FaultSite::StrandAlloc, true},
-                      SiteCase{FaultSite::CodeGen, true},
-                      SiteCase{FaultSite::Assemble, true},
-                      SiteCase{FaultSite::AsyncWorker, true}),
-    [](const ::testing::TestParamInfo<SiteCase> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param.Site));
+    ::testing::Values(FaultSite::Decode, FaultSite::Lowering,
+                      FaultSite::Usage, FaultSite::StrandAlloc,
+                      FaultSite::CodeGen, FaultSite::Assemble),
+    [](const ::testing::TestParamInfo<FaultSite> &Info) {
+      return std::string(dbt::getFaultSiteName(Info.param));
     });
 
 TEST(VmFaultInjection, TransientFaultsRecoverAndStillTranslate) {
@@ -150,25 +122,19 @@ TEST(VmFaultInjection, TransientFaultsRecoverAndStillTranslate) {
   EXPECT_EQ(Out.Stats.get("robust.blacklisted_pcs"), 0u);
 }
 
-TEST(VmFaultInjection, RandomFaultScheduleStaysCorrectSyncAndAsync) {
+TEST(VmFaultInjection, RandomFaultScheduleStaysCorrect) {
   for (const std::string &W : {std::string("gzip"), std::string("vortex")}) {
     ArchState Ref = referenceRun(W);
-    for (bool Async : {false, true}) {
-      FaultInjector Inj;
-      Inj.armRandom(FaultSite::CodeGen, /*Seed=*/0xC0FFEE, 1, 3);
-      VmConfig Config;
-      Config.Dbt.Fault = &Inj;
-      if (Async) {
-        Config.AsyncTranslate = true;
-        Config.TranslateWorkers = 3;
-      }
-      FaultedOutcome Out = runFaulted(W, Config);
-      std::string Context = W + (Async ? "/random/async" : "/random/sync");
-      expectSameGprs(Out.Arch, Ref, Context);
-      EXPECT_EQ(Out.Stats.get("robust.bailouts"),
-                Inj.firedCount(FaultSite::CodeGen))
-          << Context;
-    }
+    FaultInjector Inj;
+    Inj.armRandom(FaultSite::CodeGen, /*Seed=*/0xC0FFEE, 1, 3);
+    VmConfig Config;
+    Config.Dbt.Fault = &Inj;
+    FaultedOutcome Out = runFaulted(W, Config);
+    std::string Context = W + "/random";
+    expectSameGprs(Out.Arch, Ref, Context);
+    EXPECT_EQ(Out.Stats.get("robust.bailouts"),
+              Inj.firedCount(FaultSite::CodeGen))
+        << Context;
   }
 }
 

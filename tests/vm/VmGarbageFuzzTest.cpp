@@ -7,16 +7,16 @@
 /// \file
 /// Garbage-in robustness: the VM pointed at seeded random guest images —
 /// biased toward decodable-but-meaningless instructions — must never
-/// crash, synchronously or with background workers; every run ends in a
-/// halt, a precise trap, or the budget, and any halt/trap state is
-/// bit-identical to the pure interpreter's. A second fuzzer feeds random
-/// superblocks straight into translate(): every outcome must be a
-/// fragment or a typed TranslateStatus, never an abort.
+/// crash; every run ends in a halt, a precise trap, or the budget, and
+/// any halt/trap state is bit-identical to the pure interpreter's. A
+/// second fuzzer feeds random superblocks straight into translate():
+/// every outcome must be a fragment or a typed TranslateStatus, never an
+/// abort.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "alpha/Decoder.h"
-#include "core/FaultInjector.h"
+#include "core/Translator.h"
 #include "support/Rng.h"
 #include "vm/VirtualMachine.h"
 
@@ -115,7 +115,7 @@ RefOutcome interpretReference(const std::vector<uint32_t> &Words) {
 /// Runs one garbage image through the VM and cross-checks the outcome
 /// against the pure interpreter. Accumulates the number of fragments the
 /// run translated so callers can assert the sweep really reached the DBT.
-void fuzzOneImage(uint64_t Seed, bool Async, uint64_t &TotalFragments) {
+void fuzzOneImage(uint64_t Seed, uint64_t &TotalFragments) {
   std::vector<uint32_t> Words = garbageWords(Seed);
   RefOutcome Ref = interpretReference(Words);
 
@@ -123,16 +123,11 @@ void fuzzOneImage(uint64_t Seed, bool Async, uint64_t &TotalFragments) {
   VmConfig Config;
   Config.Dbt.HotThreshold = 4; // Reach translation quickly on any loop.
   Config.MaxGuestInsts = FuzzBudget;
-  if (Async) {
-    Config.AsyncTranslate = true;
-    Config.TranslateWorkers = 2;
-  }
   VirtualMachine Vm(Mem, CodeBase, Config);
   RunResult Result = Vm.run();
   TotalFragments += Vm.stats().get("tcache.fragments");
 
-  std::string Context =
-      "seed " + std::to_string(Seed) + (Async ? " async" : " sync");
+  std::string Context = "seed " + std::to_string(Seed);
   switch (Ref.Status) {
   case StepStatus::Halted:
     ASSERT_EQ(Result.Reason, StopReason::Halted) << Context;
@@ -158,16 +153,9 @@ void fuzzOneImage(uint64_t Seed, bool Async, uint64_t &TotalFragments) {
 TEST(VmGarbageFuzz, RandomImagesNeverCrashSync) {
   uint64_t Fragments = 0;
   for (uint64_t Seed = 1; Seed <= 40; ++Seed)
-    fuzzOneImage(Seed, /*Async=*/false, Fragments);
+    fuzzOneImage(Seed, Fragments);
   // The generator biases toward backward branches precisely so some
   // garbage loops turn hot; a sweep that never translates tests nothing.
-  EXPECT_GT(Fragments, 0u);
-}
-
-TEST(VmGarbageFuzz, RandomImagesNeverCrashAsync) {
-  uint64_t Fragments = 0;
-  for (uint64_t Seed = 1; Seed <= 20; ++Seed)
-    fuzzOneImage(Seed, /*Async=*/true, Fragments);
   EXPECT_GT(Fragments, 0u);
 }
 

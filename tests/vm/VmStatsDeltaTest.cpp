@@ -32,8 +32,8 @@ namespace {
 const std::set<std::string> Gauges = {
     "tcache.fragments",        "tcache.body_bytes",
     "tcache.unique_source_insts", "cache.budget_high_water",
-    "robust.blacklisted_pcs",  "async.workers",
-    "persist.store_images",    "persist.store_bytes",
+    "robust.blacklisted_pcs",  "persist.store_images",
+    "persist.store_bytes",
 };
 
 } // namespace
