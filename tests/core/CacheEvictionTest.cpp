@@ -219,6 +219,35 @@ TEST(CacheEviction, PreChainedExitToMissingTargetIsUnchainedAtInstall) {
   EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
 }
 
+TEST(CacheEviction, DegradedFlushInsideInstallUnchainsExitIntoFlushedEntry) {
+  // The install that degrades to a wholesale flush is the one whose exit
+  // codegen chained to a then-resident entry: after the flush only the
+  // incoming fragment is resident, so that exit must go back to pending.
+  FaultInjector Inj;
+  Inj.armAlways(FaultSite::EvictSelect);
+  TranslationCache Cache;
+  Cache.setFaultInjector(&Inj);
+  Cache.setByteBudget(2 * FragBytes);
+  Cache.install(makeFragment(0xA0000, 0x99000));
+  Cache.install(makeFragment(0xA0100, 0x99000));
+  Fragment F = makeFragment(0xA0200, 0xA0000);
+  F.Exits[0].Pending = false;
+  F.Body[F.Exits[0].InstIndex].ToTranslator = false;
+  Fragment &In = Cache.install(std::move(F));
+  EXPECT_EQ(Cache.degradedFlushCount(), 1u);
+  EXPECT_EQ(Cache.fragmentCount(), 1u);
+  EXPECT_FALSE(Cache.contains(0xA0000));
+  EXPECT_TRUE(In.Exits[0].Pending);
+  EXPECT_TRUE(In.Body[In.Exits[0].InstIndex].ToTranslator);
+  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  // Once the target is back, the pending exit chains to it again.
+  Inj.disarm(FaultSite::EvictSelect);
+  Cache.install(makeFragment(0xA0000, 0x99000));
+  EXPECT_EQ(Cache.degradedFlushCount(), 1u);
+  EXPECT_FALSE(In.Exits[0].Pending);
+  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+}
+
 TEST(CacheEviction, EvictSelectFaultDegradesToWholesaleFlush) {
   FaultInjector Inj;
   Inj.armAlways(FaultSite::EvictSelect);

@@ -8,10 +8,14 @@
 /// Whole-VM contracts of the native-host execution tier: bit-identical
 /// architected state against pure interpretation on every workload; full
 /// statistics identity against a native-off run (the tier may only add
-/// `native.*` counters); warm starts that import persisted objects and
+/// `native.*` counters) on every workload, whatever the shape of the
+/// compile pool and under a tight code-cache budget; warm starts that import persisted objects and
 /// perform ZERO host compilations; deterministic graceful degrade with no
 /// toolchain (ILDP_NATIVE_CC pointed at a nonexistent compiler); typed
-/// degrade under armed native_compile / native_load faults; and precise
+/// degrade under armed native_compile / native_load faults, on every
+/// workload when the site fails permanently; budget stops inside native
+/// code that resume exactly where an uninterrupted run would be; and
+/// precise
 /// mid-fragment trap deopt out of native code.
 ///
 //===----------------------------------------------------------------------===//
@@ -127,6 +131,98 @@ TEST(VmNativeTier, StatsIdenticalToNativeOffRun) {
   }
 }
 
+/// One shape of the compile pool, optionally under cache pressure.
+struct PoolShape {
+  const char *Name;
+  unsigned Workers;
+  size_t QueueDepth;
+  bool Pressured;
+};
+
+constexpr PoolShape PoolShapes[] = {
+    {"one-worker", 1, 16, false},
+    {"four-workers-shallow-queue", 4, 2, false},
+    {"two-workers-tiny-budget", 2, 16, true},
+};
+
+/// The native-off side of a comparison. Under pressure a byte budget that
+/// holds a handful of short fragments evicts constantly.
+VmConfig shapeConfig(const PoolShape &Shape) {
+  VmConfig Config;
+  if (Shape.Pressured) {
+    Config.CodeCacheBytes = 128;
+    Config.Dbt.HotThreshold = 4;
+    Config.Dbt.MaxSuperblockInsts = 4;
+  }
+  return Config;
+}
+
+VmConfig withNative(VmConfig Config, const PoolShape &Shape) {
+  Config.NativeTier = true;
+  Config.NativeThreshold = TestThreshold;
+  Config.NativeWorkers = Shape.Workers;
+  Config.NativeQueueDepth = Shape.QueueDepth;
+  return Config;
+}
+
+class VmNativeDeterminism : public ::testing::TestWithParam<std::string> {};
+
+// The StatsIdenticalToNativeOffRun contract on every workload and pool
+// shape. Both runs warm-start from one store seeded by a native run, so
+// the tier executes from the first instruction instead of only after its
+// first compiles land. Compile completion order and timing still vary
+// from run to run, a shallow queue drops requests that re-qualify later,
+// and under pressure evicted fragments re-attach their objects — none of
+// it may move a counter outside native.* or a register.
+TEST_P(VmNativeDeterminism, MatchesNativeOffRunExactly) {
+  const std::string W = GetParam();
+  std::string Path = tempStorePath((W + "-determinism").c_str());
+  uint64_t NativeRuns = 0, Evictions = 0;
+  for (const PoolShape &Shape : PoolShapes) {
+    SCOPED_TRACE(Shape.Name);
+    std::remove(Path.c_str());
+    VmConfig Seed = withNative(shapeConfig(Shape), Shape);
+    Seed.PersistPath = Path;
+    ASSERT_EQ(runWorkload(W, Seed).Stats.get("persist.save_ok"), 1u);
+
+    VmConfig Off = shapeConfig(Shape);
+    Off.PersistPath = Path;
+    Off.PersistSave = false;
+    Outcome OffOut = runWorkload(W, Off);
+    VmConfig On = withNative(Off, Shape);
+    Outcome OnOut = runWorkload(W, On);
+
+    expectSameGprs(OnOut.Arch, OffOut.Arch, W + "/" + Shape.Name);
+    EXPECT_EQ(OnOut.Arch.Pc, OffOut.Arch.Pc);
+    for (const auto &[Name, Value] : OffOut.Stats.getWithPrefix(""))
+      EXPECT_EQ(OnOut.Stats.get(Name), Value) << "stat " << Name;
+    for (const auto &[Name, Value] : OnOut.Stats.getWithPrefix("")) {
+      if (Name.rfind("native.", 0) != 0) {
+        EXPECT_EQ(OffOut.Stats.get(Name), Value) << "native-only stat " << Name;
+      }
+    }
+    if (hostToolchain()) {
+      EXPECT_EQ(OnOut.Stats.get("native.workers"), Shape.Workers);
+    }
+    NativeRuns += OnOut.Stats.get("native.runs");
+    if (Shape.Pressured)
+      Evictions += OnOut.Stats.get("cache.evictions");
+  }
+  // The comparison covered native execution and eviction, not just
+  // submissions.
+  if (hostToolchain()) {
+    EXPECT_GT(NativeRuns, 0u);
+  }
+  EXPECT_GT(Evictions, 0u);
+  std::remove(Path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, VmNativeDeterminism,
+                         ::testing::ValuesIn(workloads::workloadNames()),
+                         [](const ::testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
+
 TEST(VmNativeTier, WarmStartCompilesNothingAndRunsNatively) {
   if (!hostToolchain())
     GTEST_SKIP() << "no host C compiler on this machine";
@@ -236,6 +332,122 @@ TEST(VmNativeTier, ArmedLoadFaultDegradesToIisaTier) {
   EXPECT_EQ(Out.Stats.get("native.load_failed"), 1u);
   std::remove(Path.c_str());
 }
+
+class VmSlicedNativeRun : public ::testing::TestWithParam<std::string> {};
+
+// A native warm run cut into budget slices: every stop lands inside or
+// between natively executed fragments, and the resumed run must end with
+// the uninterrupted run's state and statistics. Only vm.segments may
+// differ, by at most one per slice boundary (a boundary splits the
+// translated segment it falls in), and native.*, because a fragment the
+// seed run could not persist compiles in the background on its own
+// schedule in each run.
+TEST_P(VmSlicedNativeRun, MatchesUninterruptedRun) {
+  const std::string W = GetParam();
+  constexpr uint64_t Slice = 7919; // Prime: boundaries fall everywhere.
+  std::string Path = tempStorePath((W + "-sliced").c_str());
+  {
+    VmConfig Seed = nativeConfig();
+    Seed.PersistPath = Path;
+    ASSERT_EQ(runWorkload(W, Seed).Stats.get("persist.save_ok"), 1u);
+  }
+  VmConfig Config = nativeConfig();
+  Config.PersistPath = Path;
+  Config.PersistSave = false;
+  Outcome Whole = runWorkload(W, Config);
+
+  GuestMemory Mem;
+  workloads::WorkloadImage Img = workloads::buildWorkload(W, Mem, 1);
+  Config.MaxGuestInsts = Slice;
+  VirtualMachine Vm(Mem, Img.EntryPc, Config);
+  uint64_t Slices = 1;
+  for (RunResult R = Vm.run(); R.Reason != StopReason::Halted; ++Slices) {
+    ASSERT_EQ(R.Reason, StopReason::Budget);
+    Vm.setGuestInstBudget(Vm.guestInsts() + Slice);
+    R = Vm.run();
+  }
+  ASSERT_GT(Slices, 2u) << "workload too small to slice";
+  const StatisticSet &Sliced = Vm.stats();
+
+  EXPECT_EQ(Vm.interpreter().state(), Whole.Arch);
+  uint64_t Segments = Whole.Stats.get("vm.segments");
+  EXPECT_GE(Sliced.get("vm.segments"), Segments);
+  EXPECT_LE(Sliced.get("vm.segments"), Segments + Slices - 1);
+  for (const auto &[Name, Value] : Whole.Stats.getWithPrefix("")) {
+    if (Name != "vm.segments" && Name.rfind("native.", 0) != 0) {
+      EXPECT_EQ(Sliced.get(Name), Value) << "stat " << Name;
+    }
+  }
+  for (const auto &[Name, Value] : Sliced.getWithPrefix(""))
+    EXPECT_TRUE(Whole.Stats.has(Name)) << "sliced-only stat " << Name;
+  if (hostToolchain()) {
+    EXPECT_GT(Sliced.get("native.runs"), 0u);
+  }
+  std::remove(Path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, VmSlicedNativeRun,
+                         ::testing::ValuesIn(workloads::workloadNames()),
+                         [](const ::testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
+
+class VmNativeFaultMatrix : public ::testing::TestWithParam<FaultSite> {};
+
+// Every workload with a native site permanently armed: no fragment ever
+// reaches the native tier, every attempt is a counted failure, and the
+// answer is the interpreter's. The load site is passed only by objects
+// that exist, so its runs warm-start from a store seeded natively.
+TEST_P(VmNativeFaultMatrix, PermanentFaultKeepsEveryWorkloadOnIisaTier) {
+  if (!hostToolchain())
+    GTEST_SKIP() << "no host C compiler on this machine";
+
+  FaultSite Site = GetParam();
+  bool Load = Site == FaultSite::NativeLoad;
+  std::string Path = tempStorePath(dbt::getFaultSiteName(Site));
+  for (const std::string &W : workloads::workloadNames()) {
+    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
+    ArchState Ref = referenceRun(W);
+    VmConfig Config = nativeConfig();
+    if (Load) {
+      std::remove(Path.c_str());
+      VmConfig Seed = nativeConfig();
+      Seed.PersistPath = Path;
+      ASSERT_EQ(runWorkload(W, Seed).Stats.get("persist.save_ok"), 1u)
+          << Context;
+      Config.PersistPath = Path;
+      Config.PersistSave = false;
+    }
+    FaultInjector Inj;
+    Inj.armAlways(Site);
+    Config.Dbt.Fault = &Inj;
+    Outcome Out = runWorkload(W, Config);
+    expectSameGprs(Out.Arch, Ref, Context);
+
+    EXPECT_GT(Inj.firedCount(Site), 0u) << Context;
+    EXPECT_EQ(Out.Stats.get("native.runs"), 0u) << Context;
+    EXPECT_EQ(Out.Stats.get("native.insts"), 0u) << Context;
+    if (Load) {
+      EXPECT_GT(Out.Stats.get("native.imported_objects"), 0u) << Context;
+      EXPECT_EQ(Out.Stats.get("native.load_failed"), Inj.firedCount(Site))
+          << Context;
+      EXPECT_EQ(Out.Stats.get("native.reattached"), 0u) << Context;
+    } else {
+      EXPECT_EQ(Out.Stats.get("native.compiles"), 0u) << Context;
+      EXPECT_EQ(Out.Stats.get("native.compile_failed"),
+                Inj.firedCount(Site))
+          << Context;
+    }
+  }
+  std::remove(Path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NativeSites, VmNativeFaultMatrix,
+    ::testing::Values(FaultSite::NativeCompile, FaultSite::NativeLoad),
+    [](const ::testing::TestParamInfo<FaultSite> &Info) {
+      return std::string(dbt::getFaultSiteName(Info.param));
+    });
 
 TEST(VmNativeTier, MidFragmentTrapDeoptIsPrecise) {
   if (!hostToolchain())

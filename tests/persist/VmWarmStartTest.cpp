@@ -9,8 +9,9 @@
 /// its translation cache; a warm run of the same image imports it, executes
 /// with ZERO fragments translated, and reaches the same architected state.
 /// Every failure mode — truncated file, flipped payload byte, configuration
-/// or guest-image fingerprint mismatch — must fall back to a correct cold
-/// run, counted under the right statistic, and never crash.
+/// or guest-image fingerprint mismatch, a file in the retired single-image
+/// format — must fall back to a correct cold run, counted under the right
+/// statistic, and never crash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +101,34 @@ TEST(VmWarmStart, WarmRunTranslatesNothingAndMatchesCold) {
   // Warm execution starts in translated code: the interpreter only runs
   // where the cold run also had to fall back to it.
   EXPECT_LE(Warm.Stats.get("interp.insts"), Cold.Stats.get("interp.insts"));
+}
+
+TEST(VmWarmStart, RewrittenLegacyFileWarmStartsTheNextRun) {
+  // A file in the retired single-image format (magic "ILDPTC1\0") is a
+  // bad-magic rejection: the first run goes cold and its exit save
+  // replaces the file with a store, which the next run warm-starts from.
+  std::string Path = tempPath("legacy.tcache");
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write("ILDPTC1\0", 8);
+    Out << "legacy single-image payload";
+  }
+  vm::VmConfig Config;
+  Config.PersistPath = Path;
+
+  Outcome Cold = runWorkload("gzip", Config);
+  EXPECT_EQ(Cold.Stats.get("persist.import_rejected.bad-magic"), 1u);
+  EXPECT_GT(Cold.Stats.get("dbt.fragments"), 0u);
+  ASSERT_EQ(Cold.Stats.get("persist.save_ok"), 1u);
+
+  Outcome Warm = runWorkload("gzip", Config);
+  EXPECT_EQ(Warm.Stats.get("persist.import_rejected"), 0u);
+  EXPECT_EQ(Warm.Stats.get("persist.store_hit"), 1u);
+  EXPECT_EQ(Warm.Stats.get("persist.fragments_imported"),
+            Cold.Stats.get("tcache.fragments"));
+  EXPECT_EQ(Warm.Stats.get("dbt.fragments"), 0u);
+  EXPECT_EQ(Warm.Checksum, Cold.Checksum);
+  std::remove(Path.c_str());
 }
 
 TEST(VmWarmStart, CorruptPayloadFallsBackToCorrectColdRun) {

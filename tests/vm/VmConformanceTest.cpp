@@ -8,7 +8,8 @@
 /// Cross-feature conformance matrix: every workload under every
 /// combination of {unbounded, tiny code-cache budget} x {cold start, warm
 /// start from one shared multi-image store} x {no faults, one armed fault
-/// site} x {I-ISA only, native host tier}. The DBT features were each
+/// site} x {I-ISA only, native host tier} x {no phase flushing, flushing
+/// on phase changes}. The DBT features were each
 /// proven correct in isolation; this harness proves they compose —
 /// whatever the cell, architected state is bit-identical to pure
 /// interpretation, the chain invariant holds, the byte budget is never
@@ -46,7 +47,7 @@ namespace {
 constexpr uint64_t TinyBudget = 4096;
 
 /// Reference final state from the plain interpreter, computed once per
-/// workload (16 cells reuse it).
+/// workload (32 cells reuse it).
 const ArchState &referenceRun(const std::string &Name) {
   static std::map<std::string, ArchState> Cache;
   auto It = Cache.find(Name);
@@ -70,7 +71,8 @@ void expectSameGprs(const ArchState &Got, const ArchState &Ref,
 /// One shared store warm-starting every workload. Built lazily by cold
 /// default-config runs of all twelve workloads saving into one path; the
 /// warm cells vary only knobs outside the fingerprint (budget, faults,
-/// native tier), so this single artifact serves every one of them.
+/// native tier, phase flushing), so this single artifact serves every one
+/// of them.
 const std::string &sharedStorePath() {
   static std::string Path;
   if (!Path.empty())
@@ -98,6 +100,7 @@ struct Cell {
   bool Warm = false;
   bool Fault = false;
   bool Native = false;
+  bool PhaseFlush = false;
 };
 
 struct CellOutcome {
@@ -120,6 +123,12 @@ CellOutcome runCell(const std::string &Name, const Cell &C) {
   if (C.Native) {
     Config.NativeTier = true;
     Config.NativeThreshold = 16;
+  }
+  if (C.PhaseFlush) {
+    // Aggressive enough that cold cells flush repeatedly mid-run.
+    Config.FlushOnPhaseChange = true;
+    Config.PhaseWindow = 20'000;
+    Config.PhaseFragmentThreshold = 4;
   }
   FaultInjector Inj;
   if (C.Fault) {
@@ -145,17 +154,20 @@ CellOutcome runCell(const std::string &Name, const Cell &C) {
 
 } // namespace
 
-class VmConformance
-    : public ::testing::TestWithParam<std::tuple<bool, bool, bool, bool>> {};
+using CellParam = std::tuple<bool, bool, bool, bool, bool>;
+
+class VmConformance : public ::testing::TestWithParam<CellParam> {};
 
 TEST_P(VmConformance, AllWorkloadsMatchInterpreter) {
   Cell C;
-  std::tie(C.Tiny, C.Warm, C.Fault, C.Native) = GetParam();
+  std::tie(C.Tiny, C.Warm, C.Fault, C.Native, C.PhaseFlush) = GetParam();
   std::string Suffix = std::string(C.Tiny ? "/tiny" : "/unbounded") +
                        (C.Warm ? "/warm" : "/cold") +
                        (C.Fault ? "/fault" : "") +
-                       (C.Native ? "/native" : "");
+                       (C.Native ? "/native" : "") +
+                       (C.PhaseFlush ? "/phase-flush" : "");
 
+  uint64_t Flushes = 0;
   for (const std::string &W : workloads::workloadNames()) {
     const ArchState &Ref = referenceRun(W);
     CellOutcome Out = runCell(W, C);
@@ -169,6 +181,13 @@ TEST_P(VmConformance, AllWorkloadsMatchInterpreter) {
       EXPECT_LE(Out.Stats.get("cache.budget_high_water"), TinyBudget)
           << Context;
     }
+    // Every flush that is not a degraded eviction is a phase flush.
+    uint64_t PhaseFlushes = Out.Stats.get("tcache.flushes") -
+                            Out.Stats.get("cache.degraded_flushes");
+    if (!C.PhaseFlush) {
+      EXPECT_EQ(PhaseFlushes, 0u) << Context;
+    }
+    Flushes += PhaseFlushes;
 
     if (C.Native) {
       // The tier engages only where a toolchain exists; either way the
@@ -204,19 +223,25 @@ TEST_P(VmConformance, AllWorkloadsMatchInterpreter) {
       }
     }
   }
+  // The flushing axis really flushed: cold cells translate in bursts.
+  if (C.PhaseFlush && !C.Warm) {
+    EXPECT_GT(Flushes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, VmConformance,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool, bool, bool>>
-           &Info) {
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<CellParam> &Info) {
       // "Sync" names the VM's one (synchronous) translation mode and keeps
-      // cell names stable across matrix revisions.
+      // cell names stable across matrix revisions; the flushing cells add
+      // a suffix.
       return std::string("Sync") +
              (std::get<0>(Info.param) ? "Tiny" : "Unbounded") +
              (std::get<1>(Info.param) ? "Warm" : "Cold") +
              (std::get<2>(Info.param) ? "Fault" : "NoFault") +
-             (std::get<3>(Info.param) ? "Native" : "Iisa");
+             (std::get<3>(Info.param) ? "Native" : "Iisa") +
+             (std::get<4>(Info.param) ? "PhaseFlush" : "");
     });

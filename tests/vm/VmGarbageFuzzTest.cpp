@@ -7,8 +7,10 @@
 /// \file
 /// Garbage-in robustness: the VM pointed at seeded random guest images —
 /// biased toward decodable-but-meaningless instructions — must never
-/// crash; every run ends in a halt, a precise trap, or the budget, and
-/// any halt/trap state is bit-identical to the pure interpreter's. A
+/// crash, also while a tiny code-cache budget and phase flushing churn
+/// its fragments; every run ends in a halt, a precise trap, or the
+/// budget, and any halt/trap state is bit-identical to the pure
+/// interpreter's. A
 /// second fuzzer feeds random superblocks straight into translate():
 /// every outcome must be a fragment or a typed TranslateStatus, never an
 /// abort.
@@ -112,20 +114,21 @@ RefOutcome interpretReference(const std::vector<uint32_t> &Words) {
   return Out;
 }
 
-/// Runs one garbage image through the VM and cross-checks the outcome
-/// against the pure interpreter. Accumulates the number of fragments the
-/// run translated so callers can assert the sweep really reached the DBT.
-void fuzzOneImage(uint64_t Seed, uint64_t &TotalFragments) {
+/// Runs one garbage image through a VM configured as \p Config and
+/// cross-checks the outcome against the pure interpreter. Accumulates the
+/// statistics of every run so callers can assert the sweep really reached
+/// the DBT.
+void fuzzOneImage(uint64_t Seed, VmConfig Config, StatisticSet &Totals) {
   std::vector<uint32_t> Words = garbageWords(Seed);
   RefOutcome Ref = interpretReference(Words);
 
   GuestMemory Mem = loadImage(Words);
-  VmConfig Config;
   Config.Dbt.HotThreshold = 4; // Reach translation quickly on any loop.
   Config.MaxGuestInsts = FuzzBudget;
   VirtualMachine Vm(Mem, CodeBase, Config);
   RunResult Result = Vm.run();
-  TotalFragments += Vm.stats().get("tcache.fragments");
+  for (const auto &[Name, Value] : Vm.stats().getWithPrefix(""))
+    Totals.add(Name, Value);
 
   std::string Context = "seed " + std::to_string(Seed);
   switch (Ref.Status) {
@@ -151,12 +154,30 @@ void fuzzOneImage(uint64_t Seed, uint64_t &TotalFragments) {
 } // namespace
 
 TEST(VmGarbageFuzz, RandomImagesNeverCrashSync) {
-  uint64_t Fragments = 0;
+  StatisticSet Totals;
   for (uint64_t Seed = 1; Seed <= 40; ++Seed)
-    fuzzOneImage(Seed, Fragments);
+    fuzzOneImage(Seed, VmConfig(), Totals);
   // The generator biases toward backward branches precisely so some
   // garbage loops turn hot; a sweep that never translates tests nothing.
-  EXPECT_GT(Fragments, 0u);
+  EXPECT_GT(Totals.get("tcache.fragments"), 0u);
+}
+
+TEST(VmGarbageFuzz, RandomImagesNeverCrashUnderCacheChurn) {
+  // Garbage fragments evicted, unchained and flushed mid-run: a byte
+  // budget that holds a few short fragments, plus phase flushes. Garbage
+  // runs are short, so this sweep takes more seeds to reach the churn.
+  VmConfig Config;
+  Config.CodeCacheBytes = 128;
+  Config.Dbt.MaxSuperblockInsts = 4;
+  Config.FlushOnPhaseChange = true;
+  Config.PhaseWindow = 5'000;
+  Config.PhaseFragmentThreshold = 8;
+  StatisticSet Totals;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    fuzzOneImage(Seed, Config, Totals);
+  EXPECT_GT(Totals.get("dbt.fragments"), 0u);
+  EXPECT_GT(Totals.get("cache.evictions"), 0u);
+  EXPECT_GT(Totals.get("tcache.flushes"), 0u);
 }
 
 // ---------------------------------------------------------------------------

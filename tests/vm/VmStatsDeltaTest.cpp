@@ -10,7 +10,10 @@
 /// partition the monotonic counters exactly (every unit of work attributed
 /// to exactly one delta, nothing lost, nothing double-counted), while
 /// gauge counters — sizes and high-waters that do not accumulate — are
-/// reported at their current value in every delta.
+/// reported at their current value in every delta. And slicing itself is
+/// invisible: on every workload, a run cut into budget slices and resumed
+/// ends in the same state with the same statistics as an uninterrupted
+/// run, with and without code-cache churn.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +39,87 @@ const std::set<std::string> Gauges = {
     "persist.store_bytes",
 };
 
+/// Instructions per slice: prime, so boundaries fall everywhere.
+constexpr uint64_t SliceInsts = 7919;
+
+struct RunOutcome {
+  ArchState Arch;
+  StatisticSet Stats;
+  unsigned Slices = 0;
+};
+
+/// Runs \p Name to its halt, in budget slices of \p Slice guest
+/// instructions when \p Slice is nonzero.
+RunOutcome runSliced(const std::string &Name, VmConfig Config,
+                     uint64_t Slice) {
+  GuestMemory Mem;
+  workloads::WorkloadImage Img = workloads::buildWorkload(Name, Mem, 1);
+  if (Slice)
+    Config.MaxGuestInsts = Slice;
+  VirtualMachine Vm(Mem, Img.EntryPc, Config);
+  RunOutcome Out;
+  for (;;) {
+    RunResult Run = Vm.run();
+    ++Out.Slices;
+    if (Run.Reason != StopReason::Budget || !Slice) {
+      EXPECT_EQ(Run.Reason, StopReason::Halted) << Name;
+      break;
+    }
+    Vm.setGuestInstBudget(Vm.guestInsts() + Slice);
+  }
+  Out.Arch = Vm.interpreter().state();
+  Out.Stats = Vm.stats();
+  return Out;
+}
+
+/// Evictions under a byte budget that holds a handful of short fragments,
+/// and phase flushes on fragment bursts.
+VmConfig churnConfig() {
+  VmConfig Config;
+  Config.CodeCacheBytes = 128;
+  Config.Dbt.HotThreshold = 4;
+  Config.Dbt.MaxSuperblockInsts = 4;
+  Config.FlushOnPhaseChange = true;
+  Config.PhaseWindow = 20'000;
+  Config.PhaseFragmentThreshold = 4;
+  return Config;
+}
+
+class VmSlicedRun : public ::testing::TestWithParam<std::string> {};
+
 } // namespace
+
+TEST_P(VmSlicedRun, MatchesUninterruptedRun) {
+  const std::string Name = GetParam();
+  for (bool Churn : {false, true}) {
+    SCOPED_TRACE(Churn ? "churn" : "default");
+    VmConfig Config = Churn ? churnConfig() : VmConfig();
+    RunOutcome Whole = runSliced(Name, Config, 0);
+    RunOutcome Sliced = runSliced(Name, Config, SliceInsts);
+    ASSERT_GT(Sliced.Slices, 2u) << "workload too small to slice";
+
+    EXPECT_EQ(Sliced.Arch, Whole.Arch);
+    // A slice boundary inside translated code splits that segment in
+    // two; nothing else may notice the slicing.
+    uint64_t Segments = Whole.Stats.get("vm.segments");
+    EXPECT_GE(Sliced.Stats.get("vm.segments"), Segments);
+    EXPECT_LE(Sliced.Stats.get("vm.segments"),
+              Segments + Sliced.Slices - 1);
+    for (const auto &[Counter, Value] : Whole.Stats.getWithPrefix("")) {
+      if (Counter != "vm.segments") {
+        EXPECT_EQ(Sliced.Stats.get(Counter), Value) << Counter;
+      }
+    }
+    for (const auto &[Counter, Value] : Sliced.Stats.getWithPrefix(""))
+      EXPECT_TRUE(Whole.Stats.has(Counter)) << "sliced-only " << Counter;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, VmSlicedRun,
+                         ::testing::ValuesIn(workloads::workloadNames()),
+                         [](const ::testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
 
 TEST(VmStatsDelta, DeltasPartitionCountersAcrossSlicedRun) {
   const std::string Name = workloads::workloadNames().front();

@@ -9,12 +9,14 @@
 /// fragment it last chained to, trusted only while the translation
 /// cache's link generation is unchanged. These runs invalidate cached
 /// successors mid-run in every way the VM can — eviction under a tiny
-/// byte budget and phase flushes — and must still finish bit-identical to
-/// the plain interpreter. A stale slot would chain into an evicted or
+/// byte budget, phase flushes, and evictions that fail and degrade to
+/// wholesale flushes — and must still finish bit-identical to the plain
+/// interpreter. A stale slot would chain into an evicted or
 /// flushed fragment (caught here by divergence, and by ASan in CI).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/FaultInjector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -22,6 +24,8 @@
 
 using namespace ildp;
 using namespace ildp::vm;
+using dbt::FaultInjector;
+using dbt::FaultSite;
 
 namespace {
 
@@ -44,6 +48,8 @@ enum class Churn {
   Evict,        ///< A byte budget that holds a handful of fragments.
   PhaseFlush,   ///< A phase detector that fires on fragment bursts.
   All,          ///< Both at once.
+  DegradedFlush, ///< Evict with intermittent evict_select faults, each
+                 ///< of which degrades that eviction to a whole flush.
 };
 
 std::string churnName(Churn C) {
@@ -52,6 +58,8 @@ std::string churnName(Churn C) {
     return "Evict";
   case Churn::PhaseFlush:
     return "PhaseFlush";
+  case Churn::DegradedFlush:
+    return "DegradedFlush";
   case Churn::All:
     break;
   }
@@ -61,7 +69,7 @@ std::string churnName(Churn C) {
 VmConfig churnConfig(Churn C) {
   VmConfig Config;
   Config.Dbt.HotThreshold = 4;
-  if (C == Churn::Evict || C == Churn::All) {
+  if (C == Churn::Evict || C == Churn::All || C == Churn::DegradedFlush) {
     Config.CodeCacheBytes = 128;
     Config.Dbt.MaxSuperblockInsts = 4;
   }
@@ -79,13 +87,20 @@ class VmSuccessorCache : public ::testing::TestWithParam<Churn> {};
 
 TEST_P(VmSuccessorCache, InvalidatedSuccessorsStayBitIdentical) {
   Churn C = GetParam();
-  uint64_t Chained = 0, Evictions = 0, Unchained = 0, Flushes = 0;
+  uint64_t Chained = 0, Evictions = 0, Unchained = 0, Flushes = 0,
+           Degraded = 0;
   for (const std::string &Name : workloads::workloadNames()) {
     SCOPED_TRACE(Name);
     Reference Ref = interpret(Name);
     GuestMemory Mem;
     workloads::WorkloadImage Img = workloads::buildWorkload(Name, Mem, 1);
-    VirtualMachine Vm(Mem, Img.EntryPc, churnConfig(C));
+    VmConfig Config = churnConfig(C);
+    FaultInjector Inj;
+    if (C == Churn::DegradedFlush) {
+      Inj.armRandom(FaultSite::EvictSelect, /*Seed=*/0x5CC, 1, 8);
+      Config.Dbt.Fault = &Inj;
+    }
+    VirtualMachine Vm(Mem, Img.EntryPc, Config);
     ASSERT_EQ(Vm.run().Reason, StopReason::Halted);
     EXPECT_EQ(Vm.interpreter().state(), Ref.Arch);
     const StatisticSet &S = Vm.stats();
@@ -95,6 +110,7 @@ TEST_P(VmSuccessorCache, InvalidatedSuccessorsStayBitIdentical) {
     Evictions += S.get("cache.evictions");
     Unchained += S.get("cache.unchained_exits");
     Flushes += S.get("tcache.flushes");
+    Degraded += S.get("cache.degraded_flushes");
   }
   // The invalidation under test actually ran between cached-successor
   // hits.
@@ -106,11 +122,16 @@ TEST_P(VmSuccessorCache, InvalidatedSuccessorsStayBitIdentical) {
   if (C == Churn::PhaseFlush || C == Churn::All) {
     EXPECT_GT(Flushes, 10u);
   }
+  if (C == Churn::DegradedFlush) {
+    EXPECT_GT(Evictions, 50u);
+    EXPECT_GT(Degraded, 10u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllChurn, VmSuccessorCache,
-    ::testing::Values(Churn::Evict, Churn::PhaseFlush, Churn::All),
+    ::testing::Values(Churn::Evict, Churn::PhaseFlush, Churn::All,
+                      Churn::DegradedFlush),
     [](const ::testing::TestParamInfo<Churn> &Info) {
       return churnName(Info.param);
     });
