@@ -22,7 +22,7 @@
 
 #include "BenchUtil.h"
 
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 
 #include <algorithm>
 #include <chrono>
@@ -46,7 +46,7 @@ struct Sample {
   double WallMs = 0;
 };
 
-Sample runOnce(const std::string &Workload, dbt::FaultInjector *Inj) {
+Sample runOnce(const std::string &Workload, support::Injector *Inj) {
   GuestMemory Mem;
   workloads::WorkloadImage Image =
       workloads::buildWorkload(Workload, Mem, benchScale());
@@ -105,7 +105,7 @@ int main() {
 
   for (; Rounds != MaxRounds && OverheadPct >= 1.0; ++Rounds) {
     for (size_t I = 0; I != Names.size(); ++I) {
-      dbt::FaultInjector Disarmed; // Attached, never armed.
+      support::Injector Disarmed; // Attached, never armed.
       for (unsigned R = 0; R != Repeats; ++R) {
         Sample Bare = runOnce(Names[I], nullptr);
         Sample Guarded = runOnce(Names[I], &Disarmed);
@@ -155,8 +155,8 @@ int main() {
   uint64_t TotalBailouts = 0;
   for (const std::string &W : Names) {
     Sample Bare = runOnce(W, nullptr);
-    dbt::FaultInjector Hostile;
-    Hostile.armRandom(dbt::FaultSite::CodeGen, /*Seed=*/0x11D9, 1, 3);
+    support::Injector Hostile;
+    Hostile.armRandom(support::InjectSite::CodeGen, /*Seed=*/0x11D9, 1, 3);
     Sample Faulty = runOnce(W, &Hostile);
     bool Tolerant = Faulty.Checksum == Bare.Checksum;
     AllTolerant &= Tolerant;

@@ -6,8 +6,8 @@
 
 #include "core/CodeGen.h"
 
-#include "core/FaultInjector.h"
 #include "iisa/Encoding.h"
+#include "support/Injector.h"
 
 #include <unordered_map>
 
@@ -622,7 +622,7 @@ Fragment Generator::run() {
          "Fragment must end with an exit");
 
   // Assembly: encoding sizes and I-PC offsets.
-  if (Config.Fault && Config.Fault->shouldFail(FaultSite::Assemble))
+  if (support::injected(Config.Fault, support::InjectSite::Assemble))
     bailout(TranslateStatus::InjectedFault, "assemble");
   assignSizes(Frag.Body.data(), Frag.Body.data() + Frag.Body.size(),
               Config.Variant);
@@ -657,7 +657,7 @@ Expected<Fragment> dbt::generateCode(const Superblock &Sb,
                                      const StrandAllocResult *Alloc,
                                      const DbtConfig &Config,
                                      const ChainEnv &Env) {
-  if (Config.Fault && Config.Fault->shouldFail(FaultSite::CodeGen))
+  if (support::injected(Config.Fault, support::InjectSite::CodeGen))
     return {TranslateStatus::InjectedFault, "codegen"};
   try {
     ensure((Config.Variant == IsaVariant::Straight) == (Alloc == nullptr),

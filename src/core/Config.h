@@ -21,9 +21,10 @@
 #include <cstdint>
 
 namespace ildp {
+namespace support {
+class Injector;
+}
 namespace dbt {
-
-class FaultInjector;
 
 /// Fragment chaining policies evaluated in Section 4.3 / Figure 4.
 enum class ChainPolicy : uint8_t {
@@ -62,11 +63,11 @@ struct DbtConfig {
   /// persisted-cache config fingerprint: it changes *whether* a fragment
   /// exists, never its contents.
   uint32_t MaxFragmentBytes = 1u << 16;
-  /// Deterministic fault injection for tests/benches (DESIGN.md §9/§10);
-  /// non-owning, may be null. Not part of the persisted-cache config
-  /// fingerprint: injected faults change *whether* a fragment exists, never
-  /// its contents.
-  FaultInjector *Fault = nullptr;
+  /// Deterministic fault injection for tests/benches (DESIGN.md §9/§10):
+  /// the injector consulted at every fault site; non-owning, may be null.
+  /// Not part of the persisted-cache config fingerprint: injected faults
+  /// change *whether* a fragment exists, never its contents.
+  support::Injector *Fault = nullptr;
 };
 
 const char *getChainPolicyName(ChainPolicy Policy);

@@ -7,7 +7,7 @@
 #include "core/Lowering.h"
 
 #include "alpha/Semantics.h"
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 
 using namespace ildp;
 using namespace ildp::dbt;
@@ -398,7 +398,7 @@ LoweredBlock LoweringContext::run() {
 
 Expected<LoweredBlock> dbt::lower(const Superblock &Sb,
                                   const DbtConfig &Config) {
-  if (Config.Fault && Config.Fault->shouldFail(FaultSite::Lowering))
+  if (support::injected(Config.Fault, support::InjectSite::Lowering))
     return {TranslateStatus::InjectedFault, "lowering"};
   try {
     return LoweringContext(Sb, Config).run();

@@ -27,6 +27,7 @@
 #ifndef ILDP_CORE_PROFILECONTROLLER_H
 #define ILDP_CORE_PROFILECONTROLLER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>

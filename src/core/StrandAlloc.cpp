@@ -6,7 +6,7 @@
 
 #include "core/StrandAlloc.h"
 
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 
 #include <algorithm>
 #include <limits>
@@ -384,7 +384,7 @@ StrandAllocResult Allocator::run() {
 
 Expected<StrandAllocResult>
 dbt::formStrandsAndAllocate(LoweredBlock &Block, const DbtConfig &Config) {
-  if (Config.Fault && Config.Fault->shouldFail(FaultSite::StrandAlloc))
+  if (support::injected(Config.Fault, support::InjectSite::StrandAlloc))
     return {TranslateStatus::InjectedFault, "strand_alloc"};
   try {
     ensure(Config.NumAccumulators >= 1 &&

@@ -39,7 +39,7 @@ enum class TranslateStatus : uint8_t {
   InternalStrandAlloc,///< Invariant violated during strand allocation.
   InternalCodeGen,    ///< Invariant violated during code generation.
   InternalAssembly,   ///< Invariant violated while sizing/encoding the body.
-  InjectedFault,      ///< Deterministic test fault (dbt::FaultInjector).
+  InjectedFault,      ///< Deterministic test fault (support::Injector).
 };
 
 constexpr unsigned NumTranslateStatuses = 11;

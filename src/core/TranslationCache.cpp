@@ -6,7 +6,7 @@
 
 #include "core/TranslationCache.h"
 
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 
 #include <bit>
 #include <cassert>
@@ -199,12 +199,12 @@ Fragment *TranslationCache::selectVictim() {
 
 bool TranslationCache::evictToFit(uint64_t NeededBytes) {
   while (TotalBytes + NeededBytes > Budget) {
-    if (Fault && Fault->shouldFail(FaultSite::EvictSelect))
+    if (support::injected(Fault, support::InjectSite::EvictSelect))
       return false;
     Fragment *Victim = selectVictim();
     if (!Victim)
       return false;
-    if (Fault && Fault->shouldFail(FaultSite::Unchain))
+    if (support::injected(Fault, support::InjectSite::Unchain))
       return false;
     evictFragment(*Victim);
   }

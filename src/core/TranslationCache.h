@@ -43,9 +43,10 @@
 #include <vector>
 
 namespace ildp {
+namespace support {
+class Injector;
+}
 namespace dbt {
-
-class FaultInjector;
 
 /// Fragment registry with pending-exit patching and (optionally) a byte
 /// budget enforced by exec-weighted LRU eviction.
@@ -124,8 +125,8 @@ public:
     EvictionListener = std::move(Listener);
   }
 
-  /// Attaches the fault injector driving the evict_select / unchain sites.
-  void setFaultInjector(FaultInjector *Injector) { Fault = Injector; }
+  /// Attaches the injector driving the evict_select / unchain sites.
+  void setInjector(support::Injector *Injector) { Fault = Injector; }
 
   /// Rewrites every chained exit targeting \p EntryVAddr in any resident
   /// fragment back to its call-translator (pending) form and re-registers
@@ -227,7 +228,7 @@ private:
   std::unordered_multimap<uint64_t, std::pair<Fragment *, size_t>> ChainedIn;
   std::unordered_set<uint64_t> CoveredVAddrs;
   std::function<void(const Fragment &)> EvictionListener;
-  FaultInjector *Fault = nullptr;
+  support::Injector *Fault = nullptr;
   /// Storage of evicted/flushed fragments awaiting reclaimEvicted().
   std::vector<std::unique_ptr<Fragment>> Graveyard;
   /// Entries of the last RecentUseDepth distinct lookups, protected from

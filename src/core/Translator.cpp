@@ -6,10 +6,10 @@
 
 #include "core/Translator.h"
 
-#include "core/FaultInjector.h"
 #include "core/Lowering.h"
 #include "core/StrandAlloc.h"
 #include "core/UsageAnalysis.h"
+#include "support/Injector.h"
 
 using namespace ildp;
 using namespace ildp::dbt;
@@ -46,7 +46,7 @@ void TranslationCost::addTo(StatisticSet &Stats) const {
 /// can also arrive from tests, fuzzers, or future network/persist paths.
 static TranslateStatus validateDecoded(const Superblock &Sb,
                                        const DbtConfig &Config) {
-  if (Config.Fault && Config.Fault->shouldFail(FaultSite::Decode))
+  if (support::injected(Config.Fault, support::InjectSite::Decode))
     return TranslateStatus::InjectedFault;
   if (Sb.Insts.empty())
     return TranslateStatus::MalformedGuestInst;

@@ -6,7 +6,7 @@
 
 #include "core/UsageAnalysis.h"
 
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 
 #include <unordered_map>
 
@@ -187,7 +187,7 @@ void Analyzer::promoteAcrossExits() {
 
 TranslateStatus dbt::analyzeUsage(LoweredBlock &Block,
                                   const DbtConfig &Config) {
-  if (Config.Fault && Config.Fault->shouldFail(FaultSite::Usage))
+  if (support::injected(Config.Fault, support::InjectSite::Usage))
     return TranslateStatus::InjectedFault;
   try {
     Analyzer A{Block.List.Uops, Block.SideExits, Config, {}, {}};

@@ -13,7 +13,7 @@ using namespace ildp::native;
 
 NativeService::NativeService(const HostCompiler &CC, unsigned Workers,
                              size_t QueueDepth)
-    : CC(CC), Requests(QueueDepth) {
+    : CC(CC), Requests({QueueDepth}, {1}) {
   if (Workers == 0)
     Workers = 1;
   this->Workers.reserve(Workers);
@@ -28,7 +28,7 @@ NativeService::~NativeService() {
 }
 
 bool NativeService::trySubmit(NativeRequest Req) {
-  if (!Requests.tryPush(Req))
+  if (!Requests.tryPush(0, Req))
     return false;
   Submitted.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -51,12 +51,13 @@ void NativeService::waitAllIdle() {
 }
 
 void NativeService::workerMain() {
-  while (auto Req = Requests.pop()) {
+  while (auto Popped = Requests.pop()) {
+    const NativeRequest &Req = Popped->Item;
     NativeCompletion C;
-    C.Key = Req->Key;
-    C.EntryVAddr = Req->EntryVAddr;
+    C.Key = Req.Key;
+    C.EntryVAddr = Req.EntryVAddr;
 
-    EmitResult Emitted = emitFragmentC(Req->Body, Req->Variant);
+    EmitResult Emitted = emitFragmentC(Req.Body, Req.Variant);
     if (!Emitted.Ok) {
       C.Reason = Emitted.Reason;
     } else {

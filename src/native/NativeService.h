@@ -34,7 +34,7 @@
 
 #include "iisa/IisaInst.h"
 #include "native/NativeCompiler.h"
-#include "support/WorkQueue.h"
+#include "support/MultiLaneQueue.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -109,7 +109,7 @@ private:
   /// By value: hostCompiler()'s reference is only stable until the next
   /// ILDP_NATIVE_CC change, and workers outlive any such change.
   const HostCompiler CC;
-  WorkQueue<NativeRequest> Requests;
+  MultiLaneQueue<NativeRequest> Requests; ///< One lane.
   std::vector<std::thread> Workers;
 
   mutable std::mutex DoneMutex;

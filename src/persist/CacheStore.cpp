@@ -10,7 +10,7 @@
 #include "persist/Crc32.h"
 #include "persist/FragmentCodec.h"
 #include "persist/StoreLock.h"
-#include "support/CrashInjector.h"
+#include "support/Injector.h"
 
 #include <algorithm>
 #include <atomic>
@@ -26,8 +26,8 @@
 using namespace ildp;
 using namespace ildp::persist;
 using namespace ildp::dbt;
-using support::CrashPoint;
 using support::crashPoint;
+using support::InjectSite;
 
 namespace {
 
@@ -335,7 +335,7 @@ bool CacheStore::save(const std::string &Path) const {
     size_t Half = Len / 2;
     bool Ok = WriteAll(0, Half);
     if (Ok)
-      crashPoint(CrashPoint::MidTmpWrite);
+      crashPoint(InjectSite::MidTmpWrite);
     if (Ok)
       Ok = WriteAll(Half, Len);
     if (!Ok) {
@@ -352,7 +352,7 @@ bool CacheStore::save(const std::string &Path) const {
   }
   // Crash point: the staging file is complete and durable, but the store
   // name was never switched — a reopen must see the old image set intact.
-  crashPoint(CrashPoint::PostTmpPreRename);
+  crashPoint(InjectSite::PostTmpPreRename);
   if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
     std::remove(TmpPath.c_str());
     return false;
@@ -418,7 +418,7 @@ SaveMergeResult CacheStore::saveMerged(const std::string &Path,
   // Crash point: the on-disk store has been read, nothing written, and
   // this process holds "<path>.lock". Dying here must leave the old
   // artifact intact and a breakable (dead-PID) lock behind.
-  crashPoint(CrashPoint::MidMergeRead);
+  crashPoint(InjectSite::MidMergeRead);
   if (DiskState == StoreStatus::Ok) {
     // Keep adopted slots older than everything this store wrote itself.
     size_t InsertAt = 0;
@@ -434,6 +434,6 @@ SaveMergeResult CacheStore::saveMerged(const std::string &Path,
   // Crash point: the new store is durably in place but the lock file
   // still names this process. Readers see new; the next writer must
   // break the dead lock within one takeover, not wait out a timeout.
-  crashPoint(CrashPoint::PostRenamePreUnlock);
+  crashPoint(InjectSite::PostRenamePreUnlock);
   return Result;
 }

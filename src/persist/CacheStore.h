@@ -43,7 +43,7 @@
 /// (reported via SaveMergeResult::LockTimedOut) — last writer wins on the
 /// file, but each writer still merges every slot it can see. The §15
 /// crash model is chaos-tested by ildp-crashtest at named crash points
-/// (support/CrashInjector.h) covering every instant of this protocol.
+/// (support/Injector.h) covering every instant of this protocol.
 ///
 //===----------------------------------------------------------------------===//
 

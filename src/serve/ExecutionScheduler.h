@@ -38,7 +38,7 @@
 
 #include "serve/AdmissionControl.h"
 #include "serve/VmFleet.h"
-#include "support/WorkQueue.h"
+#include "support/MultiLaneQueue.h"
 
 #include <atomic>
 #include <chrono>

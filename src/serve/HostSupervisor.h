@@ -32,7 +32,7 @@
 /// sanitized test builds) and owned each by a slot thread that reaps the
 /// child, fails its in-flight requests typed, and respawns. Crash
 /// schedules for chaos testing cross into children via the
-/// ILDP_CRASH_SCHEDULE environment variable (support/CrashInjector.h).
+/// ILDP_CRASH_SCHEDULE environment variable (support/Injector.h).
 ///
 //===----------------------------------------------------------------------===//
 

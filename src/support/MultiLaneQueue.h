@@ -1,28 +1,26 @@
-//===- support/WorkQueue.h - Bounded blocking work queue ------------------===//
+//===- support/MultiLaneQueue.h - Bounded multi-lane work queue -----------===//
 //
 // Part of the ILDP-DBT project (CGO 2003 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded multi-producer/multi-consumer blocking queue: the transport
-/// between the VM thread and the native compile workers. Producers block
-/// while the queue is full (back-pressure) or use tryPush() to turn a full
-/// queue into an immediate rejection (the VM never waits on a compile);
-/// consumers block while it is empty. close() wakes
-/// everyone: pop() drains the remaining items first and then reports
-/// exhaustion, so a worker can either finish queued work or the owner can
-/// discard it with closeAndClear().
-///
-/// MultiLaneQueue generalizes the shape for the overload-hardened fleet
-/// scheduler: a small fixed set of independently bounded FIFO lanes
-/// drained by one weighted-deficit round-robin pop, so a high-priority
-/// lane is served ahead of — but never starves — a low-priority one.
+/// The bounded multi-producer/multi-consumer queue behind both worker
+/// pools: a small fixed set of independently bounded FIFO lanes drained
+/// by one weighted-deficit round-robin pop, so a high-priority lane is
+/// served ahead of — but never starves — a low-priority one. The fleet
+/// scheduler uses one lane per request priority; the native compile pool
+/// uses a single lane. Producers never block: tryPush() turns a full lane
+/// into an immediate rejection (the VM never waits on a compile, and the
+/// scheduler answers ExecStatus::QueueFull). Consumers block while every
+/// lane is empty. close() wakes everyone: pop() drains the remaining
+/// items first and then reports exhaustion, so either the workers finish
+/// queued work or the owner discards it with closeAndClear().
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef ILDP_SUPPORT_WORKQUEUE_H
-#define ILDP_SUPPORT_WORKQUEUE_H
+#ifndef ILDP_SUPPORT_MULTILANEQUEUE_H
+#define ILDP_SUPPORT_MULTILANEQUEUE_H
 
 #include <condition_variable>
 #include <cstddef>
@@ -34,112 +32,6 @@
 
 namespace ildp {
 
-/// Bounded blocking FIFO.
-template <typename T> class WorkQueue {
-public:
-  explicit WorkQueue(size_t Capacity) : Capacity(Capacity ? Capacity : 1) {}
-
-  /// Enqueues \p Item, blocking while the queue is full. Returns false if
-  /// the queue was closed (the item is dropped).
-  bool push(T Item) {
-    std::unique_lock<std::mutex> Lock(M);
-    NotFull.wait(Lock, [&] { return Items.size() < Capacity || Closed; });
-    if (Closed)
-      return false;
-    Items.push_back(std::move(Item));
-    Lock.unlock();
-    NotEmpty.notify_one();
-    return true;
-  }
-
-  /// Dequeues the oldest item, blocking while the queue is empty. Returns
-  /// std::nullopt once the queue is closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> Lock(M);
-    NotEmpty.wait(Lock, [&] { return !Items.empty() || Closed; });
-    if (Items.empty())
-      return std::nullopt;
-    T Item = std::move(Items.front());
-    Items.pop_front();
-    Lock.unlock();
-    NotFull.notify_one();
-    return Item;
-  }
-
-  /// Non-blocking push: enqueues \p Item only when the queue has room and
-  /// is still open. On failure \p Item is left untouched, so the caller
-  /// can reject it in a typed way instead of losing it — the request
-  /// scheduler turns a full queue into an ExecStatus::QueueFull response
-  /// carrying the request's reply promise.
-  bool tryPush(T &Item) {
-    {
-      std::unique_lock<std::mutex> Lock(M);
-      if (Closed || Items.size() >= Capacity)
-        return false;
-      Items.push_back(std::move(Item));
-    }
-    NotEmpty.notify_one();
-    return true;
-  }
-
-  /// Non-blocking pop. Returns std::nullopt when the queue is empty.
-  std::optional<T> tryPop() {
-    std::unique_lock<std::mutex> Lock(M);
-    if (Items.empty())
-      return std::nullopt;
-    T Item = std::move(Items.front());
-    Items.pop_front();
-    Lock.unlock();
-    NotFull.notify_one();
-    return Item;
-  }
-
-  /// Stops accepting items. Queued items remain poppable (drain shutdown).
-  void close() {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Closed = true;
-    }
-    NotEmpty.notify_all();
-    NotFull.notify_all();
-  }
-
-  /// Stops accepting items and discards everything queued (cancel
-  /// shutdown). Returns the number of items dropped.
-  size_t closeAndClear() {
-    size_t Dropped;
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Closed = true;
-      Dropped = Items.size();
-      Items.clear();
-    }
-    NotEmpty.notify_all();
-    NotFull.notify_all();
-    return Dropped;
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Closed;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Items.size();
-  }
-
-  size_t capacity() const { return Capacity; }
-
-private:
-  const size_t Capacity;
-  mutable std::mutex M;
-  std::condition_variable NotEmpty;
-  std::condition_variable NotFull;
-  std::deque<T> Items;
-  bool Closed = false;
-};
-
 /// A fixed set of independently bounded FIFO lanes behind one blocking
 /// consumer interface. Producers tryPush() into a specific lane (a full
 /// or closed lane is an immediate, typed-rejectable failure, never a
@@ -147,9 +39,8 @@ private:
 /// refill round grants lane L up to Weights[L] dequeues, so over any
 /// window the served mix approaches the weight ratio — a heavy lane can
 /// delay a light one by at most one round, and an idle lane costs the
-/// others nothing. close() has WorkQueue semantics: queued items remain
-/// poppable (the owner drains or typed-rejects them), then pop() reports
-/// exhaustion.
+/// others nothing. After close(), queued items remain poppable (the owner
+/// drains or typed-rejects them), then pop() reports exhaustion.
 template <typename T> class MultiLaneQueue {
 public:
   /// One dequeued item, tagged with the lane it came from.
@@ -222,6 +113,22 @@ public:
     NotEmpty.notify_all();
   }
 
+  /// Stops accepting items and discards everything queued (cancel
+  /// shutdown). Returns the number of items dropped.
+  size_t closeAndClear() {
+    size_t Dropped = 0;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Closed = true;
+      for (std::deque<T> &L : Lanes) {
+        Dropped += L.size();
+        L.clear();
+      }
+    }
+    NotEmpty.notify_all();
+    return Dropped;
+  }
+
   bool closed() const {
     std::lock_guard<std::mutex> Lock(M);
     return Closed;
@@ -283,4 +190,4 @@ private:
 
 } // namespace ildp
 
-#endif // ILDP_SUPPORT_WORKQUEUE_H
+#endif // ILDP_SUPPORT_MULTILANEQUEUE_H

@@ -6,7 +6,6 @@
 
 #include "vm/VirtualMachine.h"
 
-#include "core/FaultInjector.h"
 #include "core/SuperblockBuilder.h"
 #include "core/Translator.h"
 #include "native/NativeCompiler.h"
@@ -17,6 +16,7 @@
 #include "native/NativeStore.h"
 #include "persist/CacheStore.h"
 #include "persist/Fingerprint.h"
+#include "support/Injector.h"
 
 #include <algorithm>
 #include <cassert>
@@ -45,7 +45,7 @@ VirtualMachine::VirtualMachine(GuestMemory &Mem, uint64_t EntryPc,
         this->Config.Dbt.MaxFragmentBytes > Clamp)
       this->Config.Dbt.MaxFragmentBytes = uint32_t(Clamp);
     TCache.setByteBudget(Config.CodeCacheBytes);
-    TCache.setFaultInjector(Config.Dbt.Fault);
+    TCache.setInjector(Config.Dbt.Fault);
     TCache.setEvictionListener(
         [this](const dbt::Fragment &Frag) { onFragmentEvicted(Frag); });
   }
@@ -98,100 +98,68 @@ void VirtualMachine::importFragments(std::vector<dbt::Fragment> Frags) {
 
 void VirtualMachine::warmStartFromPersisted() {
   Store = std::make_unique<persist::CacheStore>();
-  persist::StoreStatus Opened = Store->open(Config.PersistPath);
-
-  // Every import failure degrades to a cold start; a warm-start problem
-  // must never be worse than not having a store at all. A missing file is
-  // the normal first run and a store miss is the normal first run *of this
-  // image*; everything else is counted under persist.import_rejected with
-  // a per-reason breakdown. On corruption the store stays empty, so the
-  // exit save rewrites the path with a clean artifact.
-  const char *Rejected = nullptr;
-  if (Config.Dbt.Fault &&
-      Config.Dbt.Fault->shouldFail(dbt::FaultSite::PersistImport)) {
-    Rejected = "injected-fault";
-  } else {
-    switch (Opened) {
-    case persist::StoreStatus::FileNotFound:
-      Stats.add("persist.load_nofile");
-      return;
-    case persist::StoreStatus::Ok: {
-      Stats.set("persist.store_images", Store->imageCount());
-      Stats.set("persist.store_bytes", Store->totalPayloadBytes());
-      std::vector<dbt::Fragment> Frags;
-      persist::StoreStatus Found = Store->lookup(PersistFingerprint, Frags);
-      if (Found == persist::StoreStatus::ImageNotFound) {
-        // Other images live here; ours runs cold and saves a new slot.
-        Stats.add("persist.store_miss");
-        return;
-      }
-      if (Found != persist::StoreStatus::Ok) {
-        // Structural corruption the CRCs happened to bless. Drop the slot
-        // (the rest of the store is fine and stays preserved).
-        Stats.add("persist.load_corrupt");
-        Store->erase(PersistFingerprint);
-        Rejected = persist::getStoreStatusName(Found);
-        break;
-      }
-      Stats.add("persist.store_hit");
-      ImportedCostUnits = Store->find(PersistFingerprint)->CostUnits;
-      importFragments(std::move(Frags));
-      importNativeObjects(*Store);
-      break;
-    }
-    default:
-      Stats.add("persist.load_corrupt");
-      Rejected = persist::getStoreStatusName(Opened);
-      break;
-    }
-  }
-  if (Rejected) {
-    Stats.add("persist.import_rejected");
-    Stats.add(std::string("persist.import_rejected.") + Rejected);
-  }
+  // A corrupt slot is dropped (the rest of the store is fine and stays
+  // preserved), so the exit save rewrites it with a clean artifact.
+  if (warmStartFrom(*Store, Store->open(Config.PersistPath)))
+    Store->erase(PersistFingerprint);
 }
 
 void VirtualMachine::warmStartFromShared() {
   // The shared-store path exists so a fleet of VMs can warm-start without
   // per-VM file I/O: the store was opened (read-only) once by the owner
   // and every lookup here is a const walk over immutable payload bytes.
-  // The degrade taxonomy mirrors warmStartFromPersisted: any problem is a
-  // counted cold start, never a failure.
+  // Its gauges are reported even when the import fault fires. A corrupt
+  // slot cannot be dropped from the shared store; this VM just runs cold.
   const persist::CacheStore &Shared = *Config.SharedStore;
   Stats.add("persist.store_readonly");
   Stats.set("persist.store_images", Shared.imageCount());
   Stats.set("persist.store_bytes", Shared.totalPayloadBytes());
+  warmStartFrom(Shared, persist::StoreStatus::Ok);
+}
 
-  const char *Rejected = nullptr;
-  if (Config.Dbt.Fault &&
-      Config.Dbt.Fault->shouldFail(dbt::FaultSite::PersistImport)) {
+bool VirtualMachine::warmStartFrom(const persist::CacheStore &St,
+                                   persist::StoreStatus Opened) {
+  // Every import failure degrades to a cold start; a warm-start problem
+  // must never be worse than not having a store at all. A missing file is
+  // the normal first run and a store miss is the normal first run *of this
+  // image*; everything else is counted under persist.import_rejected with
+  // a per-reason breakdown.
+  const char *Rejected;
+  bool SlotCorrupt = false;
+  if (support::injected(Config.Dbt.Fault, support::InjectSite::PersistImport)) {
     Rejected = "injected-fault";
+  } else if (Opened == persist::StoreStatus::FileNotFound) {
+    Stats.add("persist.load_nofile");
+    return false;
+  } else if (Opened != persist::StoreStatus::Ok) {
+    Stats.add("persist.load_corrupt");
+    Rejected = persist::getStoreStatusName(Opened);
   } else {
+    Stats.set("persist.store_images", St.imageCount());
+    Stats.set("persist.store_bytes", St.totalPayloadBytes());
     std::vector<dbt::Fragment> Frags;
-    persist::StoreStatus Found = Shared.lookup(PersistFingerprint, Frags);
-    switch (Found) {
-    case persist::StoreStatus::ImageNotFound:
-      // Other images live here; ours runs cold (and stays unsaved — the
-      // shared store is read-only).
+    persist::StoreStatus Found = St.lookup(PersistFingerprint, Frags);
+    if (Found == persist::StoreStatus::ImageNotFound) {
+      // Other images live here; ours runs cold (and a writable store
+      // saves a new slot on exit).
       Stats.add("persist.store_miss");
-      return;
-    case persist::StoreStatus::Ok:
-      Stats.add("persist.store_hit");
-      ImportedCostUnits = Shared.find(PersistFingerprint)->CostUnits;
-      importFragments(std::move(Frags));
-      importNativeObjects(Shared);
-      return;
-    default:
-      // Structural corruption the CRCs happened to bless. The store is
-      // shared and read-only, so unlike the owning path the slot cannot
-      // be dropped here; this VM just runs cold.
-      Stats.add("persist.load_corrupt");
-      Rejected = persist::getStoreStatusName(Found);
-      break;
+      return false;
     }
+    if (Found == persist::StoreStatus::Ok) {
+      Stats.add("persist.store_hit");
+      ImportedCostUnits = St.find(PersistFingerprint)->CostUnits;
+      importFragments(std::move(Frags));
+      importNativeObjects(St);
+      return false;
+    }
+    // Structural corruption the CRCs happened to bless.
+    Stats.add("persist.load_corrupt");
+    Rejected = persist::getStoreStatusName(Found);
+    SlotCorrupt = true;
   }
   Stats.add("persist.import_rejected");
   Stats.add(std::string("persist.import_rejected.") + Rejected);
+  return SlotCorrupt;
 }
 
 void VirtualMachine::savePersistedCache() {
@@ -262,8 +230,7 @@ uint64_t VirtualMachine::nativeKey(dbt::Fragment &Frag) {
 
 bool VirtualMachine::attachNative(dbt::Fragment &Frag,
                                   const std::vector<uint8_t> &Object) {
-  if (Config.Dbt.Fault &&
-      Config.Dbt.Fault->shouldFail(dbt::FaultSite::NativeLoad)) {
+  if (support::injected(Config.Dbt.Fault, support::InjectSite::NativeLoad)) {
     ++Nat.LoadFailed;
     Frag.NativeState = dbt::Fragment::NativeFailed;
     return false;
@@ -297,8 +264,8 @@ void VirtualMachine::maybeNativeTierUp(dbt::Fragment *Frag) {
       ++Nat.Reattached;
     return;
   }
-  if (Config.Dbt.Fault &&
-      Config.Dbt.Fault->shouldFail(dbt::FaultSite::NativeCompile)) {
+  if (support::injected(Config.Dbt.Fault,
+                        support::InjectSite::NativeCompile)) {
     // Decided here rather than on a worker: an injected compile failure
     // is accounted even when the run ends before a worker would have
     // dequeued the request (workers may start only milliseconds later).
@@ -710,12 +677,6 @@ void VirtualMachine::emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc) {
   }
 }
 
-uint64_t VirtualMachine::exitTargetIPc(const iisa::IExit &Exit,
-                                       dbt::Fragment *Next) {
-  (void)Exit;
-  return Next ? Next->IBase : TranslatorIPc;
-}
-
 void VirtualMachine::accountExit(const dbt::Fragment &Frag,
                                  uint32_t ExitIndex) {
   // Every tier executes instructions 0..ExitIndex of the body, so the
@@ -801,7 +762,6 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
     // Exit decision.
     dbt::Fragment *Next = nullptr;
     bool NeedStubDispatch = false;
-    bool RasMiss = false;
     switch (Exit.K) {
     case iisa::IExit::Kind::Chained:
       Next = staticSuccessor(*Frag, Exit);
@@ -832,7 +792,6 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       } else {
         // Mispredicted return: the unconditional branch after the return
         // redirects to dispatch (Section 3.2).
-        RasMiss = true;
         NeedStubDispatch = true;
         Next = TCache.lookup(Exit.VTarget);
         ++Hot.ReturnMiss;
@@ -847,22 +806,16 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       break;
     }
 
-    // Trace emission.
-    uint64_t NextIPc;
-    if (Exit.K == iisa::IExit::Kind::Return && RasMiss)
-      NextIPc = Frag->IBase + Frag->BodyBytes; // Falls into the stub.
-    else if (NeedStubDispatch)
-      NextIPc = Frag->IBase + Frag->BodyBytes;
-    else
-      NextIPc = exitTargetIPc(Exit, Next);
-    // Correct the RasHit signal for the emitter: a hit jumps straight to
-    // the target fragment.
-    if (Exit.K == iisa::IExit::Kind::Return && !RasMiss)
-      NextIPc = exitTargetIPc(Exit, Next);
-    emitFragmentTrace(*Frag, Events, Exit, NextIPc);
+    // Trace emission. A dispatching exit (including a mispredicted
+    // return) falls into the stub; every other exit jumps straight to its
+    // target fragment, or to the translator when there is none.
+    uint64_t StubIPc = Frag->IBase + Frag->BodyBytes;
+    uint64_t TargetIPc = Next ? Next->IBase : TranslatorIPc;
+    emitFragmentTrace(*Frag, Events, Exit,
+                      NeedStubDispatch ? StubIPc : TargetIPc);
     if (NeedStubDispatch) {
-      emitStubBranch(Frag->IBase + Frag->BodyBytes);
-      emitDispatch(Exit.VTarget, Next ? Next->IBase : TranslatorIPc);
+      emitStubBranch(StubIPc);
+      emitDispatch(Exit.VTarget, TargetIPc);
     }
 
     switch (Exit.K) {

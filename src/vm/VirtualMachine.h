@@ -40,6 +40,7 @@
 namespace ildp {
 namespace persist {
 class CacheStore;
+enum class StoreStatus : uint8_t;
 }
 namespace native {
 class NativeService;
@@ -364,7 +365,6 @@ private:
                          const iisa::IExit &Exit, uint64_t NextIPc);
   void emitStubBranch(uint64_t FromIPc);
   void emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc);
-  uint64_t exitTargetIPc(const iisa::IExit &Exit, dbt::Fragment *Next);
 
   void dualRasPush(uint64_t VRet);
   bool dualRasPop(uint64_t Actual);
@@ -385,10 +385,18 @@ private:
   uint64_t ImportedCostUnits = 0;
   /// stats() snapshot taken by the previous statsDelta() call.
   StatisticSet StatsBaseline;
+  /// Warm start from the store file at Config.PersistPath.
   void warmStartFromPersisted();
   /// Warm start by lookup in Config.SharedStore (read-only, pre-opened;
   /// no file I/O on this path). Same degrade taxonomy as the file path.
   void warmStartFromShared();
+  /// The warm-start import both paths share: the PersistImport fault
+  /// site, then \p Opened (the store's open() status; Ok for the shared
+  /// store), then this image's slot — miss, hit (fragments and native
+  /// objects imported) or corrupt. Every outcome is counted under
+  /// persist.*; returns true only for a corrupt slot.
+  bool warmStartFrom(const persist::CacheStore &St,
+                     persist::StoreStatus Opened);
   /// Installs \p Frags as the warm-start image and marks their entries
   /// translated in the profiler. Shared by the file and shared-store paths.
   void importFragments(std::vector<dbt::Fragment> Frags);

@@ -15,14 +15,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
 #include "core/TranslationCache.h"
+#include "support/Injector.h"
 
 #include <gtest/gtest.h>
 
 using namespace ildp;
 using namespace ildp::dbt;
 using namespace ildp::iisa;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -223,10 +225,10 @@ TEST(CacheEviction, DegradedFlushInsideInstallUnchainsExitIntoFlushedEntry) {
   // The install that degrades to a wholesale flush is the one whose exit
   // codegen chained to a then-resident entry: after the flush only the
   // incoming fragment is resident, so that exit must go back to pending.
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::EvictSelect);
+  Injector Inj;
+  Inj.armAlways(InjectSite::EvictSelect);
   TranslationCache Cache;
-  Cache.setFaultInjector(&Inj);
+  Cache.setInjector(&Inj);
   Cache.setByteBudget(2 * FragBytes);
   Cache.install(makeFragment(0xA0000, 0x99000));
   Cache.install(makeFragment(0xA0100, 0x99000));
@@ -241,7 +243,7 @@ TEST(CacheEviction, DegradedFlushInsideInstallUnchainsExitIntoFlushedEntry) {
   EXPECT_TRUE(In.Body[In.Exits[0].InstIndex].ToTranslator);
   EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
   // Once the target is back, the pending exit chains to it again.
-  Inj.disarm(FaultSite::EvictSelect);
+  Inj.disarm(InjectSite::EvictSelect);
   Cache.install(makeFragment(0xA0000, 0x99000));
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
   EXPECT_FALSE(In.Exits[0].Pending);
@@ -249,17 +251,17 @@ TEST(CacheEviction, DegradedFlushInsideInstallUnchainsExitIntoFlushedEntry) {
 }
 
 TEST(CacheEviction, EvictSelectFaultDegradesToWholesaleFlush) {
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::EvictSelect);
+  Injector Inj;
+  Inj.armAlways(InjectSite::EvictSelect);
   TranslationCache Cache;
-  Cache.setFaultInjector(&Inj);
+  Cache.setInjector(&Inj);
   Cache.setByteBudget(2 * FragBytes);
   Cache.install(makeFragment(0x90000, 0x99000));
   Cache.install(makeFragment(0x90100, 0x99000));
-  EXPECT_EQ(Inj.firedCount(FaultSite::EvictSelect), 0u); // No pressure yet.
+  EXPECT_EQ(Inj.firedCount(InjectSite::EvictSelect), 0u); // No pressure yet.
   uint64_t IBaseBefore = Cache.fragments().back()->IBase;
   Cache.install(makeFragment(0x90200, 0x99000));
-  EXPECT_EQ(Inj.firedCount(FaultSite::EvictSelect), 1u);
+  EXPECT_EQ(Inj.firedCount(InjectSite::EvictSelect), 1u);
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
   EXPECT_EQ(Cache.flushCount(), 1u);
   EXPECT_EQ(Cache.evictionCount(), 0u);
@@ -272,15 +274,15 @@ TEST(CacheEviction, EvictSelectFaultDegradesToWholesaleFlush) {
 }
 
 TEST(CacheEviction, UnchainFaultDegradesToWholesaleFlush) {
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::Unchain);
+  Injector Inj;
+  Inj.armAlways(InjectSite::Unchain);
   TranslationCache Cache;
-  Cache.setFaultInjector(&Inj);
+  Cache.setInjector(&Inj);
   Cache.setByteBudget(2 * FragBytes);
   Cache.install(makeFragment(0xA0000, 0x99000));
   Cache.install(makeFragment(0xA0100, 0x99000));
   Cache.install(makeFragment(0xA0200, 0x99000));
-  EXPECT_EQ(Inj.firedCount(FaultSite::Unchain), 1u);
+  EXPECT_EQ(Inj.firedCount(InjectSite::Unchain), 1u);
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
   EXPECT_EQ(Cache.evictionCount(), 0u);
   EXPECT_EQ(Cache.fragmentCount(), 1u);
@@ -288,10 +290,10 @@ TEST(CacheEviction, UnchainFaultDegradesToWholesaleFlush) {
 }
 
 TEST(CacheEviction, TransientEvictFaultRecovers) {
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::EvictSelect, 1);
+  Injector Inj;
+  Inj.armCount(InjectSite::EvictSelect, 1);
   TranslationCache Cache;
-  Cache.setFaultInjector(&Inj);
+  Cache.setInjector(&Inj);
   Cache.setByteBudget(2 * FragBytes);
   Cache.install(makeFragment(0xA8000, 0x99000));
   Cache.install(makeFragment(0xA8100, 0x99000));
@@ -392,9 +394,9 @@ TEST(CacheEviction, ImportRespectsBudgetAndCountsSkips) {
 }
 
 TEST(CacheEviction, EvictionEpochCountsEvictionsAndDegradedFlushes) {
-  FaultInjector Inj;
+  Injector Inj;
   TranslationCache Cache;
-  Cache.setFaultInjector(&Inj);
+  Cache.setInjector(&Inj);
   Cache.setByteBudget(2 * FragBytes);
   EXPECT_EQ(Cache.evictionCount() + Cache.degradedFlushCount(), 0u);
   Cache.install(makeFragment(0x100000, 0x99000));
@@ -402,7 +404,7 @@ TEST(CacheEviction, EvictionEpochCountsEvictionsAndDegradedFlushes) {
   Cache.install(makeFragment(0x100200, 0x99000)); // Eviction.
   EXPECT_EQ(Cache.evictionCount(), 1u);
   EXPECT_EQ(Cache.degradedFlushCount(), 0u);
-  Inj.armAlways(FaultSite::EvictSelect);
+  Inj.armAlways(InjectSite::EvictSelect);
   Cache.install(makeFragment(0x100300, 0x99000)); // Degraded flush.
   EXPECT_EQ(Cache.evictionCount(), 1u);
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);

@@ -5,28 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The guarded translation pipeline in isolation: the deterministic fault
-/// injector's scheduling modes, typed bailouts from translate() at every
-/// pipeline site, structural failure detection (malformed superblocks,
-/// fragment size limits), and the profile controller's retry/backoff/
-/// blacklist feedback loop (DESIGN.md §9).
+/// The guarded translation pipeline in isolation: typed bailouts from
+/// translate() at every pipeline site (the injector's schedules are
+/// covered by tests/support/InjectorTest.cpp), structural failure
+/// detection (malformed superblocks, fragment size limits), and the
+/// profile controller's retry/backoff/blacklist feedback loop (DESIGN.md
+/// §9).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
 #include "core/ProfileController.h"
 #include "core/TranslateStatus.h"
+#include "support/Injector.h"
 
 #include "DbtTestUtil.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 using namespace ildp;
 using namespace ildp::dbt;
+using support::InjectSite;
+using support::Injector;
 using Op = alpha::Opcode;
 
 namespace {
@@ -49,75 +50,28 @@ Superblock loopSuperblock() {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// FaultInjector scheduling.
+// Typed bailouts from translate().
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjector, OffSiteCountsHitsButNeverFires) {
-  FaultInjector Inj;
-  for (int I = 0; I != 5; ++I)
-    EXPECT_FALSE(Inj.shouldFail(FaultSite::Lowering));
-  EXPECT_EQ(Inj.hitCount(FaultSite::Lowering), 5u);
-  EXPECT_EQ(Inj.firedCount(FaultSite::Lowering), 0u);
-  EXPECT_EQ(Inj.totalFired(), 0u);
-}
-
-TEST(FaultInjector, AlwaysFiresEveryHitAtItsSiteOnly) {
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::CodeGen);
-  for (int I = 0; I != 3; ++I)
-    EXPECT_TRUE(Inj.shouldFail(FaultSite::CodeGen));
-  EXPECT_FALSE(Inj.shouldFail(FaultSite::Decode));
-  EXPECT_EQ(Inj.firedCount(FaultSite::CodeGen), 3u);
-  EXPECT_EQ(Inj.firedCount(FaultSite::Decode), 0u);
-}
-
-TEST(FaultInjector, CountModeFiresExactlyFirstN) {
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::Usage, 2);
-  EXPECT_TRUE(Inj.shouldFail(FaultSite::Usage));
-  EXPECT_TRUE(Inj.shouldFail(FaultSite::Usage));
-  EXPECT_FALSE(Inj.shouldFail(FaultSite::Usage));
-  EXPECT_FALSE(Inj.shouldFail(FaultSite::Usage));
-  EXPECT_EQ(Inj.firedCount(FaultSite::Usage), 2u);
-  EXPECT_EQ(Inj.hitCount(FaultSite::Usage), 4u);
-}
-
-TEST(FaultInjector, RandomModeIsSeedDeterministic) {
-  auto Schedule = [](uint64_t Seed) {
-    FaultInjector Inj;
-    Inj.armRandom(FaultSite::Assemble, Seed, 1, 3);
-    std::vector<bool> Fired;
-    for (int I = 0; I != 64; ++I)
-      Fired.push_back(Inj.shouldFail(FaultSite::Assemble));
-    return Fired;
-  };
-  EXPECT_EQ(Schedule(42), Schedule(42));
-  EXPECT_NE(Schedule(42), Schedule(43));
-  // Roughly 1/3 of hits fire; at minimum the schedule is mixed.
-  std::vector<bool> S = Schedule(42);
-  size_t Fired = size_t(std::count(S.begin(), S.end(), true));
-  EXPECT_GT(Fired, 0u);
-  EXPECT_LT(Fired, S.size());
-}
-
-TEST(FaultInjector, DisarmStopsFiringAndKeepsCounters) {
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::StrandAlloc);
-  EXPECT_TRUE(Inj.shouldFail(FaultSite::StrandAlloc));
-  Inj.disarm(FaultSite::StrandAlloc);
-  EXPECT_FALSE(Inj.shouldFail(FaultSite::StrandAlloc));
-  EXPECT_EQ(Inj.firedCount(FaultSite::StrandAlloc), 1u);
-  EXPECT_EQ(Inj.hitCount(FaultSite::StrandAlloc), 2u);
-  Inj.resetCounts();
-  EXPECT_EQ(Inj.hitCount(FaultSite::StrandAlloc), 0u);
-}
-
-TEST(FaultInjector, SiteAndStatusNamesAreStableKeys) {
-  for (unsigned I = 0; I != NumFaultSites; ++I) {
-    std::string Name = getFaultSiteName(FaultSite(I));
-    EXPECT_FALSE(Name.empty());
-    EXPECT_EQ(Name.find(' '), std::string::npos);
+TEST(GuardedTranslate, InjectedFaultAtEveryPipelineSite) {
+  Superblock Sb = loopSuperblock();
+  const InjectSite Sites[] = {InjectSite::Decode, InjectSite::Lowering,
+                             InjectSite::Usage, InjectSite::StrandAlloc,
+                             InjectSite::CodeGen, InjectSite::Assemble};
+  for (InjectSite Site : Sites) {
+    Injector Inj;
+    Inj.armAlways(Site);
+    DbtConfig Config;
+    Config.Fault = &Inj;
+    Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
+    EXPECT_FALSE(bool(R)) << getSiteName(Site);
+    EXPECT_EQ(R.status(), TranslateStatus::InjectedFault)
+        << getSiteName(Site);
+    EXPECT_EQ(Inj.firedCount(Site), 1u) << getSiteName(Site);
   }
+}
+
+TEST(GuardedTranslate, StatusNamesAreStableKeys) {
   for (unsigned I = 0; I != NumTranslateStatuses; ++I) {
     std::string Name = getTranslateStatusName(TranslateStatus(I));
     EXPECT_FALSE(Name.empty());
@@ -125,38 +79,16 @@ TEST(FaultInjector, SiteAndStatusNamesAreStableKeys) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Typed bailouts from translate().
-// ---------------------------------------------------------------------------
-
-TEST(GuardedTranslate, InjectedFaultAtEveryPipelineSite) {
-  Superblock Sb = loopSuperblock();
-  const FaultSite Sites[] = {FaultSite::Decode, FaultSite::Lowering,
-                             FaultSite::Usage, FaultSite::StrandAlloc,
-                             FaultSite::CodeGen, FaultSite::Assemble};
-  for (FaultSite Site : Sites) {
-    FaultInjector Inj;
-    Inj.armAlways(Site);
-    DbtConfig Config;
-    Config.Fault = &Inj;
-    Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
-    EXPECT_FALSE(bool(R)) << getFaultSiteName(Site);
-    EXPECT_EQ(R.status(), TranslateStatus::InjectedFault)
-        << getFaultSiteName(Site);
-    EXPECT_EQ(Inj.firedCount(Site), 1u) << getFaultSiteName(Site);
-  }
-}
-
 TEST(GuardedTranslate, StrandAllocSiteIsSkippedForStraightVariant) {
   Superblock Sb = loopSuperblock();
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::StrandAlloc);
+  Injector Inj;
+  Inj.armAlways(InjectSite::StrandAlloc);
   DbtConfig Config;
   Config.Variant = iisa::IsaVariant::Straight;
   Config.Fault = &Inj;
   Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
   EXPECT_TRUE(bool(R));
-  EXPECT_EQ(Inj.hitCount(FaultSite::StrandAlloc), 0u);
+  EXPECT_EQ(Inj.hitCount(InjectSite::StrandAlloc), 0u);
 }
 
 TEST(GuardedTranslate, EmptySuperblockIsMalformed) {
@@ -201,8 +133,8 @@ TEST(GuardedTranslate, UnboundedFragmentBudgetStillTranslates) {
 
 TEST(GuardedTranslate, SameSuperblockSucceedsOnceInjectionStops) {
   Superblock Sb = loopSuperblock();
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::Lowering, 1);
+  Injector Inj;
+  Inj.armCount(InjectSite::Lowering, 1);
   DbtConfig Config;
   Config.Fault = &Inj;
   EXPECT_FALSE(bool(translate(Sb, Config, ChainEnv())));

@@ -21,8 +21,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "alpha/Assembler.h"
-#include "core/FaultInjector.h"
 #include "native/NativeCompiler.h"
+#include "support/Injector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -34,8 +34,8 @@
 
 using namespace ildp;
 using namespace ildp::vm;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -293,8 +293,8 @@ TEST(VmNativeTier, ArmedCompileFaultDegradesToIisaTier) {
     GTEST_SKIP() << "no host C compiler on this machine";
 
   ArchState Ref = referenceRun("gzip");
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::NativeCompile, 1u << 20); // Every compile fails.
+  Injector Inj;
+  Inj.armCount(InjectSite::NativeCompile, 1u << 20); // Every compile fails.
   VmConfig Config = nativeConfig();
   Config.Dbt.Fault = &Inj;
   Outcome Out = runWorkload("gzip", Config);
@@ -320,8 +320,8 @@ TEST(VmNativeTier, ArmedLoadFaultDegradesToIisaTier) {
     Outcome Seed = runWorkload("gzip", Config);
     expectSameGprs(Seed.Arch, Ref, "load-fault seed");
   }
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::NativeLoad, 1);
+  Injector Inj;
+  Inj.armCount(InjectSite::NativeLoad, 1);
   VmConfig Config = nativeConfig();
   Config.PersistPath = Path;
   Config.PersistSave = false;
@@ -392,7 +392,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, VmSlicedNativeRun,
                            return I.param;
                          });
 
-class VmNativeFaultMatrix : public ::testing::TestWithParam<FaultSite> {};
+class VmNativeFaultMatrix : public ::testing::TestWithParam<InjectSite> {};
 
 // Every workload with a native site permanently armed: no fragment ever
 // reaches the native tier, every attempt is a counted failure, and the
@@ -402,11 +402,11 @@ TEST_P(VmNativeFaultMatrix, PermanentFaultKeepsEveryWorkloadOnIisaTier) {
   if (!hostToolchain())
     GTEST_SKIP() << "no host C compiler on this machine";
 
-  FaultSite Site = GetParam();
-  bool Load = Site == FaultSite::NativeLoad;
-  std::string Path = tempStorePath(dbt::getFaultSiteName(Site));
+  InjectSite Site = GetParam();
+  bool Load = Site == InjectSite::NativeLoad;
+  std::string Path = tempStorePath(support::getSiteName(Site));
   for (const std::string &W : workloads::workloadNames()) {
-    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
+    std::string Context = W + "/" + support::getSiteName(Site);
     ArchState Ref = referenceRun(W);
     VmConfig Config = nativeConfig();
     if (Load) {
@@ -418,7 +418,7 @@ TEST_P(VmNativeFaultMatrix, PermanentFaultKeepsEveryWorkloadOnIisaTier) {
       Config.PersistPath = Path;
       Config.PersistSave = false;
     }
-    FaultInjector Inj;
+    Injector Inj;
     Inj.armAlways(Site);
     Config.Dbt.Fault = &Inj;
     Outcome Out = runWorkload(W, Config);
@@ -444,9 +444,9 @@ TEST_P(VmNativeFaultMatrix, PermanentFaultKeepsEveryWorkloadOnIisaTier) {
 
 INSTANTIATE_TEST_SUITE_P(
     NativeSites, VmNativeFaultMatrix,
-    ::testing::Values(FaultSite::NativeCompile, FaultSite::NativeLoad),
-    [](const ::testing::TestParamInfo<FaultSite> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param));
+    ::testing::Values(InjectSite::NativeCompile, InjectSite::NativeLoad),
+    [](const ::testing::TestParamInfo<InjectSite> &Info) {
+      return std::string(support::getSiteName(Info.param));
     });
 
 TEST(VmNativeTier, MidFragmentTrapDeoptIsPrecise) {

@@ -14,8 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
 #include "persist/CacheStore.h"
+#include "support/Injector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -28,8 +28,8 @@
 using namespace ildp;
 using namespace ildp::vm;
 using namespace ildp::persist;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -126,8 +126,8 @@ TEST(VmSharedStore, InjectedImportFaultDegradesCold) {
   GuestMemory Mem;
   workloads::WorkloadImage Img =
       workloads::buildWorkload(workloadName(), Mem, 1);
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::PersistImport, 1);
+  Injector Inj;
+  Inj.armCount(InjectSite::PersistImport, 1);
   VmConfig Config;
   Config.SharedStore = &sharedStore();
   Config.Dbt.Fault = &Inj;

@@ -18,8 +18,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
 #include "serve/ExecutionScheduler.h"
+#include "support/Injector.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
@@ -33,8 +33,8 @@
 
 using namespace ildp;
 using namespace ildp::serve;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -115,9 +115,9 @@ TEST_P(FleetConformance, ResponsesBitIdenticalToStandaloneRuns) {
   // Every request trips the fault site: warm cells lose their import
   // (degrade to a counted cold start), cold cells lose their first
   // code-generation attempt (degrade to interpret-and-retry).
-  FaultInjector Inj;
+  Injector Inj;
   if (C.Fault) {
-    Inj.armAlways(C.Warm ? FaultSite::PersistImport : FaultSite::CodeGen);
+    Inj.armAlways(C.Warm ? InjectSite::PersistImport : InjectSite::CodeGen);
     Config.BaseVm.Dbt.Fault = &Inj;
   }
 

@@ -1,10 +1,10 @@
-//===- tests/support/WorkQueueTest.cpp ------------------------------------===//
+//===- tests/support/MultiLaneQueueTest.cpp -------------------------------===//
 //
 // Part of the ILDP-DBT project (CGO 2003 reproduction).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/WorkQueue.h"
+#include "support/MultiLaneQueue.h"
 
 #include <gtest/gtest.h>
 
@@ -17,105 +17,21 @@
 
 using namespace ildp;
 
-TEST(WorkQueue, PushPopSingleThread) {
-  WorkQueue<int> Q(4);
-  EXPECT_TRUE(Q.push(1));
-  EXPECT_TRUE(Q.push(2));
+// MultiLaneQueue: independently bounded lanes drained by weighted-deficit
+// round-robin. A single lane is a plain bounded FIFO (the native compile
+// pool's queue).
+
+TEST(MultiLaneQueue, PushPopSingleThread) {
+  MultiLaneQueue<int> Q({4}, {1});
+  int V = 1;
+  EXPECT_TRUE(Q.tryPush(0, V));
+  V = 2;
+  EXPECT_TRUE(Q.tryPush(0, V));
   EXPECT_EQ(Q.size(), 2u);
-  EXPECT_EQ(Q.pop(), std::optional<int>(1));
-  EXPECT_EQ(Q.pop(), std::optional<int>(2));
+  EXPECT_EQ(Q.pop()->Item, 1);
+  EXPECT_EQ(Q.pop()->Item, 2);
   EXPECT_EQ(Q.tryPop(), std::nullopt);
 }
-
-TEST(WorkQueue, PushBlocksUntilPopWhenFull) {
-  WorkQueue<int> Q(1);
-  ASSERT_TRUE(Q.push(1));
-  std::atomic<bool> Pushed{false};
-  std::thread Producer([&] {
-    EXPECT_TRUE(Q.push(2)); // Blocks until the consumer pops.
-    Pushed.store(true);
-  });
-  EXPECT_EQ(Q.pop(), std::optional<int>(1));
-  EXPECT_EQ(Q.pop(), std::optional<int>(2));
-  Producer.join();
-  EXPECT_TRUE(Pushed.load());
-}
-
-TEST(WorkQueue, CloseDrainsRemainingItems) {
-  WorkQueue<int> Q(8);
-  ASSERT_TRUE(Q.push(1));
-  ASSERT_TRUE(Q.push(2));
-  Q.close();
-  EXPECT_FALSE(Q.push(3)); // Rejected after close.
-  EXPECT_EQ(Q.pop(), std::optional<int>(1));
-  EXPECT_EQ(Q.pop(), std::optional<int>(2));
-  EXPECT_EQ(Q.pop(), std::nullopt); // Drained and closed: exhausted.
-}
-
-TEST(WorkQueue, CloseAndClearCancelsQueuedItems) {
-  WorkQueue<int> Q(8);
-  ASSERT_TRUE(Q.push(1));
-  ASSERT_TRUE(Q.push(2));
-  ASSERT_TRUE(Q.push(3));
-  EXPECT_EQ(Q.closeAndClear(), 3u);
-  EXPECT_EQ(Q.pop(), std::nullopt);
-  EXPECT_TRUE(Q.closed());
-}
-
-TEST(WorkQueue, CloseWakesBlockedConsumer) {
-  WorkQueue<int> Q(4);
-  std::thread Consumer([&] { EXPECT_EQ(Q.pop(), std::nullopt); });
-  Q.close();
-  Consumer.join();
-}
-
-TEST(WorkQueue, CloseWakesBlockedProducer) {
-  WorkQueue<int> Q(1);
-  ASSERT_TRUE(Q.push(1));
-  std::thread Producer([&] { EXPECT_FALSE(Q.push(2)); });
-  Q.closeAndClear();
-  Producer.join();
-}
-
-TEST(WorkQueue, MultiProducerMultiConsumerDeliversEverything) {
-  constexpr int Producers = 4;
-  constexpr int Consumers = 4;
-  constexpr int PerProducer = 2000;
-  WorkQueue<int> Q(16);
-
-  std::atomic<long long> Sum{0};
-  std::atomic<int> Received{0};
-  std::vector<std::thread> Threads;
-  for (int C = 0; C != Consumers; ++C)
-    Threads.emplace_back([&] {
-      while (std::optional<int> Item = Q.pop()) {
-        Sum.fetch_add(*Item);
-        Received.fetch_add(1);
-      }
-    });
-  for (int P = 0; P != Producers; ++P)
-    Threads.emplace_back([&, P] {
-      for (int I = 0; I != PerProducer; ++I)
-        EXPECT_TRUE(Q.push(P * PerProducer + I));
-    });
-
-  // Join producers (the back half of Threads), then close to release the
-  // consumers once the queue drains.
-  for (int P = 0; P != Producers; ++P)
-    Threads[size_t(Consumers + P)].join();
-  Q.close();
-  for (int C = 0; C != Consumers; ++C)
-    Threads[size_t(C)].join();
-
-  constexpr long long Total = Producers * PerProducer;
-  EXPECT_EQ(Received.load(), Total);
-  EXPECT_EQ(Sum.load(), Total * (Total - 1) / 2);
-}
-
-//===----------------------------------------------------------------------===//
-// MultiLaneQueue: independently bounded priority lanes drained by
-// weighted-deficit round-robin.
-//===----------------------------------------------------------------------===//
 
 TEST(MultiLaneQueue, LaneBoundsAreIndependent) {
   MultiLaneQueue<int> Q({2, 1, 1}, {1, 1, 1});
@@ -248,6 +164,65 @@ TEST(MultiLaneQueue, ConcurrentLanesDeliverEverythingExactlyOnce) {
 
   for (int L = 0; L != Producers; ++L)
     Threads[size_t(Consumers + L)].join();
+  Q.close();
+  for (int C = 0; C != Consumers; ++C)
+    Threads[size_t(C)].join();
+
+  constexpr long long Total = Producers * PerProducer;
+  EXPECT_EQ(Received.load(), Total);
+  EXPECT_EQ(Sum.load(), Total * (Total - 1) / 2);
+}
+
+TEST(MultiLaneQueue, CloseAndClearCancelsQueuedItems) {
+  MultiLaneQueue<int> Q({8, 8}, {1, 1});
+  int V = 1;
+  ASSERT_TRUE(Q.tryPush(0, V));
+  ASSERT_TRUE(Q.tryPush(0, V));
+  ASSERT_TRUE(Q.tryPush(1, V));
+  EXPECT_EQ(Q.closeAndClear(), 3u);
+  EXPECT_EQ(Q.pop(), std::nullopt);
+  EXPECT_TRUE(Q.closed());
+  EXPECT_FALSE(Q.tryPush(0, V)); // Rejected after close.
+}
+
+TEST(MultiLaneQueue, CloseAndClearWakesBlockedConsumer) {
+  MultiLaneQueue<int> Q({2}, {1});
+  std::thread Consumer([&] { EXPECT_EQ(Q.pop(), std::nullopt); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Q.closeAndClear();
+  Consumer.join();
+}
+
+TEST(MultiLaneQueue, MultiProducerMultiConsumerDeliversEverything) {
+  // One lane shared by every producer, as in the native compile pool.
+  constexpr int Producers = 4;
+  constexpr int Consumers = 4;
+  constexpr int PerProducer = 2000;
+  MultiLaneQueue<int> Q({16}, {1});
+
+  std::atomic<long long> Sum{0};
+  std::atomic<int> Received{0};
+  std::vector<std::thread> Threads;
+  for (int C = 0; C != Consumers; ++C)
+    Threads.emplace_back([&] {
+      while (auto P = Q.pop()) {
+        Sum.fetch_add(P->Item);
+        Received.fetch_add(1);
+      }
+    });
+  for (int P = 0; P != Producers; ++P)
+    Threads.emplace_back([&, P] {
+      for (int I = 0; I != PerProducer; ++I) {
+        int V = P * PerProducer + I;
+        while (!Q.tryPush(0, V)) // Spin: bounded lane, open queue.
+          std::this_thread::yield();
+      }
+    });
+
+  // Join producers (the back half of Threads), then close to release the
+  // consumers once the queue drains.
+  for (int P = 0; P != Producers; ++P)
+    Threads[size_t(Consumers + P)].join();
   Q.close();
   for (int C = 0; C != Consumers; ++C)
     Threads[size_t(C)].join();

@@ -16,7 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -27,8 +27,8 @@
 
 using namespace ildp;
 using namespace ildp::vm;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -134,20 +134,20 @@ TEST(VmCachePressure, HugeBudgetBehavesLikeUnbounded) {
             B.Stats.get("tcache.body_bytes"));
 }
 
-class VmEvictFaultMatrix : public ::testing::TestWithParam<FaultSite> {};
+class VmEvictFaultMatrix : public ::testing::TestWithParam<InjectSite> {};
 
 // Permanent faults at the eviction sites: every capacity overflow degrades
 // to a wholesale flush, and the run stays bit-identical to interpretation.
 TEST_P(VmEvictFaultMatrix, PermanentEvictFaultDegradesToFlush) {
-  FaultSite Site = GetParam();
+  InjectSite Site = GetParam();
   for (const std::string &W : workloads::workloadNames()) {
     ArchState Ref = referenceRun(W);
-    FaultInjector Inj;
+    Injector Inj;
     Inj.armAlways(Site);
     VmConfig Config = pressuredConfig();
     Config.Dbt.Fault = &Inj;
     PressureOutcome Out = runPressured(W, Config);
-    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
+    std::string Context = W + "/" + support::getSiteName(Site);
     expectSameGprs(Out.Arch, Ref, Context);
     EXPECT_EQ(Out.InvariantViolations, 0u) << Context;
     EXPECT_LE(Out.Stats.get("cache.budget_high_water"), TinyBudget)
@@ -164,9 +164,9 @@ TEST_P(VmEvictFaultMatrix, PermanentEvictFaultDegradesToFlush) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sites, VmEvictFaultMatrix,
-    ::testing::Values(FaultSite::EvictSelect, FaultSite::Unchain),
-    [](const ::testing::TestParamInfo<FaultSite> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param));
+    ::testing::Values(InjectSite::EvictSelect, InjectSite::Unchain),
+    [](const ::testing::TestParamInfo<InjectSite> &Info) {
+      return std::string(support::getSiteName(Info.param));
     });
 
 TEST(VmCachePressure, RandomEvictFaultScheduleStaysCorrect) {
@@ -174,8 +174,8 @@ TEST(VmCachePressure, RandomEvictFaultScheduleStaysCorrect) {
   // flush — the mix must never corrupt architected state.
   for (const std::string &W : {std::string("gzip"), std::string("vortex")}) {
     ArchState Ref = referenceRun(W);
-    FaultInjector Inj;
-    Inj.armRandom(FaultSite::EvictSelect, /*Seed=*/0xE71C7, 1, 4);
+    Injector Inj;
+    Inj.armRandom(InjectSite::EvictSelect, /*Seed=*/0xE71C7, 1, 4);
     VmConfig Config = pressuredConfig();
     Config.Dbt.Fault = &Inj;
     PressureOutcome Out = runPressured(W, Config);

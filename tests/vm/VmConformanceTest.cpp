@@ -22,8 +22,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
 #include "native/NativeCompiler.h"
+#include "support/Injector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -35,8 +35,8 @@
 
 using namespace ildp;
 using namespace ildp::vm;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -130,18 +130,18 @@ CellOutcome runCell(const std::string &Name, const Cell &C) {
     Config.PhaseWindow = 20'000;
     Config.PhaseFragmentThreshold = 4;
   }
-  FaultInjector Inj;
+  Injector Inj;
   if (C.Fault) {
     if (C.Native) {
       // Native cells aim the fault at the native tier itself: cold cells
       // fail a host compile, warm cells fail a dlopen; both must degrade
       // to the I-ISA tier with the answer unchanged.
-      Inj.armCount(C.Warm ? FaultSite::NativeLoad : FaultSite::NativeCompile,
+      Inj.armCount(C.Warm ? InjectSite::NativeLoad : InjectSite::NativeCompile,
                    1);
     } else {
       // Warm cells fault the import (degrade to cold); cold cells fault
       // the first code-generation attempt (interpret-and-retry).
-      Inj.armCount(C.Warm ? FaultSite::PersistImport : FaultSite::CodeGen, 1);
+      Inj.armCount(C.Warm ? InjectSite::PersistImport : InjectSite::CodeGen, 1);
     }
     Config.Dbt.Fault = &Inj;
   }

@@ -18,8 +18,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "alpha/Assembler.h"
-#include "core/FaultInjector.h"
 #include "native/NativeCompiler.h"
+#include "support/Injector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -31,8 +31,8 @@
 
 using namespace ildp;
 using namespace ildp::vm;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -68,27 +68,27 @@ void expectSameGprs(const ArchState &Got, const ArchState &Ref,
         << Context << ": register r" << Reg << " diverged";
 }
 
-class VmFaultMatrix : public ::testing::TestWithParam<FaultSite> {};
+class VmFaultMatrix : public ::testing::TestWithParam<InjectSite> {};
 
-class VmTransientFault : public ::testing::TestWithParam<FaultSite> {};
+class VmTransientFault : public ::testing::TestWithParam<InjectSite> {};
 
-bool isNativeSite(FaultSite Site) {
-  return Site == FaultSite::NativeCompile || Site == FaultSite::NativeLoad;
+bool isNativeSite(InjectSite Site) {
+  return Site == InjectSite::NativeCompile || Site == InjectSite::NativeLoad;
 }
 
-bool isEvictSite(FaultSite Site) {
-  return Site == FaultSite::EvictSelect || Site == FaultSite::Unchain;
+bool isEvictSite(InjectSite Site) {
+  return Site == InjectSite::EvictSelect || Site == InjectSite::Unchain;
 }
 
 /// Sites passed only while importing a persisted store.
-bool isImportSite(FaultSite Site) {
-  return Site == FaultSite::PersistImport || Site == FaultSite::NativeLoad;
+bool isImportSite(InjectSite Site) {
+  return Site == InjectSite::PersistImport || Site == InjectSite::NativeLoad;
 }
 
 /// The configuration under which the VM passes through \p Site: a tiny
 /// code-cache budget for the eviction sites, the native tier for the
 /// native sites, and the plain VM otherwise.
-VmConfig siteConfig(FaultSite Site) {
+VmConfig siteConfig(InjectSite Site) {
   VmConfig Config;
   if (isEvictSite(Site)) {
     Config.CodeCacheBytes = 128;
@@ -108,16 +108,16 @@ VmConfig siteConfig(FaultSite Site) {
 // pure interpreter with bit-identical architected state, and robust.*
 // must account for every fired injection.
 TEST_P(VmFaultMatrix, PermanentFaultDegradesToInterpreterOnAllWorkloads) {
-  FaultSite Site = GetParam();
+  InjectSite Site = GetParam();
   for (const std::string &W : workloads::workloadNames()) {
     ArchState Ref = referenceRun(W);
 
-    FaultInjector Inj;
+    Injector Inj;
     Inj.armAlways(Site);
     VmConfig Config;
     Config.Dbt.Fault = &Inj;
     FaultedOutcome Out = runFaulted(W, Config);
-    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
+    std::string Context = W + "/" + support::getSiteName(Site);
     expectSameGprs(Out.Arch, Ref, Context);
 
     // No fragment survives a permanent fault; every fired injection is a
@@ -135,11 +135,11 @@ TEST_P(VmFaultMatrix, PermanentFaultDegradesToInterpreterOnAllWorkloads) {
 
 INSTANTIATE_TEST_SUITE_P(
     SyncSites, VmFaultMatrix,
-    ::testing::Values(FaultSite::Decode, FaultSite::Lowering,
-                      FaultSite::Usage, FaultSite::StrandAlloc,
-                      FaultSite::CodeGen, FaultSite::Assemble),
-    [](const ::testing::TestParamInfo<FaultSite> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param));
+    ::testing::Values(InjectSite::Decode, InjectSite::Lowering,
+                      InjectSite::Usage, InjectSite::StrandAlloc,
+                      InjectSite::CodeGen, InjectSite::Assemble),
+    [](const ::testing::TestParamInfo<InjectSite> &Info) {
+      return std::string(support::getSiteName(Info.param));
     });
 
 // Every site, one transient fault (the first pass fails, later passes
@@ -147,16 +147,16 @@ INSTANTIATE_TEST_SUITE_P(
 // and the mechanism behind the site keeps working afterwards. The native
 // sites are never passed without a host compiler.
 TEST_P(VmTransientFault, SingleFaultIsAbsorbedOnAllWorkloads) {
-  FaultSite Site = GetParam();
+  InjectSite Site = GetParam();
   bool Fires = !isNativeSite(Site) || native::hostCompiler().found();
   std::string Store = testing::TempDir() + "/transient-" +
-                      dbt::getFaultSiteName(Site) + "." +
+                      support::getSiteName(Site) + "." +
                       std::to_string(getpid()) + ".tstore";
   // Some workloads qualify a single native fragment, so the native tier's
   // recovery is checked over the whole suite.
   uint64_t NativeAfterFault = 0;
   for (const std::string &W : workloads::workloadNames()) {
-    std::string Context = W + "/" + dbt::getFaultSiteName(Site);
+    std::string Context = W + "/" + support::getSiteName(Site);
     ArchState Ref = referenceRun(W);
     VmConfig Config = siteConfig(Site);
     if (isImportSite(Site)) {
@@ -169,7 +169,7 @@ TEST_P(VmTransientFault, SingleFaultIsAbsorbedOnAllWorkloads) {
       Config.PersistPath = Store;
       Config.PersistSave = false;
     }
-    FaultInjector Inj;
+    Injector Inj;
     Inj.armCount(Site, 1);
     Config.Dbt.Fault = &Inj;
     FaultedOutcome Out = runFaulted(W, Config);
@@ -180,24 +180,24 @@ TEST_P(VmTransientFault, SingleFaultIsAbsorbedOnAllWorkloads) {
 
     const StatisticSet &S = Out.Stats;
     switch (Site) {
-    case FaultSite::PersistImport:
+    case InjectSite::PersistImport:
       // The import is rejected whole; the run translates cold.
       EXPECT_EQ(S.get("persist.import_rejected.injected-fault"), 1u)
           << Context;
       EXPECT_GT(S.get("dbt.fragments"), 0u) << Context;
       break;
-    case FaultSite::EvictSelect:
-    case FaultSite::Unchain:
+    case InjectSite::EvictSelect:
+    case InjectSite::Unchain:
       // One overflow degrades to a flush; later ones evict normally.
       EXPECT_EQ(S.get("cache.degraded_flushes"), 1u) << Context;
       EXPECT_GT(S.get("cache.evictions"), 0u) << Context;
       break;
-    case FaultSite::NativeCompile:
+    case InjectSite::NativeCompile:
       // One fragment stays on the I-ISA tier; later ones still submit.
       EXPECT_GE(S.get("native.compile_failed"), 1u) << Context;
       NativeAfterFault += S.get("native.submitted") - 1;
       break;
-    case FaultSite::NativeLoad:
+    case InjectSite::NativeLoad:
       // One imported object fails to attach; the others still do.
       EXPECT_EQ(S.get("native.load_failed"), 1u) << Context;
       NativeAfterFault += S.get("native.reattached");
@@ -219,20 +219,20 @@ TEST_P(VmTransientFault, SingleFaultIsAbsorbedOnAllWorkloads) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSites, VmTransientFault,
-    ::testing::Values(FaultSite::Decode, FaultSite::Lowering,
-                      FaultSite::Usage, FaultSite::StrandAlloc,
-                      FaultSite::CodeGen, FaultSite::Assemble,
-                      FaultSite::PersistImport, FaultSite::EvictSelect,
-                      FaultSite::Unchain, FaultSite::NativeCompile,
-                      FaultSite::NativeLoad),
-    [](const ::testing::TestParamInfo<FaultSite> &Info) {
-      return std::string(dbt::getFaultSiteName(Info.param));
+    ::testing::Values(InjectSite::Decode, InjectSite::Lowering,
+                      InjectSite::Usage, InjectSite::StrandAlloc,
+                      InjectSite::CodeGen, InjectSite::Assemble,
+                      InjectSite::PersistImport, InjectSite::EvictSelect,
+                      InjectSite::Unchain, InjectSite::NativeCompile,
+                      InjectSite::NativeLoad),
+    [](const ::testing::TestParamInfo<InjectSite> &Info) {
+      return std::string(support::getSiteName(Info.param));
     });
 
 TEST(VmFaultInjection, TransientFaultsRecoverAndStillTranslate) {
   ArchState Ref = referenceRun("gzip");
-  FaultInjector Inj;
-  Inj.armCount(FaultSite::Lowering, 2); // Only the first two attempts fail.
+  Injector Inj;
+  Inj.armCount(InjectSite::Lowering, 2); // Only the first two attempts fail.
   VmConfig Config;
   Config.Dbt.Fault = &Inj;
   FaultedOutcome Out = runFaulted("gzip", Config);
@@ -248,15 +248,15 @@ TEST(VmFaultInjection, TransientFaultsRecoverAndStillTranslate) {
 TEST(VmFaultInjection, RandomFaultScheduleStaysCorrect) {
   for (const std::string &W : {std::string("gzip"), std::string("vortex")}) {
     ArchState Ref = referenceRun(W);
-    FaultInjector Inj;
-    Inj.armRandom(FaultSite::CodeGen, /*Seed=*/0xC0FFEE, 1, 3);
+    Injector Inj;
+    Inj.armRandom(InjectSite::CodeGen, /*Seed=*/0xC0FFEE, 1, 3);
     VmConfig Config;
     Config.Dbt.Fault = &Inj;
     FaultedOutcome Out = runFaulted(W, Config);
     std::string Context = W + "/random";
     expectSameGprs(Out.Arch, Ref, Context);
     EXPECT_EQ(Out.Stats.get("robust.bailouts"),
-              Inj.firedCount(FaultSite::CodeGen))
+              Inj.firedCount(InjectSite::CodeGen))
         << Context;
   }
 }
@@ -291,8 +291,8 @@ TEST(VmFaultInjection, RetryBackoffThenBlacklistEndToEnd) {
   RefInterp.state().Pc = 0x10000;
   ASSERT_EQ(RefInterp.run(1'000'000).Status, StepStatus::Halted);
 
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::CodeGen);
+  Injector Inj;
+  Inj.armAlways(InjectSite::CodeGen);
   VmConfig Config;
   Config.Dbt.Fault = &Inj;
   Config.Dbt.HotThreshold = 4;
@@ -323,8 +323,8 @@ TEST(VmFaultInjection, RejectedPersistImportDegradesToColdStart) {
   // Reload with the import site armed: the file is intact, but the import
   // is rejected and the run degrades to a correct cold start.
   ArchState Ref = referenceRun("gzip");
-  FaultInjector Inj;
-  Inj.armAlways(FaultSite::PersistImport);
+  Injector Inj;
+  Inj.armAlways(InjectSite::PersistImport);
   VmConfig Config;
   Config.PersistPath = Path;
   Config.PersistSave = false;
@@ -337,7 +337,7 @@ TEST(VmFaultInjection, RejectedPersistImportDegradesToColdStart) {
   EXPECT_EQ(Out.Stats.get("persist.fragments_imported"), 0u);
   // Cold start: the run translated its own fragments from scratch.
   EXPECT_GT(Out.Stats.get("dbt.fragments"), 0u);
-  EXPECT_EQ(Inj.firedCount(FaultSite::PersistImport), 1u);
+  EXPECT_EQ(Inj.firedCount(InjectSite::PersistImport), 1u);
   std::remove(Path.c_str());
 }
 
@@ -347,7 +347,7 @@ TEST(VmFaultInjection, DisarmedInjectorChangesNothing) {
   VmConfig Plain;
   FaultedOutcome A = runFaulted("perlbmk", Plain);
 
-  FaultInjector Inj;
+  Injector Inj;
   VmConfig WithInj;
   WithInj.Dbt.Fault = &Inj;
   FaultedOutcome B = runFaulted("perlbmk", WithInj);
@@ -358,6 +358,6 @@ TEST(VmFaultInjection, DisarmedInjectorChangesNothing) {
   EXPECT_EQ(B.Stats.get("robust.bailouts"), 0u);
   EXPECT_EQ(A.Stats.get("robust.bailouts"), 0u);
   // The injector still observed the pipeline passing its sites.
-  EXPECT_GT(Inj.hitCount(FaultSite::Lowering), 0u);
+  EXPECT_GT(Inj.hitCount(InjectSite::Lowering), 0u);
   EXPECT_EQ(Inj.totalFired(), 0u);
 }

@@ -16,7 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/FaultInjector.h"
+#include "support/Injector.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -24,8 +24,8 @@
 
 using namespace ildp;
 using namespace ildp::vm;
-using dbt::FaultInjector;
-using dbt::FaultSite;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -95,9 +95,9 @@ TEST_P(VmSuccessorCache, InvalidatedSuccessorsStayBitIdentical) {
     GuestMemory Mem;
     workloads::WorkloadImage Img = workloads::buildWorkload(Name, Mem, 1);
     VmConfig Config = churnConfig(C);
-    FaultInjector Inj;
+    Injector Inj;
     if (C == Churn::DegradedFlush) {
-      Inj.armRandom(FaultSite::EvictSelect, /*Seed=*/0x5CC, 1, 8);
+      Inj.armRandom(InjectSite::EvictSelect, /*Seed=*/0x5CC, 1, 8);
       Config.Dbt.Fault = &Inj;
     }
     VirtualMachine Vm(Mem, Img.EntryPc, Config);

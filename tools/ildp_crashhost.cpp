@@ -31,8 +31,8 @@
 ///     the lock, used by the lock-recovery tests.
 ///
 /// Crash schedules cross the process boundary via ILDP_CRASH_SCHEDULE
-/// (support/CrashInjector.h); every mode honors them. The serve mode
-/// additionally fires CrashPoint::MidRequest with the request genuinely
+/// (support/Injector.h); every mode honors them. The serve mode
+/// additionally fires InjectSite::MidRequest with the request genuinely
 /// in flight, so a killed host always orphans work the supervisor must
 /// resolve typed.
 ///
@@ -41,7 +41,7 @@
 #include "interp/Interpreter.h"
 #include "persist/StoreLock.h"
 #include "serve/ExecutionScheduler.h"
-#include "support/CrashInjector.h"
+#include "support/Injector.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -171,7 +171,7 @@ int serveMode(const std::string &StorePath, unsigned Workers) {
     // The injectable "host died serving a request" moment: the request is
     // admitted and owned by a worker (or the queue) when the process
     // vanishes — exactly what a real OOM-kill orphans.
-    support::crashPoint(support::CrashPoint::MidRequest);
+    support::crashPoint(support::InjectSite::MidRequest);
     Waiters.emplace_back(
         [&Emit, Id, Future = std::move(Future)]() mutable {
           Emit(formatResponse(Id, Future.get()));

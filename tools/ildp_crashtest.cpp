@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The §15 crash-model acceptance harness: kills real processes at every
-/// named crash point (support/CrashInjector.h), under single-writer and
+/// named crash point (support/Injector.h), under single-writer and
 /// multi-writer schedules, and asserts the §15 contract cell by cell:
 ///
 ///  - the store is ALWAYS old-or-new after a crash — it opens valid and
@@ -34,7 +34,7 @@
 
 #include "persist/CacheStore.h"
 #include "serve/HostSupervisor.h"
-#include "support/CrashInjector.h"
+#include "support/Injector.h"
 #include "workloads/Workloads.h"
 
 #include <chrono>
@@ -62,8 +62,8 @@ extern char **environ;
 
 using namespace ildp;
 using namespace ildp::serve;
-using support::CrashInjector;
-using support::CrashPoint;
+using support::InjectSite;
+using support::Injector;
 
 namespace {
 
@@ -278,7 +278,7 @@ bool checkStoreIntact(const std::string &Path,
 // Store cells: crash a --save writer at a named point.
 //===----------------------------------------------------------------------===//
 
-void runStoreSingleWriterCell(CrashPoint Point) {
+void runStoreSingleWriterCell(InjectSite Point) {
   std::string Dir = makeTempDir();
   std::string Store = Dir + "/store.tstore";
 
@@ -289,17 +289,17 @@ void runStoreSingleWriterCell(CrashPoint Point) {
     return removeTree(Dir);
 
   // Crash a second writer at the named point.
-  std::string Sched = std::string(getCrashPointName(Point)) + "=1";
+  std::string Sched = std::string(getSiteName(Point)) + "=1";
   ChildExit Crashed = runSave(Store, "mcf", Sched);
   check(Crashed.Exited, "crashing writer hung");
-  check(Crashed.ExitCode == CrashInjector::ExitCode,
+  check(Crashed.ExitCode == Injector::CrashExitCode,
         "crashing writer exited " + std::to_string(Crashed.ExitCode) +
-            ", expected " + std::to_string(CrashInjector::ExitCode));
+            ", expected " + std::to_string(Injector::CrashExitCode));
 
   // Old-or-new: the baseline image must have survived every point; after
   // post_rename_pre_unlock the new image is also committed.
   std::vector<std::string> MustHold = {"gzip"};
-  if (Point == CrashPoint::PostRenamePreUnlock)
+  if (Point == InjectSite::PostRenamePreUnlock)
     MustHold.push_back("mcf");
   checkStoreIntact(Store, MustHold);
 
@@ -323,7 +323,7 @@ void runStoreSingleWriterCell(CrashPoint Point) {
   removeTree(Dir);
 }
 
-void runStoreMultiWriterCell(CrashPoint Point) {
+void runStoreMultiWriterCell(InjectSite Point) {
   std::string Dir = makeTempDir();
   std::string Store = Dir + "/store.tstore";
 
@@ -332,7 +332,7 @@ void runStoreMultiWriterCell(CrashPoint Point) {
     return removeTree(Dir);
 
   // One doomed writer and three clean ones, all racing on one store.
-  std::string Sched = std::string(getCrashPointName(Point)) + "=1";
+  std::string Sched = std::string(getSiteName(Point)) + "=1";
   const std::vector<std::string> CleanWork = {"vortex", "parser", "twolf"};
   int CrashFd = -1;
   pid_t CrashPid =
@@ -348,7 +348,7 @@ void runStoreMultiWriterCell(CrashPoint Point) {
   if (check(CrashPid > 0, "spawn of crashing writer failed")) {
     ChildExit Crashed = waitChild(CrashPid, CrashFd);
     check(Crashed.Exited, "crashing writer hung");
-    check(Crashed.ExitCode == CrashInjector::ExitCode,
+    check(Crashed.ExitCode == Injector::CrashExitCode,
           "crashing writer exited " + std::to_string(Crashed.ExitCode));
   }
   // Every clean writer must finish despite the corpse's lock: survivors
@@ -598,17 +598,17 @@ int main(int argc, char **argv) {
     Cell = nullptr;
   };
 
-  const CrashPoint StorePoints[] = {
-      CrashPoint::MidTmpWrite, CrashPoint::PostTmpPreRename,
-      CrashPoint::MidMergeRead, CrashPoint::PostRenamePreUnlock};
-  for (CrashPoint P : StorePoints) {
-    const char *Name = getCrashPointName(P);
+  const InjectSite StorePoints[] = {
+      InjectSite::MidTmpWrite, InjectSite::PostTmpPreRename,
+      InjectSite::MidMergeRead, InjectSite::PostRenamePreUnlock};
+  for (InjectSite P : StorePoints) {
+    const char *Name = getSiteName(P);
     if (!WantPoint(Name))
       continue;
     RunCell(Name, "single-writer", [P] { runStoreSingleWriterCell(P); });
     RunCell(Name, "multi-writer", [P] { runStoreMultiWriterCell(P); });
   }
-  if (WantPoint(getCrashPointName(CrashPoint::MidRequest))) {
+  if (WantPoint(getSiteName(InjectSite::MidRequest))) {
     RunCell("mid_request", "single-host", [] { runSupervisorSingleCell(); });
     RunCell("mid_request", "multi-host", [] { runSupervisorMultiCell(); });
   }
