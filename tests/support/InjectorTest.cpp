@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 using namespace ildp;
@@ -92,6 +94,18 @@ TEST(Injector, RangeFiresExactlyItsHits) {
   EXPECT_FALSE(Inj.fire(InjectSite::MidTmpWrite));
 }
 
+TEST(Injector, NthHitFiresOnceAndNeverAgain) {
+  // "<site>=3" is the single-hit range [2, 3): hits before and after the
+  // third pass, however long the site keeps being reached.
+  Injector Inj;
+  ASSERT_TRUE(Inj.armFromSpec("mid_merge_read=3"));
+  EXPECT_EQ(firePattern(Inj, InjectSite::MidMergeRead, 3), "001");
+  EXPECT_EQ(firePattern(Inj, InjectSite::MidMergeRead, 100),
+            std::string(100, '0'));
+  EXPECT_EQ(Inj.firedCount(InjectSite::MidMergeRead), 1u);
+  EXPECT_EQ(Inj.hitCount(InjectSite::MidMergeRead), 103u);
+}
+
 TEST(Injector, RandomModeIsSeedDeterministic) {
   auto Pattern = [](uint64_t Seed) {
     Injector Inj;
@@ -116,6 +130,21 @@ TEST(Injector, RandomModeHashesSeedXorHitIndex) {
             "10011100010001011010000000000010");
 }
 
+TEST(Injector, RandomModeFiresNearItsFraction) {
+  // The hash is well mixed: over many hits the fired share is close to
+  // num/den, and a full fraction fires every hit.
+  Injector Inj;
+  Inj.armRandom(InjectSite::NativeCompile, 3, 1, 4);
+  for (int Hit = 0; Hit != 4096; ++Hit)
+    Inj.fire(InjectSite::NativeCompile);
+  EXPECT_GT(Inj.firedCount(InjectSite::NativeCompile), 4096u / 4 - 128);
+  EXPECT_LT(Inj.firedCount(InjectSite::NativeCompile), 4096u / 4 + 128);
+
+  Inj.armRandom(InjectSite::NativeLoad, 3, 5, 5);
+  EXPECT_EQ(firePattern(Inj, InjectSite::NativeLoad, 32),
+            std::string(32, '1'));
+}
+
 TEST(Injector, ZeroProbabilityNeverFires) {
   Injector Inj;
   Inj.armRandom(InjectSite::PostRenamePreUnlock, 1, 0, 10);
@@ -134,6 +163,18 @@ TEST(Injector, DisarmStopsFiringAndKeepsCounters) {
   Inj.resetCounts();
   EXPECT_EQ(Inj.hitCount(InjectSite::StrandAlloc), 0u);
   EXPECT_EQ(Inj.firedCount(InjectSite::StrandAlloc), 0u);
+}
+
+TEST(Injector, ResetCountsRestartsTheSchedule) {
+  // Arming survives resetCounts(); hit indices start again from 0, so a
+  // count schedule fires its first hits again.
+  Injector Inj;
+  Inj.armCount(InjectSite::Decode, 2);
+  EXPECT_EQ(firePattern(Inj, InjectSite::Decode, 3), "110");
+  Inj.resetCounts();
+  EXPECT_TRUE(Inj.armed());
+  EXPECT_EQ(firePattern(Inj, InjectSite::Decode, 3), "110");
+  EXPECT_EQ(Inj.firedCount(InjectSite::Decode), 2u);
 }
 
 TEST(Injector, SpecParsesNthAlwaysAndRandom) {
@@ -201,4 +242,26 @@ TEST(Injector, CrashOnlySpecRejectsFaultSites) {
   EXPECT_TRUE(I.armFromSpec("mid_request=1,post_rename_pre_unlock=always",
                             /*CrashSitesOnly=*/true));
   EXPECT_TRUE(I.fire(InjectSite::MidRequest));
+}
+
+TEST(Injector, CrashPointExitsWithKillStatusOnlyWhenItFires) {
+  // In a child process: crashPoint() returns at an unarmed point and on a
+  // hit outside the armed range, and dies with the SIGKILL status on the
+  // hit inside it. The message proves the child got that far; reaching
+  // std::exit(0) would mean it never died.
+  EXPECT_EXIT(
+      {
+        Injector &P = Injector::process();
+        P.armRange(InjectSite::MidRequest, 1, 1);
+        crashPoint(InjectSite::MidTmpWrite);
+        crashPoint(InjectSite::MidRequest);
+        if (P.hitCount(InjectSite::MidTmpWrite) != 1 ||
+            P.firedCount(InjectSite::MidRequest) != 0)
+          std::exit(1);
+        std::fprintf(stderr, "reached the armed hit\n");
+        crashPoint(InjectSite::MidRequest);
+        std::exit(0);
+      },
+      testing::ExitedWithCode(Injector::CrashExitCode),
+      "reached the armed hit");
 }

@@ -33,6 +33,22 @@ TEST(MultiLaneQueue, PushPopSingleThread) {
   EXPECT_EQ(Q.tryPop(), std::nullopt);
 }
 
+TEST(MultiLaneQueue, FullLaneAcceptsAgainAfterPop) {
+  // Producers never block: a full lane rejects at once and takes items
+  // again as soon as a consumer makes room.
+  MultiLaneQueue<int> Q({2}, {1});
+  int V = 1;
+  ASSERT_TRUE(Q.tryPush(0, V));
+  V = 2;
+  ASSERT_TRUE(Q.tryPush(0, V));
+  V = 3;
+  EXPECT_FALSE(Q.tryPush(0, V));
+  EXPECT_EQ(Q.pop()->Item, 1);
+  EXPECT_TRUE(Q.tryPush(0, V));
+  EXPECT_EQ(Q.pop()->Item, 2);
+  EXPECT_EQ(Q.pop()->Item, 3);
+}
+
 TEST(MultiLaneQueue, LaneBoundsAreIndependent) {
   MultiLaneQueue<int> Q({2, 1, 1}, {1, 1, 1});
   int V = 0;
