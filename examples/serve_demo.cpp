@@ -93,29 +93,8 @@ std::string serveLine(ExecutionScheduler &Sched, const std::string &Line) {
            "[max_insts=n] [deadline_us=n] | stats | quit";
 
   ExecRequest Req;
-  In >> Req.Workload;
-  if (Req.Workload.empty())
-    return "err bad-command missing workload name";
-  std::string Opt;
-  while (In >> Opt) {
-    size_t Eq = Opt.find('=');
-    std::string Key = Opt.substr(0, Eq);
-    std::string Val = Eq == std::string::npos ? "" : Opt.substr(Eq + 1);
-    if (Key == "tenant")
-      Req.Tenant = Val;
-    else if (Key == "priority") {
-      if (!parsePriorityName(Val, Req.Lane))
-        return "err bad-command unknown priority " + Val +
-               " (interactive|normal|batch)";
-    } else if (Key == "max_insts")
-      Req.MaxGuestInsts = std::strtoull(Val.c_str(), nullptr, 0);
-    else if (Key == "deadline_us")
-      Req.DeadlineMicros = std::strtoull(Val.c_str(), nullptr, 0);
-    else if (Key == "cache_bytes")
-      Req.CodeCacheBytes = std::strtoull(Val.c_str(), nullptr, 0);
-    else
-      return "err bad-command unknown option " + Key;
-  }
+  if (const char *Problem = parseRunRequest(In, Req))
+    return std::string("err bad-command ") + Problem;
 
   ExecResponse Resp = Sched.submit(std::move(Req)).get();
   if (!Resp.ok()) {

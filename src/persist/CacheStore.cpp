@@ -188,6 +188,23 @@ const StoreImage *CacheStore::find(uint64_t Fingerprint) const {
   return nullptr;
 }
 
+std::vector<StoreImage>::iterator CacheStore::slot(uint64_t Fingerprint) {
+  return std::find_if(Images.begin(), Images.end(),
+                      [&](const StoreImage &Slot) {
+                        return Slot.Fingerprint == Fingerprint;
+                      });
+}
+
+void CacheStore::place(StoreImage Img) {
+  Img.SaveCount = 1;
+  auto It = slot(Img.Fingerprint);
+  if (It != Images.end()) {
+    Img.SaveCount = It->SaveCount + 1;
+    Images.erase(It);
+  }
+  Images.push_back(std::move(Img)); // Back = most recently written.
+}
+
 void CacheStore::put(uint64_t Fingerprint,
                      const std::vector<const Fragment *> &Fragments,
                      uint64_t CostUnits) {
@@ -197,72 +214,29 @@ void CacheStore::put(uint64_t Fingerprint,
   Img.Fingerprint = Fingerprint;
   Img.FragmentCount = uint32_t(Fragments.size());
   Img.CostUnits = CostUnits;
-  Img.SaveCount = 1;
   ByteWriter W;
   for (const Fragment *Frag : Fragments) {
     encodeFragment(*Frag, W);
     Img.BodyBytes += Frag->BodyBytes;
   }
   Img.Payload = W.take();
-
-  auto It = std::find_if(Images.begin(), Images.end(),
-                         [&](const StoreImage &Slot) {
-                           return Slot.Fingerprint == Fingerprint;
-                         });
-  if (It != Images.end()) {
-    Img.SaveCount = It->SaveCount + 1;
-    Images.erase(It);
-  }
-  Images.push_back(std::move(Img)); // Back = most recently written.
+  place(std::move(Img));
 }
 
 void CacheStore::putRaw(uint64_t Fingerprint, std::vector<uint8_t> Payload,
                         uint64_t CostUnits) {
   if (ReadOnlyMode)
     return;
-  StoreImage Img;
+  StoreImage Img; // Raw slot: no fragment records, so no counts.
   Img.Fingerprint = Fingerprint;
-  Img.FragmentCount = 0; // Raw slot: no fragment records inside.
-  Img.BodyBytes = 0;
   Img.CostUnits = CostUnits;
-  Img.SaveCount = 1;
   Img.Payload = std::move(Payload);
-
-  auto It = std::find_if(Images.begin(), Images.end(),
-                         [&](const StoreImage &Slot) {
-                           return Slot.Fingerprint == Fingerprint;
-                         });
-  if (It != Images.end()) {
-    Img.SaveCount = It->SaveCount + 1;
-    Images.erase(It);
-  }
-  Images.push_back(std::move(Img));
+  place(std::move(Img));
 }
 
 const std::vector<uint8_t> *CacheStore::lookupRaw(uint64_t Fingerprint) const {
   const StoreImage *Img = find(Fingerprint);
   return Img ? &Img->Payload : nullptr;
-}
-
-bool CacheStore::erase(uint64_t Fingerprint) {
-  if (ReadOnlyMode)
-    return false;
-  auto It = std::find_if(Images.begin(), Images.end(),
-                         [&](const StoreImage &Slot) {
-                           return Slot.Fingerprint == Fingerprint;
-                         });
-  if (It == Images.end())
-    return false;
-  Images.erase(It);
-  return true;
-}
-
-size_t CacheStore::compact(size_t MaxImages) {
-  if (ReadOnlyMode || MaxImages == 0 || Images.size() <= MaxImages)
-    return 0;
-  size_t Drop = Images.size() - MaxImages;
-  Images.erase(Images.begin(), Images.begin() + long(Drop));
-  return Drop;
 }
 
 uint64_t CacheStore::totalPayloadBytes() const {
@@ -389,51 +363,49 @@ bool CacheStore::save(const std::string &Path) const {
   return true;
 }
 
-SaveMergeResult CacheStore::saveMerged(const std::string &Path,
-                                       size_t MaxImages) {
+SaveMergeResult CacheStore::saveMerged(const std::string &Path) {
   SaveMergeResult Result;
   // A read-only store never writes and — the point of the mode — never
   // creates "<path>.lock": a fleet of readers must not contend with (or
   // delay) a concurrent writer's lock acquisition.
   if (ReadOnlyMode)
     return Result;
-  // The crash-recoverable lock (StoreLock.h): a holder that dies at ANY
-  // point below leaves a lock file naming a dead PID, which the next
-  // writer detects and breaks instead of waiting out a timeout — and a
-  // *live* holder is waited for rather than raced (the PR-5 version fell
-  // through to unlocked read-merge-write after 500ms, reopening the
-  // lost-update window it existed to close).
+  // Writers take turns under an flock (StoreLock.h). A holder that dies
+  // at any point below loses the lock with its descriptor, so the next
+  // writer never waits on a dead one.
   StoreLock Lock(Path + ".lock");
   Result.LockContended = Lock.contended();
-  Result.LockBroken = Lock.broken();
   Result.LockTimedOut = Lock.timedOut();
 
-  // Adopt slots written since this store was opened (or that a
-  // load-disabled VM never read): concurrent writers of *different*
-  // images all survive. Our own slots win on fingerprint collision —
-  // last writer wins per image, never per store. A legacy or corrupt
-  // on-disk file contributes nothing and is rewritten in store format.
+  // Adopt every on-disk slot this store does not hold: concurrent writers
+  // of *different* images all survive. Our own slots win on fingerprint
+  // collision — last writer wins per image, never per store — and count
+  // one more write than the copy they replace. A corrupt on-disk file
+  // contributes nothing and is rewritten clean.
   CacheStore Disk;
   StoreStatus DiskState = Disk.open(Path);
   // Crash point: the on-disk store has been read, nothing written, and
-  // this process holds "<path>.lock". Dying here must leave the old
-  // artifact intact and a breakable (dead-PID) lock behind.
+  // this process holds the lock. Dying here must leave the old artifact
+  // intact; the kernel releases the lock.
   crashPoint(InjectSite::MidMergeRead);
   if (DiskState == StoreStatus::Ok) {
     // Keep adopted slots older than everything this store wrote itself.
     size_t InsertAt = 0;
-    for (StoreImage &Img : Disk.Images)
-      if (!contains(Img.Fingerprint)) {
-        Images.insert(Images.begin() + long(InsertAt++), std::move(Img));
-        ++Result.Adopted;
+    for (StoreImage &Img : Disk.Images) {
+      auto Own = slot(Img.Fingerprint);
+      if (Own != Images.end()) {
+        Own->SaveCount = Img.SaveCount + 1;
+        continue;
       }
+      Images.insert(Images.begin() + long(InsertAt++), std::move(Img));
+      ++Result.Adopted;
+    }
   }
 
-  Result.Compacted = compact(MaxImages);
   Result.Saved = save(Path);
-  // Crash point: the new store is durably in place but the lock file
-  // still names this process. Readers see new; the next writer must
-  // break the dead lock within one takeover, not wait out a timeout.
+  // Crash point: the new store is durably in place but the lock file is
+  // still there. Readers see new; the next writer locks the leftover
+  // file at once.
   crashPoint(InjectSite::PostRenamePreUnlock);
   return Result;
 }

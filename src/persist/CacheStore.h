@@ -33,17 +33,17 @@
 /// Saves stage through a unique "<path>.tmp.*" file — fsynced, renamed
 /// into place, directory fsynced — so a crashed save never corrupts a
 /// good store and a completed save survives power loss. saveMerged()
-/// additionally serializes concurrent writers through a crash-recoverable
-/// "<path>.lock" file (StoreLock.h: holder PID recorded, dead holders
-/// detected and broken within one takeover) and re-reads the on-disk
-/// store under the lock, adopting image slots written by other processes
-/// since this store was opened: two VMs saving different images into one
-/// store both survive. A live-but-wedged holder is waited for up to a
-/// generous bound before the save degrades to unlocked read-merge-write
-/// (reported via SaveMergeResult::LockTimedOut) — last writer wins on the
-/// file, but each writer still merges every slot it can see. The §15
-/// crash model is chaos-tested by ildp-crashtest at named crash points
-/// (support/Injector.h) covering every instant of this protocol.
+/// additionally serializes writers through an flock on "<path>.lock"
+/// (StoreLock.h; the kernel releases it if its holder dies) and re-reads
+/// the on-disk store under the lock, adopting every slot this store does
+/// not hold: a writer puts only its own slots into a fresh store, so two
+/// VMs saving different images into one store both survive, and a slot
+/// another writer updated meanwhile is never reverted. A live-but-wedged
+/// holder is waited for up to a generous bound before the save degrades
+/// to unlocked read-merge-write (reported via
+/// SaveMergeResult::LockTimedOut). The §15 crash model is chaos-tested by
+/// ildp-crashtest at named crash points (support/Injector.h) covering
+/// every instant of this protocol.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,20 +103,16 @@ struct StoreImage {
 /// Result of saveMerged().
 struct SaveMergeResult {
   bool Saved = false;
-  size_t Adopted = 0;     ///< Slots adopted from concurrent writers.
-  size_t Compacted = 0;   ///< Oldest slots dropped by the image bound.
-  bool LockContended = false; ///< The lock file was busy at least once.
-  /// Dead-holder locks broken during acquisition (StoreLock takeover;
-  /// counted by the VM under persist.store_lock_broken).
-  unsigned LockBroken = 0;
-  /// A LIVE holder outlasted the wait bound and this save proceeded
-  /// unlocked — the last remaining lost-update path, reported so callers
+  size_t Adopted = 0; ///< Slots adopted from the on-disk store.
+  bool LockContended = false; ///< The lock was busy at least once.
+  /// A live holder outlasted the wait bound (or no lock file could be
+  /// opened) and this save proceeded unlocked — the last remaining lost-update path, reported so callers
   /// can count it (persist.store_lock_timeout) instead of racing silently.
   bool LockTimedOut = false;
 };
 
 /// An in-memory multi-image store. Slot order is write order (put() moves
-/// an updated slot to the back), so compaction drops the stalest slots.
+/// an updated slot to the back).
 class CacheStore {
 public:
   /// Loads and validates the store at \p Path, replacing this store's
@@ -127,7 +123,7 @@ public:
   /// open() + freeze: loads the store and marks it read-only. A read-only
   /// store never touches "<path>.lock" (open() never did; the flag
   /// guarantees no later saveMerged() will either) and refuses every
-  /// mutation — put/erase/compact become no-ops and saveMerged() returns
+  /// mutation — put/putRaw become no-ops and saveMerged() returns
   /// Saved=false without staging a temp file or taking the lock. The
   /// fleet service opens one store this way and shares it across every
   /// pool VM, so a thousand concurrent warm starts contend on nothing:
@@ -165,21 +161,15 @@ public:
   /// The raw payload bytes for \p Fingerprint, or nullptr if absent.
   const std::vector<uint8_t> *lookupRaw(uint64_t Fingerprint) const;
 
-  /// Drops the slot for \p Fingerprint. Returns true if one existed.
-  bool erase(uint64_t Fingerprint);
-
-  /// Drops oldest-written slots until at most \p MaxImages remain
-  /// (0 = no bound). Returns the number dropped.
-  size_t compact(size_t MaxImages);
-
   /// Writes the store to \p Path via a unique temp file + atomic rename.
   /// Returns false on I/O failure (the previous file is left intact).
   bool save(const std::string &Path) const;
 
   /// Read-merge-write: under a best-effort "<path>.lock", re-reads the
-  /// on-disk store, adopts every slot this store does not already hold,
-  /// applies the image bound, and saves atomically. See file comment.
-  SaveMergeResult saveMerged(const std::string &Path, size_t MaxImages = 0);
+  /// on-disk store, adopts every slot this store does not hold, and saves
+  /// atomically. A slot this store replaces gets the on-disk SaveCount
+  /// + 1, so SaveCount counts writes. See file comment.
+  SaveMergeResult saveMerged(const std::string &Path);
 
   bool contains(uint64_t Fingerprint) const { return find(Fingerprint); }
   /// The slot for \p Fingerprint, or nullptr.
@@ -192,6 +182,12 @@ public:
   void clear() { Images.clear(); }
 
 private:
+  /// The slot for \p Fingerprint, or Images.end().
+  std::vector<StoreImage>::iterator slot(uint64_t Fingerprint);
+  /// Inserts \p Img, replacing (and carrying the SaveCount of) any slot
+  /// with its fingerprint, as the most recently written slot.
+  void place(StoreImage Img);
+
   std::vector<StoreImage> Images;
   bool ReadOnlyMode = false;
 };

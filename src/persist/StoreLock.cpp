@@ -1,4 +1,4 @@
-//===- persist/StoreLock.cpp - Crash-recoverable store lock file ----------===//
+//===- persist/StoreLock.cpp - Store writer lock on flock(2) --------------===//
 //
 // Part of the ILDP-DBT project (CGO 2003 reproduction).
 //
@@ -9,322 +9,73 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #ifndef _WIN32
 #include <fcntl.h>
-#include <signal.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
 
-using namespace ildp;
 using namespace ildp::persist;
+
+StoreLock::StoreLock(std::string LockPath)
+    : StoreLock(std::move(LockPath), Options()) {}
 
 #ifndef _WIN32
 
-namespace {
-
-/// Start-time token for \p Pid: /proc/<pid>/stat field 22 (clock ticks
-/// since boot at process start), or 0 where unavailable (non-Linux,
-/// /proc gone, process exited mid-read). Stable for a process's whole
-/// life, and different for every reuse of the same PID — the tiebreak
-/// that tells the recorded holder apart from a recycled number.
-unsigned long long procStartTime(long Pid) {
-#ifdef __linux__
-  char StatPath[64];
-  std::snprintf(StatPath, sizeof(StatPath), "/proc/%ld/stat", Pid);
-  int Fd = ::open(StatPath, O_RDONLY);
-  if (Fd < 0)
-    return 0;
-  char Buf[1024];
-  ssize_t N;
-  do
-    N = ::read(Fd, Buf, sizeof(Buf) - 1);
-  while (N < 0 && errno == EINTR);
-  ::close(Fd);
-  if (N <= 0)
-    return 0;
-  Buf[N] = '\0';
-  // comm (field 2) may itself contain spaces and parentheses; the
-  // numeric fields resume after the LAST ')'. starttime is field 22 —
-  // the 20th whitespace-separated token past it.
-  const char *P = std::strrchr(Buf, ')');
-  if (!P)
-    return 0;
-  ++P;
-  for (int Tok = 0; Tok != 19; ++Tok) {
-    while (*P == ' ')
-      ++P;
-    while (*P && *P != ' ')
-      ++P;
-  }
-  while (*P == ' ')
-    ++P;
-  char *End = nullptr;
-  unsigned long long Start = std::strtoull(P, &End, 10);
-  return End == P ? 0 : Start;
-#else
-  (void)Pid;
-  return 0;
-#endif
+/// True when \p Path still names the inode \p Fd has open — false when a
+/// holder released (unlinked) it after this process opened it.
+static bool stillLinked(int Fd, const std::string &Path) {
+  struct stat Mine, Named;
+  return ::fstat(Fd, &Mine) == 0 && ::stat(Path.c_str(), &Named) == 0 &&
+         Mine.st_ino == Named.st_ino && Mine.st_dev == Named.st_dev;
 }
 
-/// Creates \p Path O_CREAT|O_EXCL and writes "<pid> <starttime>\n" into
-/// it. Returns true on acquisition. EEXIST means held; any other error
-/// means the directory refuses lock files (best-effort: caller
-/// degrades).
-bool createPidFile(const std::string &Path, bool &Unsupported) {
-  int Fd = ::open(Path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (Fd < 0) {
-    Unsupported = errno != EEXIST;
-    return false;
-  }
-  char Buf[64];
-  int Len =
-      std::snprintf(Buf, sizeof(Buf), "%ld %llu\n", long(::getpid()),
-                    procStartTime(long(::getpid())));
-  const char *P = Buf;
-  while (Len > 0) {
-    ssize_t N = ::write(Fd, P, size_t(Len));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break; // Unwritable fd: the empty-grace path will reap the file.
-    }
-    P += N;
-    Len -= int(N);
-  }
-  ::close(Fd);
-  return true;
-}
-
-/// Parses "<pid> [starttime]" out of \p LockPath. Returns the PID (-1
-/// when the file is absent, empty, or unparseable) and sets
-/// \p StartTime to the recorded token (0 when the file predates tokens
-/// or omits one).
-long readHolder(const std::string &LockPath, unsigned long long &StartTime) {
-  StartTime = 0;
-  int Fd = ::open(LockPath.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return -1;
-  char Buf[64];
-  ssize_t N;
-  do
-    N = ::read(Fd, Buf, sizeof(Buf) - 1);
-  while (N < 0 && errno == EINTR);
-  ::close(Fd);
-  if (N <= 0)
-    return -1;
-  Buf[N] = '\0';
-  char *End = nullptr;
-  long Pid = std::strtol(Buf, &End, 10);
-  if (End == Buf || Pid <= 0)
-    return -1;
-  char *TokEnd = nullptr;
-  unsigned long long Tok = std::strtoull(End, &TokEnd, 10);
-  if (TokEnd != End)
-    StartTime = Tok;
-  return Pid;
-}
-
-/// True when \p Pid can no longer be the recorded holder: ESRCH (dead
-/// outright), or alive but with a start time different from the
-/// recorded token — the holder died and an unrelated process recycled
-/// its PID. EPERM — a live process we may not signal — counts as
-/// alive, and a zero token (old-format file, /proc unavailable) falls
-/// back to the kill() verdict alone.
-bool pidDead(long Pid, unsigned long long StartTok) {
-  if (::kill(pid_t(Pid), 0) != 0)
-    return errno == ESRCH;
-  if (StartTok == 0)
-    return false;
-  unsigned long long Now = procStartTime(Pid);
-  return Now != 0 && Now != StartTok;
-}
-
-/// \p St's mtime as nanoseconds — half of the identity (with st_ino)
-/// that ties an empty-file grace period to one specific lock file.
-long long mtimeNs(const struct stat &St) {
-#ifdef __APPLE__
-  return St.st_mtimespec.tv_sec * 1'000'000'000LL + St.st_mtimespec.tv_nsec;
-#else
-  return St.st_mtim.tv_sec * 1'000'000'000LL + St.st_mtim.tv_nsec;
-#endif
-}
-
-} // namespace
-
-long StoreLock::readHolderPid(const std::string &LockPath) {
-  unsigned long long Tok = 0;
-  return readHolder(LockPath, Tok);
-}
-
-bool StoreLock::tryCreate() {
-  bool Unsupported = false;
-  if (createPidFile(Path, Unsupported)) {
-    Held = true;
-    return true;
-  }
-  if (Unsupported) {
-    // Locking is best-effort: an unwritable directory must not fail the
-    // save. Report as a (non-)acquisition with no holder to wait for.
-    TimedOut = true;
-    return true;
-  }
-  return false;
-}
-
-/// Serialized takeover of a dead holder's lock. The break lock is held
-/// only across a re-verify + unlink (microseconds), so its own staleness
-/// handling can be blunt: a break file naming a dead PID is unlinked on
-/// sight. Returns true when the main lock was (or turned out to already
-/// be) cleared.
-bool StoreLock::breakLock(const DeadHolder &Expect) {
-  std::string BreakPath = Path + ".break";
-  bool Unsupported = false;
-  if (!createPidFile(BreakPath, Unsupported)) {
-    if (Unsupported)
-      return false; // Cannot break; outer loop keeps polling.
-    unsigned long long BreakerTok = 0;
-    long BreakerPid = readHolder(BreakPath, BreakerTok);
-    // A breaker that died inside its microseconds-wide critical section:
-    // clear its break file and let the outer loop retry. -1 (empty file)
-    // gets the same treatment — the window between create and write is a
-    // few instructions, so an empty break file is overwhelmingly a dead
-    // one, and the worst false positive re-runs a re-verified takeover.
-    if (BreakerPid < 0 || pidDead(BreakerPid, BreakerTok))
-      std::remove(BreakPath.c_str());
-    return false; // Someone is (or was) breaking; retry the outer loop.
-  }
-  // Under the break lock: re-verify before unlinking. The main lock may
-  // have been broken and re-acquired by a live writer since we read the
-  // dead PID — unlinking *that* would hand two writers the same lock.
-  unsigned long long NowTok = 0;
-  long Now = readHolder(Path, NowTok);
-  bool Cleared = false;
-  if (Now > 0) {
-    if ((Now == Expect.Pid && NowTok == Expect.StartTime) ||
-        pidDead(Now, NowTok)) {
-      std::remove(Path.c_str());
-      Cleared = true;
-      ++Broken;
-    }
-  } else if (Now < 0 && Expect.Pid < 0) {
-    // Unreadable main lock under the break lock: reap it only when it
-    // is the SAME file whose grace the caller sat out — inode and mtime
-    // unchanged. A lock created (or rewritten) since is someone's live
-    // acquisition inside its create-to-write window; it keeps its life
-    // and the caller's grace clock restarts on the new identity.
-    struct stat St;
-    if (::stat(Path.c_str(), &St) == 0 &&
-        (unsigned long long)(St.st_ino) == Expect.Ino &&
-        mtimeNs(St) == Expect.MtimeNs) {
-      std::remove(Path.c_str());
-      Cleared = true;
-      ++Broken;
-    }
-  }
-  std::remove(BreakPath.c_str());
-  return Cleared;
-}
-
-StoreLock::StoreLock(std::string LockPath)
-    : StoreLock(std::move(LockPath), Options()) {}
-
-StoreLock::StoreLock(std::string LockPath, Options O)
-    : Path(std::move(LockPath)), Opts(O) {
+StoreLock::StoreLock(std::string LockPath, Options Opts)
+    : Path(std::move(LockPath)) {
   using Clock = std::chrono::steady_clock;
-  Clock::time_point Start = Clock::now();
-  Clock::time_point FirstUnreadable{};
-  unsigned long long GraceIno = 0;
-  long long GraceMtimeNs = 0;
+  Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(Opts.MaxWaitMillis);
   for (;;) {
-    if (tryCreate())
+    int F = ::open(Path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (F < 0)
+      break; // No lock file possible here: degrade to unlocked.
+    int Rc;
+    do
+      Rc = ::flock(F, LOCK_EX | LOCK_NB);
+    while (Rc != 0 && errno == EINTR);
+    int Err = Rc == 0 ? 0 : errno;
+    if (Rc == 0 && stillLinked(F, Path)) {
+      Fd = F;
       return;
+    }
+    ::close(F);
+    if (Rc != 0 && Err != EWOULDBLOCK)
+      break; // No flock on this file system: degrade to unlocked.
     Contended = true;
-
-    // One bound covers EVERY waiting path — a live holder, a dead
-    // holder whose takeover cannot complete (a break file pinned by a
-    // live recycled PID), an unreadable-file grace. Dead holders are
-    // normally broken within one poll and never feel it; the bound only
-    // guarantees that no shape of on-disk wreckage hangs the save
-    // forever instead of degrading to unlocked read-merge-write.
-    if (Clock::now() - Start >
-        std::chrono::milliseconds(Opts.MaxWaitMillis)) {
-      TimedOut = true;
-      return;
-    }
-
-    unsigned long long HolderTok = 0;
-    long Holder = readHolder(Path, HolderTok);
-    if (Holder > 0) {
-      FirstUnreadable = Clock::time_point{};
-      if (pidDead(Holder, HolderTok)) {
-        // Crashed holder (or a recycled PID wearing its number): take
-        // over now rather than waiting a timeout on a lock nobody can
-        // release.
-        DeadHolder D;
-        D.Pid = Holder;
-        D.StartTime = HolderTok;
-        if (!breakLock(D)) // Another breaker beat us; let it finish.
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(Opts.PollMillis));
-        continue; // Race others for the cleared slot immediately.
-      }
-      // Live holder: wait it out under the bound above. The holder's
-      // own save is milliseconds of work.
-    } else {
-      // Present but empty/unparseable: either a holder killed inside the
-      // create-to-write window or a foreign artifact. Neither names a
-      // live writer; reap it after a short grace — tied to THIS file's
-      // identity, so a holder merely preempted inside that window (or a
-      // fresh lock created meanwhile) restarts the clock instead of
-      // losing a live lock.
-      struct stat St;
-      if (::stat(Path.c_str(), &St) != 0) {
-        FirstUnreadable = Clock::time_point{};
-        continue; // Vanished: race for the free slot immediately.
-      }
-      unsigned long long Ino = (unsigned long long)(St.st_ino);
-      long long Mt = mtimeNs(St);
-      if (FirstUnreadable == Clock::time_point{} || Ino != GraceIno ||
-          Mt != GraceMtimeNs) {
-        FirstUnreadable = Clock::now();
-        GraceIno = Ino;
-        GraceMtimeNs = Mt;
-      } else if (Clock::now() - FirstUnreadable >
-                 std::chrono::milliseconds(Opts.EmptyGraceMillis)) {
-        DeadHolder D;
-        D.Ino = Ino;
-        D.MtimeNs = Mt;
-        breakLock(D);
-        FirstUnreadable = Clock::time_point{};
-        continue;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(Opts.PollMillis));
+    if (Clock::now() >= Deadline)
+      break;
+    if (Rc != 0) // A live holder is polled; a stale inode retried at once.
+      std::this_thread::sleep_for(std::chrono::milliseconds(Opts.PollMillis));
   }
+  TimedOut = true;
 }
 
 StoreLock::~StoreLock() {
-  if (Held)
-    std::remove(Path.c_str());
+  if (Fd < 0)
+    return;
+  // Unlink while still locked: a waiter that opened this inode sees it
+  // unlinked once it locks, and starts again on a fresh file.
+  std::remove(Path.c_str());
+  ::close(Fd);
 }
 
-#else // _WIN32
+#else // _WIN32: no lock support; callers proceed unlocked.
 
-long StoreLock::readHolderPid(const std::string &) { return -1; }
-bool StoreLock::tryCreate() { return true; }
-bool StoreLock::breakLock(const DeadHolder &) { return false; }
-StoreLock::StoreLock(std::string LockPath)
-    : StoreLock(std::move(LockPath), Options()) {}
-StoreLock::StoreLock(std::string LockPath, Options O)
-    : Path(std::move(LockPath)), Opts(O) {
-  TimedOut = true; // No lock support: callers proceed unlocked.
-}
+StoreLock::StoreLock(std::string LockPath, Options)
+    : Path(std::move(LockPath)), TimedOut(true) {}
 StoreLock::~StoreLock() = default;
 
 #endif

@@ -1,132 +1,65 @@
-//===- persist/StoreLock.h - Crash-recoverable store lock file ------------===//
+//===- persist/StoreLock.h - Store writer lock on flock(2) ----------------===//
 //
 // Part of the ILDP-DBT project (CGO 2003 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The advisory lock serializing CacheStore::saveMerged writers, hardened
-/// against writer death (DESIGN.md §15). The PR-5 lock was a bare
-/// O_CREAT|O_EXCL file: correct between live writers, but a writer that
-/// died while holding it left a stale "<path>.lock" that made every later
-/// save wait out a fixed timeout and then scribble unlocked — the exact
-/// lost-update window the lock exists to close, reopened by the crash it
-/// should be immune to.
+/// The advisory lock serializing CacheStore::saveMerged writers
+/// (DESIGN.md §15): an exclusive flock(2) on "<store>.lock". The kernel
+/// drops a flock when the descriptor holding it closes — at release, at
+/// exit, or at death by any signal — so a dead writer never leaves a
+/// stale lock; a leftover lock file is locked at once by the next writer.
+/// The descriptor is O_CLOEXEC so a spawned child never inherits it.
 ///
-/// StoreLock records the holder's identity inside the lock file and
-/// recovers dead holders:
+/// Release unlinks the file, then closes it, so a clean save leaves no
+/// lock file. A waiter may thus lock an inode unlinked under it; after
+/// locking, the descriptor's inode is compared with the path's and
+/// acquisition starts again if they differ.
 ///
-///  - acquisition creates the file O_CREAT|O_EXCL and writes
-///    "<pid> <starttime>\n" into it — the start-time token (from
-///    /proc/<pid>/stat, 0 where unavailable) distinguishes the recorded
-///    holder from an unrelated process that later recycled its PID;
-///  - a contender that finds the file reads the PID and probes it with
-///    kill(pid, 0): ESRCH — or a live PID whose start-time token no
-///    longer matches the recorded one (recycled) — means the holder died
-///    without unlocking, and the contender *breaks* the lock (takeover)
-///    instead of waiting for a timeout that cannot help;
-///  - breaking is serialized through a short-lived secondary
-///    "<lock>.break" file, under which the main lock's content is
-///    re-verified before the unlink — two contenders that both saw the
-///    dead PID cannot unlink two generations of the lock;
-///  - a live holder is *waited for* (default bound 30s — saves take
-///    milliseconds). The bound caps EVERY non-progressing wait — a
-///    wedged-but-alive holder, and equally a takeover that can never
-///    complete (e.g. a break file pinned by a live recycled PID) — so no
-///    shape of on-disk wreckage can hang a save forever. Reaching it is
-///    reported as timedOut() so callers can count it
-///    (persist.store_lock_timeout) rather than silently racing.
-///
-/// An unreadable or empty lock file (a foreign creator, or a holder
-/// killed inside the create-to-write window, which is a handful of
-/// instructions wide) is treated as dead after a short grace period: it
-/// names no live PID, so no live writer can be protected by it. The
-/// grace is tied to the file's identity (inode + mtime), re-verified
-/// under the break lock before the unlink: a holder merely preempted
-/// inside that window, or a fresh lock created after the grace expired,
-/// restarts the clock instead of losing a live lock.
-///
-/// The lock is advisory and best-effort by design (mirrors PR-5): an
-/// unwritable directory degrades to unlocked read-merge-write rather
-/// than failing the save.
+/// A live holder is waited for up to Options::MaxWaitMillis. Past that,
+/// or when the lock file cannot be opened or locked at all, the caller
+/// proceeds unlocked and timedOut() says so.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ILDP_PERSIST_STORELOCK_H
 #define ILDP_PERSIST_STORELOCK_H
 
-#include <cstdint>
 #include <string>
 
 namespace ildp {
 namespace persist {
 
-/// Scoped crash-recoverable lock file. Acquisition happens in the
-/// constructor; the destructor releases (unlinks) only a lock this
-/// process acquired.
+/// Scoped store lock: acquired in the constructor, released (if held) in
+/// the destructor.
 class StoreLock {
 public:
   struct Options {
-    /// Bound on the whole acquisition, in milliseconds. Dead holders are
-    /// normally broken within one poll and never approach it; the bound
-    /// exists so that NO waiting path — a live holder, a takeover that
-    /// cannot complete, an unreadable-file grace — can hang the caller
-    /// forever instead of degrading to timedOut().
+    /// Bound on waiting for a live holder, in milliseconds.
     unsigned MaxWaitMillis = 30'000;
-    /// Poll interval while a live holder works, in milliseconds.
+    /// Poll interval while another holder has the lock, in milliseconds.
     unsigned PollMillis = 2;
-    /// How long an empty/unreadable lock file must persist before it is
-    /// treated as a dead holder, in milliseconds.
-    unsigned EmptyGraceMillis = 250;
   };
 
-  /// Acquires "<LockPath>" per the protocol above (default Options; the
-  /// two-argument overload exists because GCC cannot use a nested
-  /// struct's member initializers in a default argument).
   explicit StoreLock(std::string LockPath);
   StoreLock(std::string LockPath, Options Opts);
   StoreLock(const StoreLock &) = delete;
   StoreLock &operator=(const StoreLock &) = delete;
   ~StoreLock();
 
-  /// True when this process holds the lock.
-  bool held() const { return Held; }
-  /// True when acquisition found the file held at least once.
+  /// True when this object holds the lock.
+  bool held() const { return Fd >= 0; }
+  /// True when acquisition found the lock held at least once.
   bool contended() const { return Contended; }
-  /// Dead-holder locks this acquisition broke (0, 1, or — if a breaker
-  /// itself died mid-takeover — more).
-  unsigned broken() const { return Broken; }
-  /// True when a live holder outlasted MaxWaitMillis and the caller is
-  /// proceeding unlocked (the only remaining lost-update path).
+  /// True when the caller is proceeding unlocked.
   bool timedOut() const { return TimedOut; }
 
-  /// The PID recorded in \p LockPath, or -1 when the file is absent,
-  /// empty, or unparseable. (The start-time token that follows the PID
-  /// in current-format files is ignored here.)
-  static long readHolderPid(const std::string &LockPath);
-
 private:
-  /// What a takeover expects to find under the break lock: a dead
-  /// holder (Pid > 0, with the start-time token it was recorded with),
-  /// or — Pid < 0 — an unreadable lock file whose grace the caller sat
-  /// out, identified by inode + mtime so a lock created since keeps its
-  /// life.
-  struct DeadHolder {
-    long Pid = -1;
-    unsigned long long StartTime = 0;
-    unsigned long long Ino = 0;
-    long long MtimeNs = 0;
-  };
-
-  bool tryCreate();
-  bool breakLock(const DeadHolder &Expect);
-
   std::string Path;
-  Options Opts;
-  bool Held = false;
+  int Fd = -1;
   bool Contended = false;
   bool TimedOut = false;
-  unsigned Broken = 0;
 };
 
 } // namespace persist

@@ -8,6 +8,11 @@
 
 #include "workloads/Workloads.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <istream>
+
 using namespace ildp;
 using namespace ildp::serve;
 
@@ -63,6 +68,48 @@ bool serve::parsePriorityName(const std::string &Name, Priority &P) {
       return true;
     }
   return false;
+}
+
+/// Parses all of \p Val as an unsigned number (strtoull base 0). The
+/// leading-digit check rejects the sign and whitespace strtoull skips.
+static bool parseNumber(const std::string &Val, uint64_t &Out) {
+  if (Val.empty() || !std::isdigit(static_cast<unsigned char>(Val[0])))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long N = std::strtoull(Val.c_str(), &End, 0);
+  if (errno == ERANGE || *End != '\0')
+    return false;
+  Out = N;
+  return true;
+}
+
+const char *serve::parseRunRequest(std::istream &In, ExecRequest &Req) {
+  In >> Req.Workload;
+  if (Req.Workload.empty())
+    return "missing-workload";
+  std::string Opt;
+  while (In >> Opt) {
+    size_t Eq = Opt.find('=');
+    std::string Key = Opt.substr(0, Eq);
+    std::string Val = Eq == std::string::npos ? "" : Opt.substr(Eq + 1);
+    if (Key == "tenant") {
+      Req.Tenant = Val;
+    } else if (Key == "priority") {
+      if (!parsePriorityName(Val, Req.Lane))
+        return "bad-priority";
+    } else if (Key == "max_insts" || Key == "deadline_us" ||
+               Key == "cache_bytes") {
+      uint64_t &Field = Key == "max_insts"     ? Req.MaxGuestInsts
+                        : Key == "deadline_us" ? Req.DeadlineMicros
+                                               : Req.CodeCacheBytes;
+      if (!parseNumber(Val, Field))
+        return "bad-number";
+    } else {
+      return "unknown-option";
+    }
+  }
+  return nullptr;
 }
 
 GuestImage serve::imageFromWorkload(const std::string &Name, unsigned Scale) {

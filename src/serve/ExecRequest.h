@@ -27,6 +27,7 @@
 #include "support/Statistics.h"
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,18 @@ struct ExecRequest {
   /// (InheritCacheBudget = use the tenant/fleet budget; 0 = unbounded).
   uint64_t CodeCacheBytes = InheritCacheBudget;
 };
+
+/// Parses the arguments of a line-protocol "run" request (everything after
+/// the word "run") from \p In into \p Req:
+///
+///   <workload> [tenant=<t>] [priority=<interactive|normal|batch>]
+///              [max_insts=<n>] [deadline_us=<n>] [cache_bytes=<n>]
+///
+/// A number is unsigned, in decimal, octal or hex ("0x10"); a value that is
+/// empty, signed, out of range, or not numeric to its end is rejected.
+/// Returns nullptr on success, else a static detail: "missing-workload",
+/// "bad-priority", "bad-number" or "unknown-option".
+const char *parseRunRequest(std::istream &In, ExecRequest &Req);
 
 /// Typed outcome plus results and exact per-request accounting.
 struct ExecResponse {

@@ -63,12 +63,10 @@ VirtualMachine::VirtualMachine(GuestMemory &Mem, uint64_t EntryPc,
   }
   if (Config.SharedStore) {
     PersistFingerprint = persist::fingerprint(Mem, EntryPc, Config.Dbt);
-    if (Config.PersistLoad)
-      warmStartFromShared();
+    warmStartFromShared();
   } else if (!Config.PersistPath.empty()) {
     PersistFingerprint = persist::fingerprint(Mem, EntryPc, Config.Dbt);
-    if (Config.PersistLoad)
-      warmStartFromPersisted();
+    warmStartFromPersisted();
   }
   LogicalFragments = TCache.fragmentCount();
 }
@@ -97,11 +95,10 @@ void VirtualMachine::importFragments(std::vector<dbt::Fragment> Frags) {
 }
 
 void VirtualMachine::warmStartFromPersisted() {
-  Store = std::make_unique<persist::CacheStore>();
-  // A corrupt slot is dropped (the rest of the store is fine and stays
-  // preserved), so the exit save rewrites it with a clean artifact.
-  if (warmStartFrom(*Store, Store->open(Config.PersistPath)))
-    Store->erase(PersistFingerprint);
+  // The store is only read here; the exit save re-reads the file under
+  // its lock, so nothing opened now is kept for the run.
+  persist::CacheStore Store;
+  warmStartFrom(Store, Store.open(Config.PersistPath));
 }
 
 void VirtualMachine::warmStartFromShared() {
@@ -117,7 +114,7 @@ void VirtualMachine::warmStartFromShared() {
   warmStartFrom(Shared, persist::StoreStatus::Ok);
 }
 
-bool VirtualMachine::warmStartFrom(const persist::CacheStore &St,
+void VirtualMachine::warmStartFrom(const persist::CacheStore &St,
                                    persist::StoreStatus Opened) {
   // Every import failure degrades to a cold start; a warm-start problem
   // must never be worse than not having a store at all. A missing file is
@@ -125,12 +122,11 @@ bool VirtualMachine::warmStartFrom(const persist::CacheStore &St,
   // image*; everything else is counted under persist.import_rejected with
   // a per-reason breakdown.
   const char *Rejected;
-  bool SlotCorrupt = false;
   if (support::injected(Config.Dbt.Fault, support::InjectSite::PersistImport)) {
     Rejected = "injected-fault";
   } else if (Opened == persist::StoreStatus::FileNotFound) {
     Stats.add("persist.load_nofile");
-    return false;
+    return;
   } else if (Opened != persist::StoreStatus::Ok) {
     Stats.add("persist.load_corrupt");
     Rejected = persist::getStoreStatusName(Opened);
@@ -143,47 +139,35 @@ bool VirtualMachine::warmStartFrom(const persist::CacheStore &St,
       // Other images live here; ours runs cold (and a writable store
       // saves a new slot on exit).
       Stats.add("persist.store_miss");
-      return false;
+      return;
     }
     if (Found == persist::StoreStatus::Ok) {
       Stats.add("persist.store_hit");
       ImportedCostUnits = St.find(PersistFingerprint)->CostUnits;
       importFragments(std::move(Frags));
       importNativeObjects(St);
-      return false;
+      return;
     }
-    // Structural corruption the CRCs happened to bless.
+    // Structural corruption the CRCs happened to bless. An exit save
+    // overwrites the slot with a clean one.
     Stats.add("persist.load_corrupt");
     Rejected = persist::getStoreStatusName(Found);
-    SlotCorrupt = true;
   }
   Stats.add("persist.import_rejected");
   Stats.add(std::string("persist.import_rejected.") + Rejected);
-  return SlotCorrupt;
 }
 
 void VirtualMachine::savePersistedCache() {
-  // PersistLoad=false leaves Store null: start from an empty store and let
-  // the read-merge-write below adopt whatever already lives on disk.
-  if (!Store)
-    Store = std::make_unique<persist::CacheStore>();
-
+  // Only this VM's slots go into the save: saveMerged adopts every other
+  // slot from the file as it is under the lock, so a slot another writer
+  // updated while this VM ran is kept, never reverted to an older copy.
+  persist::CacheStore Store;
   std::vector<const dbt::Fragment *> Frags = TCache.exportAll();
-  size_t SkippedCold = 0;
-  if (Config.PersistMinExecCount > 0) {
-    auto Cold = [&](const dbt::Fragment *Frag) {
-      return Frag->ExecCount < Config.PersistMinExecCount;
-    };
-    SkippedCold = size_t(std::count_if(Frags.begin(), Frags.end(), Cold));
-    Frags.erase(std::remove_if(Frags.begin(), Frags.end(), Cold),
-                Frags.end());
-  }
-
   // The slot's CostUnits track the total translator work invested across
   // its producing runs: what was imported plus what this run spent on top
   // (a pure warm run adds 0 and preserves the cold run's figure).
-  Store->put(PersistFingerprint, Frags,
-             ImportedCostUnits + Stats.get("dbt.cost.total"));
+  Store.put(PersistFingerprint, Frags,
+            ImportedCostUnits + Stats.get("dbt.cost.total"));
 
   if (NativeSvc) {
     // Persist the native objects under the image's native slot — imported
@@ -192,28 +176,21 @@ void VirtualMachine::savePersistedCache() {
     // a stale slot behind a changed toolchain.
     NativeSvc->waitAllIdle();
     drainNativeCompleted();
-    Store->putRaw(native::slotFingerprint(PersistFingerprint),
-                  native::encodeObjects(NativeObjects,
-                                        NativeSvc->compiler().Checksum));
+    Store.putRaw(native::slotFingerprint(PersistFingerprint),
+                 native::encodeObjects(NativeObjects,
+                                       NativeSvc->compiler().Checksum));
   }
-  persist::SaveMergeResult Saved =
-      Store->saveMerged(Config.PersistPath, Config.PersistMaxImages);
+  persist::SaveMergeResult Saved = Store.saveMerged(Config.PersistPath);
   Stats.add(Saved.Saved ? "persist.save_ok" : "persist.save_fail");
   if (Saved.Saved) {
     Stats.set("persist.fragments_saved", Frags.size());
-    Stats.set("persist.fragments_skipped_cold", SkippedCold);
-    Stats.set("persist.store_saved_images", Store->imageCount());
+    Stats.set("persist.store_saved_images", Store.imageCount());
     if (Saved.Adopted)
       Stats.set("persist.store_merge_adopted", Saved.Adopted);
-    if (Saved.Compacted)
-      Stats.set("persist.store_compacted", Saved.Compacted);
     if (Saved.LockContended)
       Stats.add("persist.store_lock_contended");
   }
-  // Lock-health counters live outside the Saved gate: a takeover or a
-  // timed-out wait is worth counting even if the save then failed on I/O.
-  if (Saved.LockBroken)
-    Stats.add("persist.store_lock_broken", Saved.LockBroken);
+  // A timed-out lock wait is counted even if the save then failed on I/O.
   if (Saved.LockTimedOut)
     Stats.add("persist.store_lock_timeout");
 }

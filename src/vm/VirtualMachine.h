@@ -69,9 +69,9 @@ struct VmConfig {
   /// non-empty it names a multi-image cache *store* (persist::CacheStore,
   /// DESIGN.md §11): the VM fingerprints the guest image + DbtConfig at
   /// construction, looks its image up in the store by fingerprint before
-  /// the first instruction executes (PersistLoad), and saves-or-updates
-  /// only its own image slot when run() returns (PersistSave), leaving
-  /// every other image's slot intact — one artifact warm-starts a whole
+  /// the first instruction executes, and saves-or-updates only its own
+  /// image slot when run() returns (PersistSave), leaving every other
+  /// image's slot as the file holds it at save time — one artifact warm-starts a whole
   /// fleet of guests. Any load problem — missing file, truncation,
   /// corruption, bad index, duplicate image, a file that is not a store —
   /// is counted in the statistics ("persist.*", typed under
@@ -79,7 +79,6 @@ struct VmConfig {
   /// cold start. A store miss (other images present, not this one) is a
   /// normal first run for this image, not a rejection.
   std::string PersistPath;
-  bool PersistLoad = true;
   bool PersistSave = true;
   /// Shared read-only warm-start source (the fleet service, DESIGN.md
   /// §12): when set, the VM warm-starts by fingerprint lookup in this
@@ -92,16 +91,6 @@ struct VmConfig {
   /// PersistPath (normally empty in this mode). Takes precedence over
   /// PersistPath when both are set.
   const persist::CacheStore *SharedStore = nullptr;
-  /// Persist only fragments executed at least this many times (first slice
-  /// of the translation-cache eviction roadmap item): cold fragments are
-  /// dropped from the save and counted under
-  /// "persist.fragments_skipped_cold". 0 persists everything. Applies to
-  /// this VM's image slot only; other slots in the store are untouched.
-  uint64_t PersistMinExecCount = 0;
-  /// Bound on the number of image slots the store keeps at save time
-  /// (0 = unbounded): oldest-written slots beyond the bound are dropped
-  /// and counted under "persist.store_compacted".
-  size_t PersistMaxImages = 0;
 
   /// Native-host execution tier (DESIGN.md §13). When NativeTier is set
   /// and a working host C compiler is found at startup, a fragment whose
@@ -163,7 +152,7 @@ struct RunResult {
 class VirtualMachine {
 public:
   VirtualMachine(GuestMemory &Mem, uint64_t EntryPc, const VmConfig &Config);
-  ~VirtualMachine(); // Out of line: persist::CacheStore is incomplete here.
+  ~VirtualMachine(); // Out of line: native::NativeService is incomplete here.
 
   /// Optional timing model; when set, all translated execution (fragments,
   /// stubs, dispatch) is streamed into it.
@@ -374,11 +363,6 @@ private:
   /// at construction while memory still holds the pristine image; reused
   /// for the save on exit.
   uint64_t PersistFingerprint = 0;
-  /// The multi-image store backing PersistPath: opened (with every other
-  /// image's slot) at construction, this VM's slot put back and the whole
-  /// store saved with read-merge-write on exit. Null until the warm start
-  /// or save path first needs it.
-  std::unique_ptr<persist::CacheStore> Store;
   /// Translator work units previously invested in this VM's image slot
   /// (carried forward so a warm run's re-save does not zero the slot's
   /// CostUnits bookkeeping).
@@ -394,8 +378,8 @@ private:
   /// site, then \p Opened (the store's open() status; Ok for the shared
   /// store), then this image's slot — miss, hit (fragments and native
   /// objects imported) or corrupt. Every outcome is counted under
-  /// persist.*; returns true only for a corrupt slot.
-  bool warmStartFrom(const persist::CacheStore &St,
+  /// persist.*.
+  void warmStartFrom(const persist::CacheStore &St,
                      persist::StoreStatus Opened);
   /// Installs \p Frags as the warm-start image and marks their entries
   /// translated in the profiler. Shared by the file and shared-store paths.

@@ -140,9 +140,8 @@ TEST(CacheStoreReadOnly, MutatorsAreInert) {
   putImage(Store, 0xEE, 2); // put() on a frozen store: dropped.
   EXPECT_EQ(Store.imageCount(), Count);
   EXPECT_FALSE(Store.contains(0xEE));
-  EXPECT_FALSE(Store.erase(0xA0));
-  EXPECT_TRUE(Store.contains(0xA0));
-  EXPECT_EQ(Store.compact(1), 0u);
+  Store.putRaw(0xEF, {1, 2, 3}); // putRaw() likewise.
+  EXPECT_FALSE(Store.contains(0xEF));
   EXPECT_EQ(Store.imageCount(), Count);
 
   SaveMergeResult Merge = Store.saveMerged(Path);

@@ -5,28 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The crash-recoverable store lock in isolation: PID recording, dead- and
-/// live-holder discrimination, empty-file grace, takeover accounting, and
-/// the bounded live-holder wait. Process-death scenarios with a real
-/// killed holder live in VmConcurrentSaveTest (concurrency binary) and
-/// ildp-crashtest; these tests cover the protocol's decision table
-/// in-process.
+/// The flock-based store lock in isolation: acquire and release, a leftover
+/// lock file taken uncontended, the bounded wait on a live holder (a second
+/// in-process StoreLock; flock locks belong to open file descriptions, so
+/// two in one process exclude each other), and handoffs between threads
+/// that must never let two holders in at once. A real killed holder is
+/// covered by VmConcurrentSaveTest (concurrency binary) and ildp-crashtest.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "persist/StoreLock.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <string>
 #include <thread>
-
-#ifndef _WIN32
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include <vector>
 
 using namespace ildp;
 using namespace ildp::persist;
@@ -36,7 +33,6 @@ namespace {
 std::string tempLock(const char *Name) {
   std::string Path = testing::TempDir() + "/" + Name;
   std::remove(Path.c_str());
-  std::remove((Path + ".break").c_str());
   return Path;
 }
 
@@ -45,118 +41,98 @@ bool fileExists(const std::string &Path) {
   return In.good();
 }
 
-void writeFile(const std::string &Path, const std::string &Content) {
-  std::ofstream Out(Path, std::ios::trunc);
-  Out << Content;
+double millisSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - T0)
+      .count();
 }
 
-/// A PID no live process can have: beyond Linux's largest configurable
-/// pid_max (2^22), so kill(pid, 0) reports ESRCH.
-constexpr long DeadPid = (1 << 30) + 12345;
+StoreLock::Options shortWait(unsigned Millis) {
+  StoreLock::Options Opts;
+  Opts.MaxWaitMillis = Millis;
+  return Opts;
+}
 
 } // namespace
 
 #ifndef _WIN32
 
-TEST(StoreLock, AcquiresRecordsPidAndReleases) {
+TEST(StoreLock, AcquiresAndReleases) {
   std::string Path = tempLock("lock-basic");
   {
     StoreLock Lock(Path);
     EXPECT_TRUE(Lock.held());
     EXPECT_FALSE(Lock.contended());
-    EXPECT_EQ(Lock.broken(), 0u);
     EXPECT_FALSE(Lock.timedOut());
-    EXPECT_EQ(StoreLock::readHolderPid(Path), long(::getpid()));
+    EXPECT_TRUE(fileExists(Path));
   }
-  // Destructor released: the path is free and a new lock acquires
-  // instantly.
+  // Release unlinks the file, and a new lock acquires at once.
   EXPECT_FALSE(fileExists(Path));
   StoreLock Again(Path);
   EXPECT_TRUE(Again.held());
+  EXPECT_FALSE(Again.contended());
 }
 
-TEST(StoreLock, ReadHolderPid) {
-  std::string Path = tempLock("lock-read");
-  EXPECT_EQ(StoreLock::readHolderPid(Path), -1); // No file.
-  writeFile(Path, "12345\n");
-  EXPECT_EQ(StoreLock::readHolderPid(Path), 12345);
-  writeFile(Path, "");
-  EXPECT_EQ(StoreLock::readHolderPid(Path), -1); // Empty.
-  writeFile(Path, "not-a-pid");
-  EXPECT_EQ(StoreLock::readHolderPid(Path), -1); // Garbage.
-  writeFile(Path, "-7\n");
-  EXPECT_EQ(StoreLock::readHolderPid(Path), -1); // Nonsense PID.
-  // Current format carries a start-time token after the PID; the PID
-  // still parses (and old token-less files remain readable above).
-  writeFile(Path, "12345 67890\n");
-  EXPECT_EQ(StoreLock::readHolderPid(Path), 12345);
-  std::remove(Path.c_str());
-}
-
-TEST(StoreLock, BreaksDeadHoldersLock) {
-  std::string Path = tempLock("lock-dead");
-  writeFile(Path, std::to_string(DeadPid) + "\n");
-
-  StoreLock Lock(Path);
-  EXPECT_TRUE(Lock.held());
-  EXPECT_TRUE(Lock.contended());
-  EXPECT_GE(Lock.broken(), 1u);
-  EXPECT_FALSE(Lock.timedOut());
-  // The lock now names us, not the corpse.
-  EXPECT_EQ(StoreLock::readHolderPid(Path), long(::getpid()));
-}
-
-TEST(StoreLock, EmptyLockFileReapedAfterGrace) {
-  std::string Path = tempLock("lock-empty");
-  writeFile(Path, "");
-
-  StoreLock::Options Opts;
-  Opts.EmptyGraceMillis = 30; // Keep the test fast.
-  auto T0 = std::chrono::steady_clock::now();
-  StoreLock Lock(Path, Opts);
-  double TookMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-  EXPECT_TRUE(Lock.held());
-  EXPECT_GE(Lock.broken(), 1u);
-  // The grace actually elapsed: an empty file is not broken on sight (it
-  // may be a holder inside its create-to-write window).
-  EXPECT_GE(TookMs, 25.0);
+TEST(StoreLock, LeftoverLockFileIsAcquiredUncontended) {
+  // What a writer killed mid-save leaves: a lock file nobody holds, empty
+  // or with text in it. Nothing is waited for.
+  for (const char *Content : {"", "12345 67890\n"}) {
+    std::string Path = tempLock("lock-leftover");
+    std::ofstream(Path) << Content;
+    auto T0 = std::chrono::steady_clock::now();
+    {
+      StoreLock Lock(Path, shortWait(5'000));
+      EXPECT_TRUE(Lock.held()) << '"' << Content << '"';
+      EXPECT_FALSE(Lock.contended());
+      EXPECT_FALSE(Lock.timedOut());
+    }
+    EXPECT_LT(millisSince(T0), 2'000.0);
+    EXPECT_FALSE(fileExists(Path));
+  }
 }
 
 TEST(StoreLock, LiveHolderIsWaitedForThenTimedOut) {
   std::string Path = tempLock("lock-live");
-  // A live holder: this very process. The waiter must NOT break it.
-  writeFile(Path, std::to_string(long(::getpid())) + "\n");
+  StoreLock Holder(Path);
+  ASSERT_TRUE(Holder.held());
 
-  StoreLock::Options Opts;
-  Opts.MaxWaitMillis = 80;
   auto T0 = std::chrono::steady_clock::now();
-  StoreLock Lock(Path, Opts);
-  double TookMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
+  StoreLock Lock(Path, shortWait(80));
+  double TookMs = millisSince(T0);
   EXPECT_FALSE(Lock.held());
+  EXPECT_TRUE(Lock.contended());
   EXPECT_TRUE(Lock.timedOut());
-  EXPECT_EQ(Lock.broken(), 0u);
   EXPECT_GE(TookMs, 75.0); // It genuinely waited the bound out.
-  // The live holder's lock was never touched...
-  EXPECT_EQ(StoreLock::readHolderPid(Path), long(::getpid()));
-  std::remove(Path.c_str());
+  // The live holder's lock was never touched.
+  EXPECT_TRUE(Holder.held());
+  EXPECT_TRUE(fileExists(Path));
 }
 
 TEST(StoreLock, TimedOutLockReleasesNothing) {
   std::string Path = tempLock("lock-timeout-release");
-  writeFile(Path, std::to_string(long(::getpid())) + "\n");
+  StoreLock Holder(Path);
+  ASSERT_TRUE(Holder.held());
   {
-    StoreLock::Options Opts;
-    Opts.MaxWaitMillis = 20;
-    StoreLock Lock(Path, Opts);
+    StoreLock Lock(Path, shortWait(20));
     EXPECT_FALSE(Lock.held());
   }
-  // ...including at destruction: only a held lock is unlinked.
+  // Only a held lock is released at destruction: the file survives, and
+  // the holder still excludes the next acquirer.
   EXPECT_TRUE(fileExists(Path));
-  std::remove(Path.c_str());
+  StoreLock Next(Path, shortWait(20));
+  EXPECT_TRUE(Next.timedOut());
+}
+
+TEST(StoreLock, UnopenableLockFileDegradesToUnlocked) {
+  // No directory to create the lock file in: the caller proceeds
+  // unlocked at once rather than waiting out the bound.
+  std::string Path = testing::TempDir() + "/no-such-dir/lock";
+  auto T0 = std::chrono::steady_clock::now();
+  StoreLock Lock(Path);
+  EXPECT_FALSE(Lock.held());
+  EXPECT_FALSE(Lock.contended());
+  EXPECT_TRUE(Lock.timedOut());
+  EXPECT_LT(millisSince(T0), 2'000.0);
 }
 
 TEST(StoreLock, ContendedHandoffBetweenThreads) {
@@ -164,85 +140,65 @@ TEST(StoreLock, ContendedHandoffBetweenThreads) {
   StoreLock *First = new StoreLock(Path);
   ASSERT_TRUE(First->held());
 
-  // A second acquirer blocks on the live holder (same process: the PID is
-  // alive), then wins promptly once the first releases.
+  // A second acquirer blocks on the live holder, then wins promptly once
+  // the first releases.
   std::thread Releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     delete First;
   });
   auto T0 = std::chrono::steady_clock::now();
   StoreLock Second(Path);
-  double TookMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
+  double TookMs = millisSince(T0);
   Releaser.join();
   EXPECT_TRUE(Second.held());
   EXPECT_TRUE(Second.contended());
-  EXPECT_EQ(Second.broken(), 0u); // A live holder is never broken.
   EXPECT_LT(TookMs, 10'000);
 }
 
-TEST(StoreLock, WedgedBreakerFallsBackToTimeout) {
-  std::string Path = tempLock("lock-wedged-breaker");
-  // A dead holder whose takeover can never complete: the break lock is
-  // pinned by a LIVE process (this one) that never finishes. The
-  // acquirer must degrade through the MaxWaitMillis bound — previously
-  // the dead-holder path bypassed it and spun forever.
-  writeFile(Path, std::to_string(DeadPid) + "\n");
-  writeFile(Path + ".break", std::to_string(long(::getpid())) + "\n");
-
-  StoreLock::Options Opts;
-  Opts.MaxWaitMillis = 60;
-  auto T0 = std::chrono::steady_clock::now();
-  StoreLock Lock(Path, Opts);
-  double TookMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-  EXPECT_FALSE(Lock.held());
-  EXPECT_TRUE(Lock.timedOut());
-  EXPECT_EQ(Lock.broken(), 0u);
-  EXPECT_GE(TookMs, 55.0); // The bound was genuinely waited out...
-  // ...and the live breaker's file was never reaped.
-  EXPECT_TRUE(fileExists(Path + ".break"));
-  std::remove(Path.c_str());
-  std::remove((Path + ".break").c_str());
+TEST(StoreLock, HandoffThroughUnlinkedInodeStillExcludes) {
+  // Release unlinks the file a waiter may already have open. Whichever
+  // inode the waiter locked first, the lock it ends up holding must be
+  // the one at the path: a third acquirer times out against it.
+  std::string Path = tempLock("lock-unlinked-handoff");
+  for (int Round = 0; Round != 10; ++Round) {
+    StoreLock *First = new StoreLock(Path);
+    ASSERT_TRUE(First->held());
+    std::thread Releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      delete First;
+    });
+    StoreLock Second(Path);
+    Releaser.join();
+    ASSERT_TRUE(Second.held());
+    StoreLock Third(Path, shortWait(20));
+    EXPECT_FALSE(Third.held()) << "round " << Round;
+    EXPECT_TRUE(Third.timedOut()) << "round " << Round;
+  }
 }
 
-#ifdef __linux__
-TEST(StoreLock, RecycledHolderPidIsBrokenByStartTimeToken) {
-  std::string Path = tempLock("lock-recycled");
-  // A lock naming a LIVE pid (ours) but a start-time token no real
-  // process can match: the recorded holder died and an unrelated
-  // process recycled its number. kill(pid, 0) alone would wait the
-  // full bound and then proceed unlocked — the lost-update window; the
-  // token mismatch must break the lock promptly instead.
-  writeFile(Path, std::to_string(long(::getpid())) + " 1\n");
-
-  StoreLock::Options Opts;
-  Opts.MaxWaitMillis = 5'000; // Must NOT be consumed.
-  auto T0 = std::chrono::steady_clock::now();
-  StoreLock Lock(Path, Opts);
-  double TookMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-  EXPECT_TRUE(Lock.held());
-  EXPECT_GE(Lock.broken(), 1u);
-  EXPECT_FALSE(Lock.timedOut());
-  EXPECT_LT(TookMs, 2'000.0);
-}
-#endif // __linux__
-
-TEST(StoreLock, DeadBreakerDoesNotWedgeTakeover) {
-  std::string Path = tempLock("lock-dead-breaker");
-  // A dead holder AND a dead breaker: a previous takeover died inside
-  // its critical section. Both must be cleared.
-  writeFile(Path, std::to_string(DeadPid) + "\n");
-  writeFile(Path + ".break", std::to_string(DeadPid + 1) + "\n");
-
-  StoreLock Lock(Path);
-  EXPECT_TRUE(Lock.held());
-  EXPECT_GE(Lock.broken(), 1u);
-  EXPECT_FALSE(fileExists(Path + ".break"));
+TEST(StoreLock, ThreadsNeverHoldItTogether) {
+  std::string Path = tempLock("lock-exclusion");
+  std::atomic<int> Inside{0}, Overlaps{0}, Unheld{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&] {
+      for (int I = 0; I != 50; ++I) {
+        StoreLock Lock(Path);
+        if (!Lock.held()) {
+          ++Unheld;
+          continue;
+        }
+        if (Inside.fetch_add(1) != 0)
+          ++Overlaps;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        Inside.fetch_sub(1);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Overlaps.load(), 0);
+  EXPECT_EQ(Unheld.load(), 0);
+  EXPECT_FALSE(fileExists(Path));
 }
 
 #endif // !_WIN32

@@ -15,6 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "persist/CacheStore.h"
+#include "persist/Fingerprint.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -222,26 +224,7 @@ TEST(VmWarmStart, DifferentGuestImagesShareOneStore) {
   EXPECT_EQ(WarmBzip2.Stats.get("dbt.fragments"), 0u);
 }
 
-TEST(VmWarmStart, StoreImageBoundEvictsStalestSlot) {
-  std::string Path = tempPath("bound.tcache");
-  vm::VmConfig Config;
-  Config.PersistPath = Path;
-  Config.PersistMaxImages = 2;
-
-  runWorkload("gzip", Config);
-  runWorkload("bzip2", Config);
-  Outcome Third = runWorkload("gcc", Config);
-  EXPECT_EQ(Third.Stats.get("persist.store_compacted"), 1u);
-  EXPECT_EQ(Third.Stats.get("persist.store_saved_images"), 2u);
-
-  // gzip was written first and is the one evicted.
-  Outcome ColdAgain = runWorkload("gzip", Config);
-  EXPECT_EQ(ColdAgain.Stats.get("persist.store_miss"), 1u);
-  Outcome WarmGcc = runWorkload("gcc", Config);
-  EXPECT_EQ(WarmGcc.Stats.get("persist.store_hit"), 1u);
-}
-
-TEST(VmWarmStart, SaveAndLoadKnobsAreIndependent) {
+TEST(VmWarmStart, PersistSaveOffWritesNoFile) {
   std::string Path = tempPath("knobs.tcache");
   vm::VmConfig Config;
   Config.PersistPath = Path;
@@ -250,54 +233,70 @@ TEST(VmWarmStart, SaveAndLoadKnobsAreIndependent) {
   Outcome NoSave = runWorkload("gzip", Config);
   EXPECT_EQ(NoSave.Stats.get("persist.save_ok"), 0u);
   EXPECT_FALSE(std::ifstream(Path).good()) << "file written despite knob";
-
-  Config.PersistSave = true;
-  runWorkload("gzip", Config);
-  Config.PersistLoad = false;
-  Outcome NoLoad = runWorkload("gzip", Config);
-  EXPECT_EQ(NoLoad.Stats.get("persist.load_ok"), 0u);
-  EXPECT_GT(NoLoad.Stats.get("dbt.fragments"), 0u);
 }
 
-TEST(VmWarmStart, ExecCountFloorSkipsColdFragments) {
-  std::string Path = tempPath("floor.tcache");
+TEST(VmWarmStart, SaveKeepsSlotsOtherWritersUpdatedDuringTheRun) {
+  // A VM's exit save writes only its own slots. A slot another writer
+  // updated after this VM opened the store must survive that save, not be
+  // reverted to the copy the VM saw at construction.
+  std::string Path = tempPath("lost-update.tcache");
   vm::VmConfig Config;
   Config.PersistPath = Path;
+  runWorkload("gzip", Config);
+
+  GuestMemory McfMem;
+  workloads::WorkloadImage Mcf = workloads::buildWorkload("mcf", McfMem, 1);
+  uint64_t McfFp = persist::fingerprint(McfMem, Mcf.EntryPc, Config.Dbt);
+  persist::CacheStore Seed;
+  Seed.put(McfFp, {}, /*CostUnits=*/0);
+  ASSERT_TRUE(Seed.saveMerged(Path).Saved);
+
+  GuestMemory Mem;
+  workloads::WorkloadImage Gzip = workloads::buildWorkload("gzip", Mem, 1);
+  uint64_t GzipFp = persist::fingerprint(Mem, Gzip.EntryPc, Config.Dbt);
+  vm::VirtualMachine Vm(Mem, Gzip.EntryPc, Config);
+  ASSERT_EQ(Vm.stats().get("persist.store_hit"), 1u);
+
+  persist::CacheStore Writer;
+  Writer.put(McfFp, {}, /*CostUnits=*/777);
+  ASSERT_TRUE(Writer.saveMerged(Path).Saved);
+
+  ASSERT_EQ(Vm.run().Reason, vm::StopReason::Halted);
+  EXPECT_EQ(Vm.stats().get("persist.save_ok"), 1u);
+
+  persist::CacheStore Disk;
+  ASSERT_EQ(Disk.open(Path), persist::StoreStatus::Ok);
+  const persist::StoreImage *Slot = Disk.find(McfFp);
+  ASSERT_NE(Slot, nullptr);
+  EXPECT_EQ(Slot->CostUnits, 777u);
+  EXPECT_EQ(Slot->SaveCount, 2u);
+  ASSERT_NE(Disk.find(GzipFp), nullptr);
+  EXPECT_EQ(Disk.find(GzipFp)->SaveCount, 2u);
+}
+
+TEST(VmWarmStart, CorruptSlotRunsColdAndIsOverwrittenBySave) {
+  // A slot whose payload contradicts its index entry (CRCs intact) is a
+  // typed rejection; the run goes cold and its save replaces the slot.
+  std::string Path = tempPath("corrupt-slot.tcache");
+  vm::VmConfig Config;
+  Config.PersistPath = Path;
+  GuestMemory Mem;
+  workloads::WorkloadImage Gzip = workloads::buildWorkload("gzip", Mem, 1);
+  persist::CacheStore Bad;
+  Bad.putRaw(persist::fingerprint(Mem, Gzip.EntryPc, Config.Dbt),
+             {1, 2, 3, 4});
+  ASSERT_TRUE(Bad.save(Path));
 
   Outcome Cold = runWorkload("gzip", Config);
-  uint64_t AllFrags = Cold.Stats.get("persist.fragments_saved");
-  ASSERT_GT(AllFrags, 0u);
-  EXPECT_EQ(Cold.Stats.get("persist.fragments_skipped_cold"), 0u);
+  EXPECT_EQ(Cold.Stats.get("persist.load_corrupt"), 1u);
+  EXPECT_EQ(Cold.Stats.get("persist.import_rejected.bad-payload"), 1u);
+  EXPECT_GT(Cold.Stats.get("dbt.fragments"), 0u);
+  EXPECT_EQ(Cold.Stats.get("persist.save_ok"), 1u);
+  EXPECT_EQ(Cold.Stats.get("persist.store_saved_images"), 1u);
 
-  // An absurdly high floor drops everything; saved + skipped must account
-  // for every fragment.
-  std::remove(Path.c_str());
-  vm::VmConfig Floored = Config;
-  Floored.PersistMinExecCount = 1'000'000'000;
-  Outcome AllCold = runWorkload("gzip", Floored);
-  EXPECT_EQ(AllCold.Stats.get("persist.save_ok"), 1u);
-  EXPECT_EQ(AllCold.Stats.get("persist.fragments_saved"), 0u);
-  EXPECT_EQ(AllCold.Stats.get("persist.fragments_skipped_cold"), AllFrags);
-
-  // The filtered file is a valid (empty) cache: the next run degrades to a
-  // cold start with the right answer, not a load failure.
-  Outcome Reload = runWorkload("gzip", Floored);
-  EXPECT_EQ(Reload.Stats.get("persist.load_ok"), 1u);
-  EXPECT_EQ(Reload.Stats.get("persist.fragments_imported"), 0u);
-  EXPECT_EQ(Reload.Checksum, Cold.Checksum);
-
-  // A floor of 1 keeps every executed fragment (every installed fragment
-  // of this run executes at least once) — identical to no floor here, but
-  // through the filtering path.
-  std::remove(Path.c_str());
-  vm::VmConfig Floor1 = Config;
-  Floor1.PersistMinExecCount = 1;
-  Outcome Kept = runWorkload("gzip", Floor1);
-  EXPECT_EQ(Kept.Stats.get("persist.fragments_saved") +
-                Kept.Stats.get("persist.fragments_skipped_cold"),
-            AllFrags);
-  Outcome Warm = runWorkload("gzip", Floor1);
-  EXPECT_EQ(Warm.Stats.get("persist.load_ok"), 1u);
+  Outcome Warm = runWorkload("gzip", Config);
+  EXPECT_EQ(Warm.Stats.get("persist.store_hit"), 1u);
+  EXPECT_EQ(Warm.Stats.get("dbt.fragments"), 0u);
   EXPECT_EQ(Warm.Checksum, Cold.Checksum);
 }
 

@@ -64,34 +64,6 @@ using namespace ildp::serve;
 
 namespace {
 
-/// Parses the option tail of a "run" request. Returns nullptr on success
-/// or a static error detail.
-const char *parseRunRequest(std::istringstream &In, ExecRequest &Req) {
-  In >> Req.Workload;
-  if (Req.Workload.empty())
-    return "missing-workload";
-  std::string Opt;
-  while (In >> Opt) {
-    size_t Eq = Opt.find('=');
-    std::string Key = Opt.substr(0, Eq);
-    std::string Val = Eq == std::string::npos ? "" : Opt.substr(Eq + 1);
-    if (Key == "tenant")
-      Req.Tenant = Val;
-    else if (Key == "priority") {
-      if (!parsePriorityName(Val, Req.Lane))
-        return "bad-priority";
-    } else if (Key == "max_insts")
-      Req.MaxGuestInsts = std::strtoull(Val.c_str(), nullptr, 0);
-    else if (Key == "deadline_us")
-      Req.DeadlineMicros = std::strtoull(Val.c_str(), nullptr, 0);
-    else if (Key == "cache_bytes")
-      Req.CodeCacheBytes = std::strtoull(Val.c_str(), nullptr, 0);
-    else
-      return "unknown-option";
-  }
-  return nullptr;
-}
-
 /// Formats one response line (without the trailing newline).
 std::string formatResponse(uint64_t Id, const ExecResponse &Resp) {
   char Buf[160];
