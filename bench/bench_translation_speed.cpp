@@ -136,10 +136,11 @@ void BM_ExecuteFragment(benchmark::State &State) {
   GuestMemory Mem;
   Mem.mapRegion(0x20000000, 0x10000);
   Mem.mapRegion(0x28000000, 0x10000);
+  std::vector<iisa::IOp> Ops = iisa::lowerToOps(R.Frag.Body);
   for (auto _ : State) {
     Exec.writeGpr(17, 1); // single iteration, exits at the cond branch
-    iisa::IExit Exit = iisa::execute(R.Frag.Body.data(), R.Frag.Body.size(),
-                                     Exec, Mem, nullptr);
+    iisa::IExit Exit =
+        iisa::execute(Ops.data(), R.Frag.Body.data(), Exec, Mem, nullptr);
     benchmark::DoNotOptimize(Exit.VTarget);
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *

@@ -121,8 +121,11 @@ int main() {
   for (size_t I = 0; I != Words.size(); ++I)
     Mem3.poke32(0x10000 + I * 4, Words[I]);
   Mem3.mapRegion(0x20000, 0x2000);
-  iisa::IExit Exit = iisa::execute(Modified.Body.data(),
-                                   Modified.Body.size(), Exec, Mem3, nullptr);
+  // The body runs as pre-specialised ops, lowered once (the translation
+  // cache does this at install).
+  std::vector<iisa::IOp> Ops = iisa::lowerToOps(Modified.Body);
+  iisa::IExit Exit =
+      iisa::execute(Ops.data(), Modified.Body.data(), Exec, Mem3, nullptr);
 
   bool Match = true;
   for (unsigned Reg = 0; Reg != alpha::NumGprs; ++Reg)

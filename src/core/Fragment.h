@@ -23,6 +23,7 @@
 #define ILDP_CORE_FRAGMENT_H
 
 #include "core/Superblock.h"
+#include "iisa/Executor.h"
 #include "iisa/IisaInst.h"
 
 #include <array>
@@ -107,8 +108,11 @@ struct Fragment {
   unsigned NopsRemoved = 0;
   unsigned BodyBytes = 0;    ///< Encoded size of the body.
 
-  /// Derived at install (never persisted): per-exit-index accounting and
-  /// one successor slot per body instruction, used at exit instructions.
+  /// Derived at install (never persisted): the body lowered to the
+  /// executor's pre-specialised ops (iisa::lowerToOps), per-exit-index
+  /// accounting, and one successor slot per body instruction, used at exit
+  /// instructions.
+  std::vector<iisa::IOp> Ops;
   ExitAccounting Accounting;
   std::vector<SuccessorSlot> Successors;
 

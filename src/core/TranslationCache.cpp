@@ -53,6 +53,7 @@ Fragment &TranslationCache::install(Fragment Frag) {
   Fragment &F = *Owned;
   // Derived per-install state: slots copied from another cache (warm
   // start) must never be trusted here.
+  F.Ops = lowerToOps(F.Body);
   F.Accounting = buildExitAccounting(F.Body);
   F.Successors.assign(F.Body.size(), SuccessorSlot());
   ++LinkGen;

@@ -17,7 +17,7 @@ RecoveredState dbt::recoverTrapState(const Fragment &Frag,
                                      Trap RawTrap) {
   const PeiEntry *Entry = Frag.findPei(InstIndex);
   assert(Entry && "Trapping instruction has no PEI table entry");
-  assert(State.VpcBase == Frag.EntryVAddr &&
+  assert(State.vpcBase() == Frag.EntryVAddr &&
          "set-VPC-base register does not anchor this fragment");
 
   RecoveredState Out;
@@ -30,7 +30,7 @@ RecoveredState dbt::recoverTrapState(const Fragment &Frag,
   // ...overlaid with values the basic ISA still holds in accumulators.
   for (auto [Reg, Acc] : Entry->AccHeldRegs) {
     assert(Acc < iisa::MaxAccumulators && "Bad accumulator in PEI entry");
-    Out.Arch.writeGpr(Reg, State.Acc[Acc]);
+    Out.Arch.writeGpr(Reg, State.acc()[Acc]);
   }
   return Out;
 }

@@ -6,230 +6,543 @@
 
 #include "iisa/Executor.h"
 
-#include "alpha/Semantics.h"
-
 #include <cassert>
 
 using namespace ildp;
 using namespace ildp::iisa;
-using ildp::alpha::getOpInfo;
+using alpha::Opcode;
 
-static uint64_t readOperand(const IOperand &Op, const IExecState &State) {
-  switch (Op.K) {
-  case IOperand::Kind::None:
-    return 0;
-  case IOperand::Kind::Acc:
-    assert(Op.Reg < MaxAccumulators && "Accumulator out of range");
-    return State.Acc[Op.Reg];
-  case IOperand::Kind::Gpr:
-    return State.readGpr(Op.Reg);
-  case IOperand::Kind::Imm:
-    return uint64_t(Op.Imm);
-  }
-  return 0;
-}
-
-static void writeResult(const IisaInst &Inst, uint64_t Value,
-                        IExecState &State) {
-  if (Inst.DestAcc != NoReg) {
-    assert(Inst.DestAcc < MaxAccumulators && "Accumulator out of range");
-    State.Acc[Inst.DestAcc] = Value;
-  }
-  if (Inst.DestGpr != NoReg)
-    State.writeGpr(Inst.DestGpr, Value);
-}
+//===----------------------------------------------------------------------===//
+// Lowering
+//===----------------------------------------------------------------------===//
 
 namespace {
+
+using S = IExecState;
+
+/// Operand shapes of a two-input operation, in OpCode order.
+enum Shape : unsigned { RR = 0, RI = 1, IR = 2 };
+
+OpCode intOpCode(Opcode Op, Shape Sh) {
+  switch (Op) {
+#define ILDP_LOWER_CASE(M)                                                     \
+  case Opcode::M:                                                              \
+    return OpCode(unsigned(OpCode::M##_RR) + Sh);
+    ILDP_INT_OPS(ILDP_LOWER_CASE)
+#undef ILDP_LOWER_CASE
+  default:
+    return OpCode::Bad;
+  }
+}
+
+OpCode cmovCode(Opcode Op, bool ImmNew) {
+  switch (Op) {
+#define ILDP_LOWER_CASE(M)                                                     \
+  case Opcode::M:                                                              \
+    return ImmNew ? OpCode::M##_I : OpCode::M##_R;
+    ILDP_CMOV_OPS(ILDP_LOWER_CASE)
+#undef ILDP_LOWER_CASE
+  default:
+    return OpCode::Bad;
+  }
+}
+
+OpCode maskCode(Opcode Op) {
+  switch (Op) {
+#define ILDP_LOWER_CASE(M)                                                     \
+  case Opcode::M:                                                              \
+    return OpCode::Mask##M;
+    ILDP_CMOV_OPS(ILDP_LOWER_CASE)
+#undef ILDP_LOWER_CASE
+  default:
+    return OpCode::Bad;
+  }
+}
+
+OpCode exitCode(Opcode Op) {
+  switch (Op) {
+#define ILDP_LOWER_CASE(M)                                                     \
+  case Opcode::M:                                                              \
+    return OpCode::Exit##M;
+    ILDP_BRANCH_OPS(ILDP_LOWER_CASE)
+#undef ILDP_LOWER_CASE
+  default:
+    return OpCode::Bad;
+  }
+}
+
+OpCode loadCode(Opcode Op) {
+  switch (Op) {
+  case Opcode::LDBU:
+    return OpCode::LoadLDBU;
+  case Opcode::LDWU:
+    return OpCode::LoadLDWU;
+  case Opcode::LDL:
+    return OpCode::LoadLDL;
+  case Opcode::LDQ:
+    return OpCode::LoadLDQ;
+  default:
+    return OpCode::Bad;
+  }
+}
+
+OpCode storeCode(Opcode Op, bool ImmData) {
+  switch (Op) {
+  case Opcode::STB:
+    return ImmData ? OpCode::StoreSTB_I : OpCode::StoreSTB_R;
+  case Opcode::STW:
+    return ImmData ? OpCode::StoreSTW_I : OpCode::StoreSTW_R;
+  case Opcode::STL:
+    return ImmData ? OpCode::StoreSTL_I : OpCode::StoreSTL_R;
+  case Opcode::STQ:
+    return ImmData ? OpCode::StoreSTQ_I : OpCode::StoreSTQ_R;
+  default:
+    return OpCode::Bad;
+  }
+}
+
+/// The slot of a register the state does not have. An op naming it is
+/// lowered to OpCode::Bad: installing a malformed body is harmless, and
+/// only executing the malformed instruction fails.
+constexpr uint8_t BadSlot = 0xFF;
+
+uint8_t accSlot(uint8_t Acc) {
+  return Acc < MaxAccumulators ? uint8_t(S::AccSlot0 + Acc) : BadSlot;
+}
+
+/// Slot a read of GPR \p Reg resolves to; r31 reads the zero slot.
+uint8_t gprReadSlot(uint8_t Reg) {
+  if (Reg == alpha::RegZero)
+    return S::ZeroSlot;
+  return Reg < NumIisaGprs ? uint8_t(S::GprSlot0 + Reg) : BadSlot;
+}
+
+uint8_t accDest(uint8_t DestAcc) {
+  return DestAcc == NoReg ? uint8_t(S::SinkSlot) : accSlot(DestAcc);
+}
+
+/// Slot a write of GPR \p DestGpr resolves to; r31 and "no destination"
+/// write the sink.
+uint8_t gprDest(uint8_t DestGpr) {
+  if (DestGpr == NoReg || DestGpr == alpha::RegZero)
+    return S::SinkSlot;
+  return DestGpr < NumIisaGprs ? uint8_t(S::GprSlot0 + DestGpr) : BadSlot;
+}
+
+/// None and immediate operands have a value known at lowering time.
+bool isConst(const IOperand &Op) { return Op.isNone() || Op.isImm(); }
+uint64_t constOf(const IOperand &Op) {
+  return Op.isImm() ? uint64_t(Op.Imm) : 0;
+}
+
+/// Slot of a register operand (a constant zero reads the zero slot).
+uint8_t readSlot(const IOperand &Op) {
+  if (Op.isAcc())
+    return accSlot(Op.Reg);
+  if (Op.isGpr())
+    return gprReadSlot(Op.Reg);
+  assert(constOf(Op) == 0 && "Nonzero immediate has no slot");
+  return S::ZeroSlot;
+}
+
+/// An input whose value is a nonzero constant; a zero constant reads the
+/// zero slot like a register.
+bool isImmInput(const IOperand &Op) {
+  return isConst(Op) && constOf(Op) != 0;
+}
+
+/// dest <- \p Op's value: a Move from its slot or a Const.
+void moveFrom(const IOperand &Op, IOp &Out) {
+  if (isImmInput(Op)) {
+    Out.Code = OpCode::Const;
+    Out.Imm = constOf(Op);
+  } else {
+    Out.Code = OpCode::Move;
+    Out.A = readSlot(Op);
+  }
+}
+
+void moveFromSlot(uint8_t Slot, IOp &Out) {
+  Out.Code = OpCode::Move;
+  Out.A = Slot;
+}
+
+/// The two inputs of an operation: A in a slot or ImmA, B in a slot or Imm.
+Shape lowerPair(const IisaInst &Inst, IOp &Out) {
+  bool ImmA = isImmInput(Inst.A), ImmB = isImmInput(Inst.B);
+  if (ImmA)
+    Out.ImmA = constOf(Inst.A);
+  else
+    Out.A = readSlot(Inst.A);
+  if (ImmB)
+    Out.Imm = constOf(Inst.B);
+  else
+    Out.B = readSlot(Inst.B);
+  return ImmB ? RI : ImmA ? IR : RR;
+}
+
+IOp lowerCompute(const IisaInst &Inst) {
+  IOp Out;
+  Out.DA = accDest(Inst.DestAcc);
+  Out.DG = gprDest(Inst.DestGpr);
+  if (alpha::isCondMove(Inst.AlphaOp)) {
+    // Only the straightening backend emits whole conditional moves (the
+    // accumulator backends decompose them via CmovMask).
+    uint8_t Old = Inst.DestGpr != NoReg ? gprReadSlot(Inst.DestGpr)
+                                        : accSlot(Inst.DestAcc);
+    if (isConst(Inst.A)) {
+      if (alpha::evalCmovCond(Inst.AlphaOp, constOf(Inst.A)))
+        moveFrom(Inst.B, Out);
+      else
+        moveFromSlot(Old, Out);
+      return Out;
+    }
+    Out.A = readSlot(Inst.A);
+    Out.C = Old;
+    bool ImmNew = isConst(Inst.B);
+    if (ImmNew)
+      Out.Imm = constOf(Inst.B);
+    else
+      Out.B = readSlot(Inst.B);
+    Out.Code = cmovCode(Inst.AlphaOp, ImmNew);
+    return Out;
+  }
+  if (isConst(Inst.A) && isConst(Inst.B) &&
+      intOpCode(Inst.AlphaOp, RR) != OpCode::Bad) {
+    Out.Code = OpCode::Const;
+    Out.Imm =
+        alpha::evalIntOp(Inst.AlphaOp, constOf(Inst.A), constOf(Inst.B));
+    return Out;
+  }
+  Out.Code = intOpCode(Inst.AlphaOp, lowerPair(Inst, Out));
+  return Out;
+}
+
+IOp lowerInst(const IisaInst &Inst) {
+  IOp Out;
+  switch (Inst.Kind) {
+  case IKind::Compute:
+    return lowerCompute(Inst);
+  case IKind::CmovMask:
+    Out.DA = accDest(Inst.DestAcc);
+    Out.DG = gprDest(Inst.DestGpr);
+    Out.Code = maskCode(Inst.AlphaOp);
+    if (Out.Code == OpCode::Bad)
+      return Out;
+    if (isConst(Inst.A)) {
+      Out.Code = OpCode::Const;
+      Out.Imm = alpha::evalCmovCond(Inst.AlphaOp, constOf(Inst.A))
+                    ? ~uint64_t(0)
+                    : 0;
+    } else {
+      Out.A = readSlot(Inst.A);
+    }
+    return Out;
+  case IKind::CmovBlend: {
+    // The destination-GPR field doubles as the third (old-value) source.
+    Out.DA = accDest(Inst.DestAcc);
+    Out.DG = gprDest(Inst.DestGpr);
+    uint8_t Old = gprReadSlot(Inst.DestGpr);
+    if (isConst(Inst.A)) {
+      if (constOf(Inst.A))
+        moveFrom(Inst.B, Out);
+      else
+        moveFromSlot(Old, Out);
+      return Out;
+    }
+    Out.A = readSlot(Inst.A);
+    Out.C = Old;
+    bool ImmNew = isConst(Inst.B);
+    if (ImmNew)
+      Out.Imm = constOf(Inst.B);
+    else
+      Out.B = readSlot(Inst.B);
+    Out.Code = ImmNew ? OpCode::BlendI : OpCode::BlendR;
+    return Out;
+  }
+  case IKind::Load:
+  case IKind::Store: {
+    // Effective address: base slot + Imm, a constant base folded into Imm.
+    uint64_t Disp = uint64_t(int64_t(Inst.MemDisp));
+    if (isConst(Inst.B)) {
+      Out.Imm = constOf(Inst.B) + Disp;
+    } else {
+      Out.B = readSlot(Inst.B);
+      Out.Imm = Disp;
+    }
+    if (Inst.Kind == IKind::Load) {
+      Out.Code = loadCode(Inst.AlphaOp);
+      Out.DA = accDest(Inst.DestAcc);
+      Out.DG = gprDest(Inst.DestGpr);
+    } else if (isImmInput(Inst.A)) {
+      Out.Code = storeCode(Inst.AlphaOp, /*ImmData=*/true);
+      Out.ImmA = constOf(Inst.A);
+    } else {
+      Out.Code = storeCode(Inst.AlphaOp, /*ImmData=*/false);
+      Out.A = readSlot(Inst.A);
+    }
+    return Out;
+  }
+  case IKind::CopyToGpr:
+    Out.DG = gprDest(Inst.DestGpr);
+    moveFrom(Inst.A, Out);
+    return Out;
+  case IKind::CopyFromGpr:
+    Out.DA = accSlot(Inst.DestAcc);
+    moveFrom(Inst.A, Out);
+    return Out;
+  case IKind::SetVpcBase:
+    Out.Code = OpCode::Const;
+    Out.DA = S::VpcBaseSlot;
+    Out.Imm = Inst.VTarget;
+    return Out;
+  case IKind::SaveRetAddr:
+    Out.Code = OpCode::Const;
+    Out.DG = gprDest(Inst.DestGpr);
+    Out.Imm = Inst.VTarget;
+    return Out;
+  case IKind::LoadEmbTarget:
+    // Accumulator destination in the I-ISA backends; a scratch GPR in the
+    // straightening backend.
+    Out.Code = OpCode::Const;
+    Out.DA = accDest(Inst.DestAcc);
+    Out.DG = gprDest(Inst.DestGpr);
+    Out.Imm = Inst.VTarget;
+    return Out;
+  case IKind::PushDualRas:
+    // Architecturally invisible; the VM models the dual-address RAS.
+    Out.Code = OpCode::Nop;
+    return Out;
+  case IKind::CondExit:
+    Out.Code = exitCode(Inst.AlphaOp);
+    if (Out.Code == OpCode::Bad)
+      return Out;
+    if (isConst(Inst.A))
+      Out.Code = alpha::evalBranchCond(Inst.AlphaOp, constOf(Inst.A))
+                     ? OpCode::Branch
+                     : OpCode::Nop;
+    else
+      Out.A = readSlot(Inst.A);
+    return Out;
+  case IKind::Branch:
+    Out.Code = OpCode::Branch;
+    return Out;
+  case IKind::JumpPredict:
+  case IKind::JumpDispatch:
+  case IKind::ReturnDual:
+    Out.Code = Inst.Kind == IKind::JumpPredict    ? OpCode::JumpPredict
+               : Inst.Kind == IKind::JumpDispatch ? OpCode::JumpDispatch
+                                                  : OpCode::ReturnDual;
+    // Only a prediction reads A (the compare result).
+    if (Inst.Kind == IKind::JumpPredict) {
+      if (isConst(Inst.A))
+        Out.ImmA = constOf(Inst.A);
+      else
+        Out.A = readSlot(Inst.A);
+    }
+    if (isConst(Inst.B))
+      Out.Imm = constOf(Inst.B);
+    else
+      Out.B = readSlot(Inst.B);
+    return Out;
+  case IKind::Halt:
+    Out.Code = OpCode::Halt;
+    return Out;
+  case IKind::Gentrap:
+    Out.Code = OpCode::Gentrap;
+    return Out;
+  }
+  return Out;
+}
+
+} // namespace
+
+std::vector<IOp> iisa::lowerToOps(std::span<const IisaInst> Body) {
+  std::vector<IOp> Ops;
+  Ops.reserve(Body.size() + 1);
+  for (const IisaInst &Inst : Body) {
+    IOp Op = lowerInst(Inst);
+    for (uint8_t Slot : {Op.A, Op.B, Op.C, Op.DA, Op.DG})
+      if (Slot == BadSlot)
+        Op = IOp();
+    Ops.push_back(Op);
+  }
+  Ops.emplace_back(); // OpCode::Bad: the end of the body.
+  return Ops;
+}
+
+//===----------------------------------------------------------------------===//
+// Execution
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+IExit exitAt(IExit::Kind K, uint32_t Index, uint64_t VTarget = 0) {
+  IExit Exit;
+  Exit.K = K;
+  Exit.VTarget = VTarget;
+  Exit.InstIndex = Index;
+  return Exit;
+}
+
+/// A branch or taken cond_exit: target and flavour from the live body
+/// instruction.
+IExit directExit(const IisaInst &Inst, uint32_t Index) {
+  return exitAt(Inst.ToTranslator ? IExit::Kind::ToTranslator
+                                  : IExit::Kind::Chained,
+                Index, Inst.VTarget);
+}
+
+IExit memTrap(MemFaultKind Fault, uint32_t Index, uint64_t Addr) {
+  IExit Exit = exitAt(IExit::Kind::Trap, Index);
+  Exit.TrapInfo = {trapKindForMemFault(Fault), 0, Addr};
+  return Exit;
+}
 
 /// The executor loop. Record is a template parameter so the event-free
 /// instantiation (every run without a timing model) carries no per-
 /// instruction recording at all.
 template <bool Record>
-IExit run(const IisaInst *Insts, size_t Count, IExecState &State,
+IExit run(const IOp *Ops, const IisaInst *Body, IExecState &State,
           GuestMemory &Mem, std::vector<IisaEvent> *Events) {
-  for (size_t Index = 0; Index != Count; ++Index) {
-    const IisaInst &Inst = Insts[Index];
-    IisaEvent Event;
-    Event.Index = uint32_t(Index);
+  uint64_t *R = State.Slots.data();
+  for (const IOp *O = Ops;; ++O) {
+    uint32_t Index = uint32_t(O - Ops);
+    uint64_t MemAddr = 0;
+    // Records this op's event (an exit's carries the taken flag).
+    auto Note = [&](bool Taken) {
+      if constexpr (Record)
+        Events->push_back(IisaEvent{Index, Taken, MemAddr});
+    };
+    auto Put = [&](uint64_t V) {
+      // Both indices are read before either store: a uint64_t store may
+      // alias the op as far as the compiler knows.
+      uint8_t DA = O->DA, DG = O->DG;
+      R[DA] = V;
+      R[DG] = V;
+    };
 
-    switch (Inst.Kind) {
-    case IKind::Compute: {
-      uint64_t A = readOperand(Inst.A, State);
-      uint64_t B = readOperand(Inst.B, State);
-      if (alpha::isCondMove(Inst.AlphaOp)) {
-        // Only the straightening backend emits whole conditional moves
-        // (the accumulator backends decompose them via CmovMask).
-        uint64_t Old = Inst.DestGpr != NoReg ? State.readGpr(Inst.DestGpr)
-                                             : State.Acc[Inst.DestAcc];
-        writeResult(Inst, alpha::evalCmovCond(Inst.AlphaOp, A) ? B : Old,
-                    State);
-      } else {
-        writeResult(Inst, alpha::evalIntOp(Inst.AlphaOp, A, B), State);
-      }
+    switch (O->Code) {
+#define ILDP_EXEC_CASE(M)                                                      \
+  case OpCode::M##_RR:                                                         \
+    Put(::ildp_op_##M(R[O->A], R[O->B]));                                      \
+    break;                                                                     \
+  case OpCode::M##_RI:                                                         \
+    Put(::ildp_op_##M(R[O->A], O->Imm));                                       \
+    break;                                                                     \
+  case OpCode::M##_IR:                                                         \
+    Put(::ildp_op_##M(O->ImmA, R[O->B]));                                      \
+    break;
+      ILDP_INT_OPS(ILDP_EXEC_CASE)
+#undef ILDP_EXEC_CASE
+#define ILDP_EXEC_CASE(M)                                                      \
+  case OpCode::M##_R:                                                          \
+    Put(::ildp_cmov_##M(R[O->A]) ? R[O->B] : R[O->C]);                         \
+    break;                                                                     \
+  case OpCode::M##_I:                                                          \
+    Put(::ildp_cmov_##M(R[O->A]) ? O->Imm : R[O->C]);                          \
+    break;                                                                     \
+  case OpCode::Mask##M:                                                        \
+    Put(::ildp_cmov_##M(R[O->A]) ? ~uint64_t(0) : 0);                          \
+    break;
+      ILDP_CMOV_OPS(ILDP_EXEC_CASE)
+#undef ILDP_EXEC_CASE
+#define ILDP_EXEC_CASE(M)                                                      \
+  case OpCode::Exit##M:                                                        \
+    if (::ildp_br_##M(R[O->A])) {                                              \
+      Note(true);                                                              \
+      return directExit(Body[Index], Index);                                   \
+    }                                                                          \
+    break;
+      ILDP_BRANCH_OPS(ILDP_EXEC_CASE)
+#undef ILDP_EXEC_CASE
+    case OpCode::BlendR:
+      Put(R[O->A] ? R[O->B] : R[O->C]);
       break;
-    }
-    case IKind::CmovMask: {
-      uint64_t A = readOperand(Inst.A, State);
-      writeResult(Inst,
-                  alpha::evalCmovCond(Inst.AlphaOp, A) ? ~uint64_t(0) : 0,
-                  State);
+    case OpCode::BlendI:
+      Put(R[O->A] ? O->Imm : R[O->C]);
       break;
-    }
-    case IKind::CmovBlend: {
-      // The destination-GPR field doubles as the third (old-value) source.
-      uint64_t Mask = readOperand(Inst.A, State);
-      uint64_t New = readOperand(Inst.B, State);
-      uint64_t Old = State.readGpr(Inst.DestGpr);
-      writeResult(Inst, Mask ? New : Old, State);
+#define ILDP_EXEC_LOAD(M, Size, Extend)                                        \
+  case OpCode::Load##M: {                                                      \
+    MemAddr = R[O->B] + O->Imm;                                                \
+    MemAccessResult Access = Mem.load(MemAddr, Size);                          \
+    if (!Access.ok()) {                                                        \
+      Note(false);                                                             \
+      return memTrap(Access.Fault, Index, MemAddr);                            \
+    }                                                                          \
+    Put(Extend(Access.Value));                                                 \
+    break;                                                                     \
+  }
+      ILDP_EXEC_LOAD(LDBU, 1, )
+      ILDP_EXEC_LOAD(LDWU, 2, )
+      ILDP_EXEC_LOAD(LDL, 4, ::ildp_sextl)
+      ILDP_EXEC_LOAD(LDQ, 8, )
+#undef ILDP_EXEC_LOAD
+#define ILDP_EXEC_STORE(M, Size)                                               \
+  case OpCode::Store##M##_R:                                                   \
+  case OpCode::Store##M##_I: {                                                 \
+    MemAddr = R[O->B] + O->Imm;                                                \
+    uint64_t Data = O->Code == OpCode::Store##M##_R ? R[O->A] : O->ImmA;       \
+    MemFaultKind Fault = Mem.store(MemAddr, Data, Size);                       \
+    if (Fault != MemFaultKind::None) {                                         \
+      Note(false);                                                             \
+      return memTrap(Fault, Index, MemAddr);                                   \
+    }                                                                          \
+    break;                                                                     \
+  }
+      ILDP_EXEC_STORE(STB, 1)
+      ILDP_EXEC_STORE(STW, 2)
+      ILDP_EXEC_STORE(STL, 4)
+      ILDP_EXEC_STORE(STQ, 8)
+#undef ILDP_EXEC_STORE
+    case OpCode::Move:
+      Put(R[O->A]);
       break;
-    }
-    case IKind::Load: {
-      uint64_t Addr =
-          readOperand(Inst.B, State) + uint64_t(int64_t(Inst.MemDisp));
-      Event.MemAddr = Addr;
-      MemAccessResult Access = Mem.load(Addr, getOpInfo(Inst.AlphaOp).MemSize);
-      if (!Access.ok()) {
-        if constexpr (Record)
-          Events->push_back(Event);
-        IExit Exit;
-        Exit.K = IExit::Kind::Trap;
-        Exit.InstIndex = uint32_t(Index);
-        Exit.TrapInfo = {trapKindForMemFault(Access.Fault), 0, Addr};
-        return Exit;
-      }
-      writeResult(Inst, alpha::extendLoadedValue(Inst.AlphaOp, Access.Value),
-                  State);
+    case OpCode::Const:
+      Put(O->Imm);
       break;
-    }
-    case IKind::Store: {
-      uint64_t Addr =
-          readOperand(Inst.B, State) + uint64_t(int64_t(Inst.MemDisp));
-      Event.MemAddr = Addr;
-      MemFaultKind Fault = Mem.store(Addr, readOperand(Inst.A, State),
-                                     getOpInfo(Inst.AlphaOp).MemSize);
-      if (Fault != MemFaultKind::None) {
-        if constexpr (Record)
-          Events->push_back(Event);
-        IExit Exit;
-        Exit.K = IExit::Kind::Trap;
-        Exit.InstIndex = uint32_t(Index);
-        Exit.TrapInfo = {trapKindForMemFault(Fault), 0, Addr};
-        return Exit;
-      }
+    case OpCode::Nop:
       break;
+    case OpCode::Branch:
+      Note(true);
+      return directExit(Body[Index], Index);
+    case OpCode::JumpPredict: {
+      bool Hit = (R[O->A] | O->ImmA) != 0;
+      Note(Hit);
+      return exitAt(Hit ? IExit::Kind::PredictHit : IExit::Kind::PredictMiss,
+                    Index,
+                    Hit ? Body[Index].VTarget
+                        : (R[O->B] + O->Imm) & ~uint64_t(3));
     }
-    case IKind::CopyToGpr:
-      State.writeGpr(Inst.DestGpr, readOperand(Inst.A, State));
-      break;
-    case IKind::CopyFromGpr:
-      assert(Inst.DestAcc < MaxAccumulators && "Accumulator out of range");
-      State.Acc[Inst.DestAcc] = readOperand(Inst.A, State);
-      break;
-    case IKind::SetVpcBase:
-      State.VpcBase = Inst.VTarget;
-      break;
-    case IKind::SaveRetAddr:
-      State.writeGpr(Inst.DestGpr, Inst.VTarget);
-      break;
-    case IKind::LoadEmbTarget:
-      // Accumulator destination in the I-ISA backends; a scratch GPR in the
-      // straightening backend.
-      writeResult(Inst, Inst.VTarget, State);
-      break;
-    case IKind::PushDualRas:
-      // Architecturally invisible; the VM models the dual-address RAS.
-      break;
-    case IKind::CondExit: {
-      uint64_t A = readOperand(Inst.A, State);
-      bool Taken = alpha::evalBranchCond(Inst.AlphaOp, A);
-      Event.Taken = Taken;
-      if constexpr (Record)
-        Events->push_back(Event);
-      if (Taken) {
-        IExit Exit;
-        Exit.K = Inst.ToTranslator ? IExit::Kind::ToTranslator
-                                   : IExit::Kind::Chained;
-        Exit.VTarget = Inst.VTarget;
-        Exit.InstIndex = uint32_t(Index);
-        return Exit;
-      }
-      continue; // Event already recorded.
-    }
-    case IKind::Branch: {
-      Event.Taken = true;
-      if constexpr (Record)
-        Events->push_back(Event);
-      IExit Exit;
-      Exit.K = Inst.ToTranslator ? IExit::Kind::ToTranslator
-                                 : IExit::Kind::Chained;
-      Exit.VTarget = Inst.VTarget;
-      Exit.InstIndex = uint32_t(Index);
-      return Exit;
-    }
-    case IKind::JumpPredict: {
-      bool Hit = readOperand(Inst.A, State) != 0;
-      Event.Taken = Hit;
-      if constexpr (Record)
-        Events->push_back(Event);
-      IExit Exit;
-      Exit.K = Hit ? IExit::Kind::PredictHit : IExit::Kind::PredictMiss;
-      Exit.VTarget =
-          Hit ? Inst.VTarget : (readOperand(Inst.B, State) & ~uint64_t(3));
-      Exit.InstIndex = uint32_t(Index);
-      return Exit;
-    }
-    case IKind::JumpDispatch: {
-      Event.Taken = true;
-      if constexpr (Record)
-        Events->push_back(Event);
-      IExit Exit;
-      Exit.K = IExit::Kind::Dispatch;
-      Exit.VTarget = readOperand(Inst.B, State) & ~uint64_t(3);
-      Exit.InstIndex = uint32_t(Index);
-      return Exit;
-    }
-    case IKind::ReturnDual: {
-      Event.Taken = true;
-      if constexpr (Record)
-        Events->push_back(Event);
-      IExit Exit;
-      Exit.K = IExit::Kind::Return;
-      Exit.VTarget = readOperand(Inst.B, State) & ~uint64_t(3);
-      Exit.InstIndex = uint32_t(Index);
-      return Exit;
-    }
-    case IKind::Halt: {
-      if constexpr (Record)
-        Events->push_back(Event);
-      IExit Exit;
-      Exit.K = IExit::Kind::Halt;
-      Exit.InstIndex = uint32_t(Index);
-      return Exit;
-    }
-    case IKind::Gentrap: {
-      if constexpr (Record)
-        Events->push_back(Event);
-      IExit Exit;
-      Exit.K = IExit::Kind::Trap;
-      Exit.InstIndex = uint32_t(Index);
+    case OpCode::JumpDispatch:
+      Note(true);
+      return exitAt(IExit::Kind::Dispatch, Index,
+                    (R[O->B] + O->Imm) & ~uint64_t(3));
+    case OpCode::ReturnDual:
+      Note(true);
+      return exitAt(IExit::Kind::Return, Index,
+                    (R[O->B] + O->Imm) & ~uint64_t(3));
+    case OpCode::Halt:
+      Note(false);
+      return exitAt(IExit::Kind::Halt, Index);
+    case OpCode::Gentrap: {
+      Note(false);
+      IExit Exit = exitAt(IExit::Kind::Trap, Index);
       Exit.TrapInfo = {TrapKind::Gentrap, 0, 0};
       return Exit;
     }
+    case OpCode::Bad:
+      assert(false && "Malformed instruction or body fell off its end");
+      return exitAt(IExit::Kind::Halt, 0);
     }
-
-    if constexpr (Record)
-      Events->push_back(Event);
+    Note(false);
   }
-  assert(false && "Fragment body fell off the end without an exit");
-  IExit Exit;
-  Exit.K = IExit::Kind::Halt;
-  return Exit;
 }
 
 } // namespace
 
-IExit iisa::execute(const IisaInst *Insts, size_t Count, IExecState &State,
+IExit iisa::execute(const IOp *Ops, const IisaInst *Body, IExecState &State,
                     GuestMemory &Mem, std::vector<IisaEvent> *Events) {
-  return Events ? run<true>(Insts, Count, State, Mem, Events)
-                : run<false>(Insts, Count, State, Mem, nullptr);
+  return Events ? run<true>(Ops, Body, State, Mem, Events)
+                : run<false>(Ops, Body, State, Mem, nullptr);
 }

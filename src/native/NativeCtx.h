@@ -36,9 +36,9 @@ enum ildp_native_exit {
 enum { ILDP_GENTRAP_FAULT = 255 };
 
 typedef struct ildp_native_ctx {
-  uint64_t *acc;      // MaxAccumulators entries of IExecState::Acc.
+  uint64_t *acc;      // MaxAccumulators entries of IExecState::acc().
   uint64_t *gpr;      // NumIisaGprs entries; r31 reads as zero.
-  uint64_t *vpc_base; // IExecState::VpcBase.
+  uint64_t *vpc_base; // IExecState::vpcBase().
   void *mem;          // Opaque GuestMemory handle for the callbacks.
   // Guest-memory callbacks: return the MemFaultKind as an int (0 = ok).
   int (*ld)(void *mem, uint64_t addr, uint32_t size, uint64_t *out);

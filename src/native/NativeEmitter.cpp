@@ -205,9 +205,9 @@ private:
     return "0";
   }
 
-  /// Assignments performing writeResult(): DestAcc then DestGpr, both
+  /// Assignments storing an instruction result: DestAcc then DestGpr, both
   /// receiving \p Value (a side-effect-free expression).
-  std::string writeResult(const IisaInst &Inst, const std::string &Value) {
+  std::string assignResult(const IisaInst &Inst, const std::string &Value) {
     std::string Out;
     bool ToAcc = Inst.DestAcc != NoReg;
     bool ToGpr = Inst.DestGpr != NoReg && Inst.DestGpr != alpha::RegZero;
@@ -243,7 +243,7 @@ private:
         }
         Value = "ildp_sextl(t)";
       }
-      S += "  " + writeResult(Inst, Value);
+      S += "  " + assignResult(Inst, Value);
     } else {
       S += "  f = c->st(c->mem, addr, " + operandExpr(Inst.A) + ", " +
            std::to_string(Size) + ");\n";
@@ -276,15 +276,15 @@ private:
           refuse("cmov-no-dest");
           return "";
         }
-        return writeResult(Inst, std::string("(") + Cond + "(" + A + ") ? " +
-                                     B + " : " + Old + ")");
+        return assignResult(Inst, std::string("(") + Cond + "(" + A +
+                                      ") ? " + B + " : " + Old + ")");
       }
       const char *Fn = intOpFn(Inst.AlphaOp);
       if (!Fn) {
         refuse("unknown-int-op");
         return "";
       }
-      return writeResult(Inst, std::string(Fn) + "(" + A + ", " + B + ")");
+      return assignResult(Inst, std::string(Fn) + "(" + A + ", " + B + ")");
     }
     case IKind::CmovMask: {
       const char *Cond = cmovFn(Inst.AlphaOp);
@@ -292,8 +292,8 @@ private:
         refuse("unknown-cmov-op");
         return "";
       }
-      return writeResult(Inst, std::string("(") + Cond + "(" + A +
-                                   ") ? ~(uint64_t)0 : 0)");
+      return assignResult(Inst, std::string("(") + Cond + "(" + A +
+                                    ") ? ~(uint64_t)0 : 0)");
     }
     case IKind::CmovBlend: {
       // The destination-GPR field doubles as the old-value source.
@@ -304,7 +304,7 @@ private:
       std::string Old = Inst.DestGpr == alpha::RegZero
                             ? std::string("0")
                             : "g" + std::to_string(Inst.DestGpr);
-      return writeResult(Inst, "(" + A + " ? " + B + " : " + Old + ")");
+      return assignResult(Inst, "(" + A + " ? " + B + " : " + Old + ")");
     }
     case IKind::Load:
       return memAccess(Inst, Index, /*IsLoad=*/true);
@@ -336,7 +336,7 @@ private:
       return "g" + std::to_string(Inst.DestGpr) + " = " +
              hexU64(Inst.VTarget) + ";";
     case IKind::LoadEmbTarget:
-      return writeResult(Inst, hexU64(Inst.VTarget));
+      return assignResult(Inst, hexU64(Inst.VTarget));
     case IKind::PushDualRas:
       // Architecturally invisible; the host replays RAS pushes from the
       // fragment metadata after the body returns.

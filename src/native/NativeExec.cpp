@@ -32,9 +32,9 @@ IExit native::runFragment(const NativeCode &Code, IExecState &State,
                           GuestMemory &Mem,
                           const std::vector<IisaInst> &Body) {
   NativeContext Ctx;
-  Ctx.acc = State.Acc.data();
-  Ctx.gpr = State.Gpr.data();
-  Ctx.vpc_base = &State.VpcBase;
+  Ctx.acc = State.acc().data();
+  Ctx.gpr = State.gpr().data();
+  Ctx.vpc_base = &State.vpcBase();
   Ctx.mem = &Mem;
   Ctx.ld = &hostLoad;
   Ctx.st = &hostStore;
@@ -48,7 +48,7 @@ IExit native::runFragment(const NativeCode &Code, IExecState &State,
   Code.Fn(&Ctx);
   // The emitted body never writes r31; keep the hardwired-zero invariant
   // even against a miscompiled object.
-  State.Gpr[alpha::RegZero] = 0;
+  State.gpr()[alpha::RegZero] = 0;
 
   IExit Exit;
   if (Ctx.inst_index >= Body.size()) {

@@ -730,7 +730,7 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
     if (!RanNative) {
       // Per-instruction events feed only the timing model.
       Events.clear();
-      Exit = iisa::execute(Frag->Body.data(), Frag->Body.size(), ExecState,
+      Exit = iisa::execute(Frag->Ops.data(), Frag->Body.data(), ExecState,
                            Mem, Timing ? &Events : nullptr);
     }
     ++Frag->ExecCount;

@@ -142,8 +142,9 @@ TEST_P(RandomProgramTest, TranslatedStateMatchesInterpreter) {
   iisa::IExecState State;
   // Entry architected state: registers as of superblock entry — the
   // recording started at the program entry with zeroed registers.
-  iisa::IExit Exit = iisa::execute(R.Frag.Body.data(), R.Frag.Body.size(),
-                                   State, Mem2, nullptr);
+  std::vector<iisa::IOp> Ops = iisa::lowerToOps(R.Frag.Body);
+  iisa::IExit Exit =
+      iisa::execute(Ops.data(), R.Frag.Body.data(), State, Mem2, nullptr);
   ASSERT_EQ(Exit.K, iisa::IExit::Kind::Halt) << fragmentDump(R.Frag);
 
   ArchState Got = State.toArchState();

@@ -84,6 +84,13 @@ LoopEnv makeLoopFragment(iisa::IsaVariant Variant) {
   return S;
 }
 
+/// Lowers the fragment body and runs it from \p S's state and memory.
+iisa::IExit run(LoopEnv &S, std::vector<iisa::IisaEvent> *Events) {
+  std::vector<iisa::IOp> Ops = iisa::lowerToOps(S.Frag.Body);
+  return iisa::execute(Ops.data(), S.Frag.Body.data(), S.State, S.Mem,
+                       Events);
+}
+
 } // namespace
 
 class ExecutorEventTest
@@ -92,8 +99,7 @@ class ExecutorEventTest
 TEST_P(ExecutorEventTest, OneOrderedEventPerExecutedInstruction) {
   LoopEnv S = makeLoopFragment(GetParam());
   std::vector<iisa::IisaEvent> Events;
-  iisa::IExit Exit = iisa::execute(S.Frag.Body.data(), S.Frag.Body.size(),
-                                   S.State, S.Mem, &Events);
+  iisa::IExit Exit = run(S, &Events);
 
   // The recorded loop-back is kept as a conditional chained exit to the
   // fragment's own entry (self-loop), with a fall-through exit after it;
@@ -114,8 +120,7 @@ TEST_P(ExecutorEventTest, OneOrderedEventPerExecutedInstruction) {
 TEST_P(ExecutorEventTest, MemoryEventsCarryEffectiveAddresses) {
   LoopEnv S = makeLoopFragment(GetParam());
   std::vector<iisa::IisaEvent> Events;
-  (void)iisa::execute(S.Frag.Body.data(), S.Frag.Body.size(), S.State, S.Mem,
-                      &Events);
+  (void)run(S, &Events);
   unsigned Loads = 0, Stores = 0;
   for (const iisa::IisaEvent &Ev : Events) {
     const iisa::IisaInst &Inst = S.Frag.Body[Ev.Index];
@@ -140,8 +145,7 @@ TEST_P(ExecutorEventTest, VCreditsOverEventsAccountForAllSourceInsts) {
   // credits must sum to the source instructions (NOPs excluded).
   LoopEnv S = makeLoopFragment(GetParam());
   std::vector<iisa::IisaEvent> Events;
-  (void)iisa::execute(S.Frag.Body.data(), S.Frag.Body.size(), S.State, S.Mem,
-                      &Events);
+  (void)run(S, &Events);
   uint64_t Credits = 0;
   for (const iisa::IisaEvent &Ev : Events)
     Credits += S.Frag.Body[Ev.Index].VCredit;
@@ -156,13 +160,11 @@ TEST_P(ExecutorEventTest, SideExitReportsTakenAndTruncatesStream) {
   // First execute iterations until r17 would hit 0 on this pass.
   for (int Iter = 0; Iter != 7; ++Iter) {
     std::vector<iisa::IisaEvent> Events;
-    iisa::IExit Exit = iisa::execute(S.Frag.Body.data(), S.Frag.Body.size(),
-                                     S.State, S.Mem, &Events);
+    iisa::IExit Exit = run(S, &Events);
     ASSERT_EQ(Exit.VTarget, S.LoopHead) << "pass " << Iter;
   }
   std::vector<iisa::IisaEvent> Events;
-  iisa::IExit Exit = iisa::execute(S.Frag.Body.data(), S.Frag.Body.size(),
-                                   S.State, S.Mem, &Events);
+  iisa::IExit Exit = run(S, &Events);
   // r17 reached 0: the fall-through (to HALT's address) side wins. The
   // recorded path embedded the taken loop-back, so this pass leaves by a
   // different exit than before.
@@ -180,10 +182,8 @@ TEST_P(ExecutorEventTest, NullEventSinkIsSupported) {
   LoopEnv A = makeLoopFragment(GetParam());
   LoopEnv B = makeLoopFragment(GetParam());
   std::vector<iisa::IisaEvent> Events;
-  iisa::IExit ExitA = iisa::execute(A.Frag.Body.data(), A.Frag.Body.size(),
-                                    A.State, A.Mem, &Events);
-  iisa::IExit ExitB = iisa::execute(B.Frag.Body.data(), B.Frag.Body.size(),
-                                    B.State, B.Mem, nullptr);
+  iisa::IExit ExitA = run(A, &Events);
+  iisa::IExit ExitB = run(B, nullptr);
   EXPECT_EQ(ExitA.K, ExitB.K);
   EXPECT_EQ(ExitA.VTarget, ExitB.VTarget);
   ArchState SA = A.State.toArchState();

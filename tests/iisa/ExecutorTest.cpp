@@ -26,6 +26,13 @@ IisaInst compute(Opcode Op, IOperand A, IOperand B, uint8_t Acc,
   return I;
 }
 
+/// Lowers \p Body and runs it, as the translation cache and VM do.
+IExit run(const std::vector<IisaInst> &Body, IExecState &S, GuestMemory &Mem,
+          std::vector<IisaEvent> *Events) {
+  std::vector<IOp> Ops = lowerToOps(Body);
+  return execute(Ops.data(), Body.data(), S, Mem, Events);
+}
+
 IisaInst branchTo(uint64_t Target) {
   IisaInst I;
   I.Kind = IKind::Branch;
@@ -43,10 +50,10 @@ TEST(IisaExecutor, ComputeWritesAccAndGpr) {
       compute(Opcode::ADDQ, IOperand::gpr(1), IOperand::imm(2), 0, 5),
       branchTo(0x2000),
   };
-  IExit Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  IExit Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::Chained);
   EXPECT_EQ(Exit.VTarget, 0x2000u);
-  EXPECT_EQ(S.Acc[0], 42u);
+  EXPECT_EQ(S.acc()[0], 42u);
   EXPECT_EQ(S.readGpr(5), 42u);
 }
 
@@ -72,7 +79,7 @@ TEST(IisaExecutor, BasicStyleCopies) {
     Body.push_back(To);
   }
   Body.push_back(branchTo(0));
-  execute(Body.data(), Body.size(), S, Mem, nullptr);
+  run(Body, S, Mem, nullptr);
   EXPECT_EQ(S.readGpr(17), 6u);
 }
 
@@ -102,8 +109,8 @@ TEST(IisaExecutor, LoadStoreWithEvents) {
   }
   Body.push_back(branchTo(0));
   std::vector<IisaEvent> Events;
-  execute(Body.data(), Body.size(), S, Mem, &Events);
-  EXPECT_EQ(S.Acc[0], 0xABCDu);
+  run(Body, S, Mem, &Events);
+  EXPECT_EQ(S.acc()[0], 0xABCDu);
   EXPECT_EQ(Mem.load(0x1018, 4).Value, 0xABCDu);
   ASSERT_EQ(Events.size(), 3u);
   EXPECT_EQ(Events[0].MemAddr, 0x1008u);
@@ -122,12 +129,12 @@ TEST(IisaExecutor, LoadFaultReportsTrap) {
   L.DestAcc = 0;
   Body.push_back(L);
   Body.push_back(branchTo(0));
-  IExit Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  IExit Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::Trap);
   EXPECT_EQ(Exit.InstIndex, 0u);
   EXPECT_EQ(Exit.TrapInfo.Kind, TrapKind::MemUnmapped);
   EXPECT_EQ(Exit.TrapInfo.MemAddr, 0x5000u);
-  EXPECT_EQ(S.Acc[0], 0u); // The faulting load must not write.
+  EXPECT_EQ(S.acc()[0], 0u); // The faulting load must not write.
 }
 
 TEST(IisaExecutor, CondExitBothWays) {
@@ -142,16 +149,16 @@ TEST(IisaExecutor, CondExitBothWays) {
   Body.push_back(Cond);
   Body.push_back(branchTo(0x222));
 
-  S.Acc[1] = 1; // taken
+  S.acc()[1] = 1; // taken
   std::vector<IisaEvent> Events;
-  IExit Exit = execute(Body.data(), Body.size(), S, Mem, &Events);
+  IExit Exit = run(Body, S, Mem, &Events);
   EXPECT_EQ(Exit.K, IExit::Kind::Chained);
   EXPECT_EQ(Exit.VTarget, 0x111u);
   EXPECT_TRUE(Events[0].Taken);
 
-  S.Acc[1] = 0; // fall through
+  S.acc()[1] = 0; // fall through
   Events.clear();
-  Exit = execute(Body.data(), Body.size(), S, Mem, &Events);
+  Exit = run(Body, S, Mem, &Events);
   EXPECT_EQ(Exit.VTarget, 0x222u);
   ASSERT_EQ(Events.size(), 2u);
   EXPECT_FALSE(Events[0].Taken);
@@ -192,15 +199,15 @@ TEST(IisaExecutor, SpecialInstructions) {
     Jump.VTarget = 0x4000;
     Body.push_back(Jump);
   }
-  IExit Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
-  EXPECT_EQ(S.VpcBase, 0x1234u);
+  IExit Exit = run(Body, S, Mem, nullptr);
+  EXPECT_EQ(S.vpcBase(), 0x1234u);
   EXPECT_EQ(S.readGpr(26), 0x1010u);
   EXPECT_EQ(Exit.K, IExit::Kind::PredictHit);
   EXPECT_EQ(Exit.VTarget, 0x4000u);
 
   // Now with a different actual target: prediction misses.
   S.writeGpr(27, 0x8000);
-  Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::PredictMiss);
   EXPECT_EQ(Exit.VTarget, 0x8000u);
 }
@@ -214,7 +221,7 @@ TEST(IisaExecutor, ReturnAndDispatchExits) {
   Ret.Kind = IKind::ReturnDual;
   Ret.B = IOperand::gpr(26);
   Body.push_back(Ret);
-  IExit Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  IExit Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::Return);
   EXPECT_EQ(Exit.VTarget, 0x9000u);
 
@@ -223,7 +230,7 @@ TEST(IisaExecutor, ReturnAndDispatchExits) {
   Jd.Kind = IKind::JumpDispatch;
   Jd.B = IOperand::gpr(26);
   Body.push_back(Jd);
-  Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::Dispatch);
 }
 
@@ -239,12 +246,12 @@ TEST(IisaExecutor, CmovMaskSemantics) {
   Mask.DestAcc = 2;
   Body.push_back(Mask);
   Body.push_back(branchTo(0));
-  execute(Body.data(), Body.size(), S, Mem, nullptr);
-  EXPECT_EQ(S.Acc[2], ~uint64_t(0));
+  run(Body, S, Mem, nullptr);
+  EXPECT_EQ(S.acc()[2], ~uint64_t(0));
 
   S.writeGpr(1, 5);
-  execute(Body.data(), Body.size(), S, Mem, nullptr);
-  EXPECT_EQ(S.Acc[2], 0u);
+  run(Body, S, Mem, nullptr);
+  EXPECT_EQ(S.acc()[2], 0u);
 }
 
 TEST(IisaExecutor, StraightCondMove) {
@@ -262,12 +269,12 @@ TEST(IisaExecutor, StraightCondMove) {
   Cmov.DestGpr = 3;
   Body.push_back(Cmov);
   Body.push_back(branchTo(0));
-  execute(Body.data(), Body.size(), S, Mem, nullptr);
+  run(Body, S, Mem, nullptr);
   EXPECT_EQ(S.readGpr(3), 77u);
 
   S.writeGpr(1, 9); // condition false: keep old
   S.writeGpr(3, 11);
-  execute(Body.data(), Body.size(), S, Mem, nullptr);
+  run(Body, S, Mem, nullptr);
   EXPECT_EQ(S.readGpr(3), 11u);
 }
 
@@ -289,7 +296,7 @@ TEST(IisaExecutor, GentrapAndHalt) {
   IisaInst G;
   G.Kind = IKind::Gentrap;
   Body.push_back(G);
-  IExit Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  IExit Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::Trap);
   EXPECT_EQ(Exit.TrapInfo.Kind, TrapKind::Gentrap);
 
@@ -297,6 +304,6 @@ TEST(IisaExecutor, GentrapAndHalt) {
   IisaInst H;
   H.Kind = IKind::Halt;
   Body.push_back(H);
-  Exit = execute(Body.data(), Body.size(), S, Mem, nullptr);
+  Exit = run(Body, S, Mem, nullptr);
   EXPECT_EQ(Exit.K, IExit::Kind::Halt);
 }

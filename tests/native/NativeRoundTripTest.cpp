@@ -84,7 +84,7 @@ compileBody(const std::vector<IisaInst> &Body, IsaVariant Variant) {
 /// Seeds deterministic non-trivial machine state.
 void seedState(IExecState &S) {
   for (unsigned A = 0; A != MaxAccumulators; ++A)
-    S.Acc[A] = 0x1111111111111111ull * (A + 1);
+    S.acc()[A] = 0x1111111111111111ull * (A + 1);
   for (unsigned G = 0; G != NumIisaGprs; ++G)
     if (G != alpha::RegZero)
       S.writeGpr(G, 0x9E3779B97F4A7C15ull * (G + 3));
@@ -109,7 +109,8 @@ runAgainstExecutor(const native::NativeCode &Code,
   seedMemory(NatMem);
   IExecState Ref = Init, Nat = Init;
 
-  IExit RefExit = execute(Body.data(), Body.size(), Ref, RefMem, nullptr);
+  std::vector<IOp> Ops = lowerToOps(Body);
+  IExit RefExit = execute(Ops.data(), Body.data(), Ref, RefMem, nullptr);
   IExit NatExit = native::runFragment(Code, Nat, NatMem, Body);
 
   EXPECT_EQ(NatExit.K, RefExit.K) << Context;
@@ -119,10 +120,10 @@ runAgainstExecutor(const native::NativeCode &Code,
   EXPECT_EQ(NatExit.TrapInfo.MemAddr, RefExit.TrapInfo.MemAddr) << Context;
 
   for (unsigned A = 0; A != MaxAccumulators; ++A)
-    EXPECT_EQ(Nat.Acc[A], Ref.Acc[A]) << Context << ": acc " << A;
+    EXPECT_EQ(Nat.acc()[A], Ref.acc()[A]) << Context << ": acc " << A;
   for (unsigned G = 0; G != NumIisaGprs; ++G)
     EXPECT_EQ(Nat.readGpr(G), Ref.readGpr(G)) << Context << ": gpr " << G;
-  EXPECT_EQ(Nat.VpcBase, Ref.VpcBase) << Context;
+  EXPECT_EQ(Nat.vpcBase(), Ref.vpcBase()) << Context;
   for (unsigned I = 0; I != 0x200; ++I)
     EXPECT_EQ(NatMem.load(0x1000 + I * 8, 8).Value,
               RefMem.load(0x1000 + I * 8, 8).Value)
@@ -173,7 +174,7 @@ std::vector<std::pair<uint64_t, uint64_t>> sweepOperands() {
 /// Seeded random I-ISA state, so untouched registers also get compared.
 IExecState randomState(Rng &R) {
   IExecState S;
-  for (uint64_t &A : S.Acc)
+  for (uint64_t &A : S.acc())
     A = R.next();
   for (unsigned G = 0; G != NumIisaGprs; ++G)
     S.writeGpr(G, R.next());

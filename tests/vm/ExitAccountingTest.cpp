@@ -111,7 +111,7 @@ TEST_P(ExitAccountingProperty, PrefixSumsEqualEventWalkAtEveryExitIndex) {
     IExecState State;
     State.loadArchState(Vm.interpreter().state());
     std::vector<IisaEvent> Events;
-    IExit Exit = execute(Frag->Body.data(), Frag->Body.size(), State, Mem,
+    IExit Exit = execute(Frag->Ops.data(), Frag->Body.data(), State, Mem,
                          &Events);
     ASSERT_EQ(Events.size(), size_t(Exit.InstIndex) + 1);
     expectSumsAt(*Frag, Exit.InstIndex, Events);

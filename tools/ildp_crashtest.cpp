@@ -48,6 +48,7 @@
 
 #ifndef _WIN32
 #include <cerrno>
+#include <dirent.h>
 #include <fcntl.h>
 #include <spawn.h>
 #include <sys/stat.h>
@@ -243,13 +244,17 @@ std::string makeTempDir() {
 void removeTree(const std::string &Dir) {
   if (KeepDirs || Dir.empty())
     return;
-  // The cell owns every file in its scratch dir; a bounded manual sweep
-  // avoids shelling out.
-  for (const char *Suffix : {"/store.tstore", "/store.tstore.lock"})
-    std::remove((Dir + Suffix).c_str());
-  // Orphaned staging files have unique names; best-effort glob-free sweep
-  // via readdir would be overkill — rmdir failing just leaves an empty
-  // temp dir behind.
+  // The cell owns every file in its scratch dir: the store, its lock file
+  // and the staging file a killed writer leaves behind under its own
+  // unique name. The cells write no subdirectories.
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (const dirent *Entry = ::readdir(D)) {
+      std::string Name = Entry->d_name;
+      if (Name != "." && Name != "..")
+        std::remove((Dir + "/" + Name).c_str());
+    }
+    ::closedir(D);
+  }
   ::rmdir(Dir.c_str());
 }
 
