@@ -56,6 +56,7 @@ Fragment &TranslationCache::install(Fragment Frag) {
   F.Ops = lowerToOps(F.Body);
   F.Accounting = buildExitAccounting(F.Body);
   F.Successors.assign(F.Body.size(), SuccessorSlot());
+  F.ExitHits.assign(F.Body.size(), 0);
   ++LinkGen;
   F.IBase = NextIBase;
   NextIBase += F.BodyBytes + 64; // Pad fragments apart (stub/alignment).

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "iisa/Executor.h"
+#include "iisa/ExecutorLoop.h"
 
 #include <cassert>
 
@@ -371,178 +372,9 @@ std::vector<IOp> iisa::lowerToOps(std::span<const IisaInst> Body) {
   return Ops;
 }
 
-//===----------------------------------------------------------------------===//
-// Execution
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-IExit exitAt(IExit::Kind K, uint32_t Index, uint64_t VTarget = 0) {
-  IExit Exit;
-  Exit.K = K;
-  Exit.VTarget = VTarget;
-  Exit.InstIndex = Index;
-  return Exit;
-}
-
-/// A branch or taken cond_exit: target and flavour from the live body
-/// instruction.
-IExit directExit(const IisaInst &Inst, uint32_t Index) {
-  return exitAt(Inst.ToTranslator ? IExit::Kind::ToTranslator
-                                  : IExit::Kind::Chained,
-                Index, Inst.VTarget);
-}
-
-IExit memTrap(MemFaultKind Fault, uint32_t Index, uint64_t Addr) {
-  IExit Exit = exitAt(IExit::Kind::Trap, Index);
-  Exit.TrapInfo = {trapKindForMemFault(Fault), 0, Addr};
-  return Exit;
-}
-
-/// The executor loop. Record is a template parameter so the event-free
-/// instantiation (every run without a timing model) carries no per-
-/// instruction recording at all.
-template <bool Record>
-IExit run(const IOp *Ops, const IisaInst *Body, IExecState &State,
-          GuestMemory &Mem, std::vector<IisaEvent> *Events) {
-  uint64_t *R = State.Slots.data();
-  for (const IOp *O = Ops;; ++O) {
-    uint32_t Index = uint32_t(O - Ops);
-    uint64_t MemAddr = 0;
-    // Records this op's event (an exit's carries the taken flag).
-    auto Note = [&](bool Taken) {
-      if constexpr (Record)
-        Events->push_back(IisaEvent{Index, Taken, MemAddr});
-    };
-    auto Put = [&](uint64_t V) {
-      // Both indices are read before either store: a uint64_t store may
-      // alias the op as far as the compiler knows.
-      uint8_t DA = O->DA, DG = O->DG;
-      R[DA] = V;
-      R[DG] = V;
-    };
-
-    switch (O->Code) {
-#define ILDP_EXEC_CASE(M)                                                      \
-  case OpCode::M##_RR:                                                         \
-    Put(::ildp_op_##M(R[O->A], R[O->B]));                                      \
-    break;                                                                     \
-  case OpCode::M##_RI:                                                         \
-    Put(::ildp_op_##M(R[O->A], O->Imm));                                       \
-    break;                                                                     \
-  case OpCode::M##_IR:                                                         \
-    Put(::ildp_op_##M(O->ImmA, R[O->B]));                                      \
-    break;
-      ILDP_INT_OPS(ILDP_EXEC_CASE)
-#undef ILDP_EXEC_CASE
-#define ILDP_EXEC_CASE(M)                                                      \
-  case OpCode::M##_R:                                                          \
-    Put(::ildp_cmov_##M(R[O->A]) ? R[O->B] : R[O->C]);                         \
-    break;                                                                     \
-  case OpCode::M##_I:                                                          \
-    Put(::ildp_cmov_##M(R[O->A]) ? O->Imm : R[O->C]);                          \
-    break;                                                                     \
-  case OpCode::Mask##M:                                                        \
-    Put(::ildp_cmov_##M(R[O->A]) ? ~uint64_t(0) : 0);                          \
-    break;
-      ILDP_CMOV_OPS(ILDP_EXEC_CASE)
-#undef ILDP_EXEC_CASE
-#define ILDP_EXEC_CASE(M)                                                      \
-  case OpCode::Exit##M:                                                        \
-    if (::ildp_br_##M(R[O->A])) {                                              \
-      Note(true);                                                              \
-      return directExit(Body[Index], Index);                                   \
-    }                                                                          \
-    break;
-      ILDP_BRANCH_OPS(ILDP_EXEC_CASE)
-#undef ILDP_EXEC_CASE
-    case OpCode::BlendR:
-      Put(R[O->A] ? R[O->B] : R[O->C]);
-      break;
-    case OpCode::BlendI:
-      Put(R[O->A] ? O->Imm : R[O->C]);
-      break;
-#define ILDP_EXEC_LOAD(M, Size, Extend)                                        \
-  case OpCode::Load##M: {                                                      \
-    MemAddr = R[O->B] + O->Imm;                                                \
-    MemAccessResult Access = Mem.load(MemAddr, Size);                          \
-    if (!Access.ok()) {                                                        \
-      Note(false);                                                             \
-      return memTrap(Access.Fault, Index, MemAddr);                            \
-    }                                                                          \
-    Put(Extend(Access.Value));                                                 \
-    break;                                                                     \
-  }
-      ILDP_EXEC_LOAD(LDBU, 1, )
-      ILDP_EXEC_LOAD(LDWU, 2, )
-      ILDP_EXEC_LOAD(LDL, 4, ::ildp_sextl)
-      ILDP_EXEC_LOAD(LDQ, 8, )
-#undef ILDP_EXEC_LOAD
-#define ILDP_EXEC_STORE(M, Size)                                               \
-  case OpCode::Store##M##_R:                                                   \
-  case OpCode::Store##M##_I: {                                                 \
-    MemAddr = R[O->B] + O->Imm;                                                \
-    uint64_t Data = O->Code == OpCode::Store##M##_R ? R[O->A] : O->ImmA;       \
-    MemFaultKind Fault = Mem.store(MemAddr, Data, Size);                       \
-    if (Fault != MemFaultKind::None) {                                         \
-      Note(false);                                                             \
-      return memTrap(Fault, Index, MemAddr);                                   \
-    }                                                                          \
-    break;                                                                     \
-  }
-      ILDP_EXEC_STORE(STB, 1)
-      ILDP_EXEC_STORE(STW, 2)
-      ILDP_EXEC_STORE(STL, 4)
-      ILDP_EXEC_STORE(STQ, 8)
-#undef ILDP_EXEC_STORE
-    case OpCode::Move:
-      Put(R[O->A]);
-      break;
-    case OpCode::Const:
-      Put(O->Imm);
-      break;
-    case OpCode::Nop:
-      break;
-    case OpCode::Branch:
-      Note(true);
-      return directExit(Body[Index], Index);
-    case OpCode::JumpPredict: {
-      bool Hit = (R[O->A] | O->ImmA) != 0;
-      Note(Hit);
-      return exitAt(Hit ? IExit::Kind::PredictHit : IExit::Kind::PredictMiss,
-                    Index,
-                    Hit ? Body[Index].VTarget
-                        : (R[O->B] + O->Imm) & ~uint64_t(3));
-    }
-    case OpCode::JumpDispatch:
-      Note(true);
-      return exitAt(IExit::Kind::Dispatch, Index,
-                    (R[O->B] + O->Imm) & ~uint64_t(3));
-    case OpCode::ReturnDual:
-      Note(true);
-      return exitAt(IExit::Kind::Return, Index,
-                    (R[O->B] + O->Imm) & ~uint64_t(3));
-    case OpCode::Halt:
-      Note(false);
-      return exitAt(IExit::Kind::Halt, Index);
-    case OpCode::Gentrap: {
-      Note(false);
-      IExit Exit = exitAt(IExit::Kind::Trap, Index);
-      Exit.TrapInfo = {TrapKind::Gentrap, 0, 0};
-      return Exit;
-    }
-    case OpCode::Bad:
-      assert(false && "Malformed instruction or body fell off its end");
-      return exitAt(IExit::Kind::Halt, 0);
-    }
-    Note(false);
-  }
-}
-
-} // namespace
-
 IExit iisa::execute(const IOp *Ops, const IisaInst *Body, IExecState &State,
                     GuestMemory &Mem, std::vector<IisaEvent> *Events) {
-  return Events ? run<true>(Ops, Body, State, Mem, Events)
-                : run<false>(Ops, Body, State, Mem, nullptr);
+  NoChain Chain;
+  return Events ? runOps<true>(Ops, Body, State, Mem, Events, Chain)
+                : runOps<false>(Ops, Body, State, Mem, nullptr, Chain);
 }

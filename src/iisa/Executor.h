@@ -18,7 +18,8 @@
 ///    updating accumulators, the GPR file and guest memory, and, when
 ///    given an event sink, recording one event per executed instruction
 ///    for the timing models. The recording and the event-free runs are
-///    two instantiations of the same loop.
+///    two instantiations of the one threaded loop in iisa/ExecutorLoop.h,
+///    whose chaining instantiation the VM runs (DESIGN.md §16).
 ///
 /// Exit ops read VTarget and the chained/call-translator flavour from the
 /// live body instruction, so patching or unchaining an exit updates only

@@ -68,10 +68,15 @@ uint8_t *GuestMemory::refillTlb(uint64_t PageIndex) const {
 }
 
 void GuestMemory::writeBlob(uint64_t Addr, const void *Data, uint64_t Size) {
+  // One page lookup and one copy per page the blob touches.
   const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  for (uint64_t I = 0; I != Size; ++I) {
-    uint8_t *Page = pageFor(Addr + I, /*Allocate=*/true);
-    Page[(Addr + I) & (PageSize - 1)] = Bytes[I];
+  while (Size != 0) {
+    uint64_t Offset = Addr & (PageSize - 1);
+    uint64_t Chunk = std::min(Size, PageSize - Offset);
+    std::memcpy(pageFor(Addr, /*Allocate=*/true) + Offset, Bytes, Chunk);
+    Addr += Chunk;
+    Bytes += Chunk;
+    Size -= Chunk;
   }
 }
 

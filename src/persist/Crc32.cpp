@@ -13,30 +13,49 @@ using namespace ildp::persist;
 
 namespace {
 
-/// Byte-at-a-time lookup table for the reflected polynomial 0xEDB88320.
-std::array<uint32_t, 256> makeTable() {
-  std::array<uint32_t, 256> Table{};
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: T[0] is
+/// the byte-at-a-time table, and T[K][B] is the CRC of byte B followed by
+/// K zero bytes, so eight table lookups fold eight input bytes at once.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Tables makeTables() {
+  Tables T{};
   for (uint32_t I = 0; I != 256; ++I) {
     uint32_t C = I;
     for (int K = 0; K != 8; ++K)
       C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-    Table[I] = C;
+    T[0][I] = C;
   }
-  return Table;
+  for (uint32_t I = 0; I != 256; ++I)
+    for (size_t K = 1; K != T.size(); ++K)
+      T[K][I] = T[0][T[K - 1][I] & 0xFF] ^ (T[K - 1][I] >> 8);
+  return T;
 }
 
-const std::array<uint32_t, 256> &table() {
-  static const std::array<uint32_t, 256> Table = makeTable();
-  return Table;
+const Tables &tables() {
+  static const Tables T = makeTables();
+  return T;
 }
 
 } // namespace
 
 void Crc32::update(const void *Data, size_t Size) {
   const auto *Bytes = static_cast<const uint8_t *>(Data);
-  const std::array<uint32_t, 256> &T = table();
-  for (size_t I = 0; I != Size; ++I)
-    State = T[(State ^ Bytes[I]) & 0xFF] ^ (State >> 8);
+  const Tables &T = tables();
+  uint32_t C = State;
+  for (; Size >= 8; Bytes += 8, Size -= 8) {
+    // Little-endian assembly, so the result is independent of host order.
+    uint32_t Lo = C ^ (uint32_t(Bytes[0]) | uint32_t(Bytes[1]) << 8 |
+                       uint32_t(Bytes[2]) << 16 | uint32_t(Bytes[3]) << 24);
+    uint32_t Hi = uint32_t(Bytes[4]) | uint32_t(Bytes[5]) << 8 |
+                  uint32_t(Bytes[6]) << 16 | uint32_t(Bytes[7]) << 24;
+    C = T[7][Lo & 0xFF] ^ T[6][(Lo >> 8) & 0xFF] ^ T[5][(Lo >> 16) & 0xFF] ^
+        T[4][Lo >> 24] ^ T[3][Hi & 0xFF] ^ T[2][(Hi >> 8) & 0xFF] ^
+        T[1][(Hi >> 16) & 0xFF] ^ T[0][Hi >> 24];
+  }
+  for (; Size != 0; ++Bytes, --Size)
+    C = T[0][(C ^ *Bytes) & 0xFF] ^ (C >> 8);
+  State = C;
 }
 
 void Crc32::updateU64(uint64_t Value) {

@@ -8,6 +8,7 @@
 
 #include "core/SuperblockBuilder.h"
 #include "core/Translator.h"
+#include "iisa/ExecutorLoop.h"
 #include "native/NativeCompiler.h"
 #include "native/NativeEmitter.h"
 #include "native/NativeExec.h"
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 using namespace ildp;
 using namespace ildp::vm;
@@ -654,24 +656,34 @@ void VirtualMachine::emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc) {
   }
 }
 
-void VirtualMachine::accountExit(const dbt::Fragment &Frag,
-                                 uint32_t ExitIndex) {
+void VirtualMachine::accountRuns(const dbt::Fragment &Frag,
+                                 uint32_t ExitIndex, uint64_t Runs) {
   // Every tier executes instructions 0..ExitIndex of the body, so the
   // accounting is the fragment's prefix sums at the exit index.
   const dbt::CumCounters &Cum = Frag.Accounting.Cum[ExitIndex];
-  Hot.FragInsts += ExitIndex + 1;
-  GuestInsts += Cum.VCredit;
-  Hot.VInstsTranslated += Cum.VCredit;
-  Hot.CopyInsts += Cum.CopyInsts;
-  Hot.SourceOps += Cum.SourceOps;
+  Hot.FragInsts += Runs * (ExitIndex + 1);
+  Hot.VInstsTranslated += Runs * Cum.VCredit;
+  Hot.CopyInsts += Runs * Cum.CopyInsts;
+  Hot.SourceOps += Runs * Cum.SourceOps;
   for (size_t U = 0; U != Cum.Usage.size(); ++U)
-    Hot.Usage[U] += Cum.Usage[U];
+    Hot.Usage[U] += Runs * Cum.Usage[U];
+}
+
+void VirtualMachine::accountExit(const dbt::Fragment &Frag,
+                                 uint32_t ExitIndex) {
+  GuestInsts += Frag.Accounting.Cum[ExitIndex].VCredit;
+  accountRuns(Frag, ExitIndex, 1);
   if (Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas)
-    for (const auto &[PushIdx, VRet] : Frag.Accounting.RasPushes) {
-      if (PushIdx > ExitIndex)
-        break;
-      dualRasPush(VRet);
-    }
+    dualRasPushes(Frag, ExitIndex);
+}
+
+void VirtualMachine::dualRasPushes(const dbt::Fragment &Frag,
+                                   uint32_t ExitIndex) {
+  for (const auto &[PushIdx, VRet] : Frag.Accounting.RasPushes) {
+    if (PushIdx > ExitIndex)
+      break;
+    dualRasPush(VRet);
+  }
 }
 
 dbt::Fragment *VirtualMachine::staticSuccessor(dbt::Fragment &Frag,
@@ -688,11 +700,72 @@ dbt::Fragment *VirtualMachine::staticSuccessor(dbt::Fragment &Frag,
   return Next;
 }
 
+struct VirtualMachine::ChainRunner {
+  static constexpr bool Enabled = true;
+
+  VirtualMachine &VM;
+  dbt::Fragment *Cur;
+  const uint64_t Gen = VM.TCache.linkGeneration();
+  const bool RasPushes = VM.Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas;
+
+  /// The exit at \p Index of Cur was taken (a chained direct exit or a
+  /// prediction hit). Follows it when the slot is valid and the guest
+  /// budget allows the successor to run — exactly when the VM's own exit
+  /// handling would run it next — doing in order what must stay in order:
+  /// the guest-instruction count the budget reads, the exec count, the
+  /// dual-RAS pushes and the recency stamp. The remaining counters wait in
+  /// ExitHits for runChained()'s fold.
+  [[gnu::always_inline]] bool follow(uint32_t Index, const iisa::IOp *&Ops,
+                                     const IisaInst *&Body) {
+    const dbt::SuccessorSlot &Slot = Cur->Successors[Index];
+    if (Slot.Gen != Gen)
+      return false;
+    uint32_t Credit = Cur->Accounting.Cum[Index].VCredit;
+    // GuestInsts < MaxGuestInsts holds here: the VM checks it before the
+    // first run, and every step keeps it.
+    if (Credit >= VM.Config.MaxGuestInsts - VM.GuestInsts)
+      return false;
+    VM.GuestInsts += Credit;
+    ++Cur->ExecCount;
+    if (Cur->ExitHits[Index]++ == 0)
+      VM.PendingHits.emplace_back(Cur, Index);
+    if (RasPushes)
+      VM.dualRasPushes(*Cur, Index);
+    VM.TCache.touch(*Slot.Next);
+    Cur = Slot.Next;
+    Ops = Cur->Ops.data();
+    Body = Cur->Body.data();
+    return true;
+  }
+};
+
+iisa::IExit VirtualMachine::runChained(dbt::Fragment *&Frag) {
+  ChainRunner Chain{*this, Frag};
+  iisa::IExit Exit = iisa::runOps<false>(Frag->Ops.data(), Frag->Body.data(),
+                                         ExecState, Mem, nullptr, Chain);
+  Frag = Chain.Cur;
+  // The fold: what each chained exit would have added in the VM's exit
+  // handling below, multiplied out.
+  for (auto [F, Index] : PendingHits) {
+    uint64_t Runs = std::exchange(F->ExitHits[Index], 0);
+    accountRuns(*F, Index, Runs);
+    if (F->Body[Index].Kind == IKind::JumpPredict)
+      Hot.PredictHit += Runs;
+    else
+      Hot.ExitChained += Runs;
+  }
+  PendingHits.clear();
+  return Exit;
+}
+
 VirtualMachine::SegmentOutcome
 VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
   ExecState.loadArchState(Interp.state());
   std::vector<IisaEvent> Events;
   ++Hot.Segments;
+  // The native tier's tier-up and the timing model's per-fragment trace
+  // both need the VM between every two fragment runs.
+  const bool Chain = !NativeSvc && !Timing;
 
   auto ToInterp = [&](uint64_t VPc) {
     ArchState Arch = ExecState.toArchState();
@@ -721,6 +794,7 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       drainNativeCompleted();
       maybeNativeTierUp(Frag);
       if (Frag->Native) {
+        ++Hot.ExecutorCalls;
         Exit = native::runFragment(*Frag->Native, ExecState, Mem, Frag->Body);
         ++Nat.Runs;
         Nat.Insts += Exit.InstIndex + 1;
@@ -728,10 +802,12 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       }
     }
     if (!RanNative) {
+      ++Hot.ExecutorCalls;
       // Per-instruction events feed only the timing model.
       Events.clear();
-      Exit = iisa::execute(Frag->Ops.data(), Frag->Body.data(), ExecState,
-                           Mem, Timing ? &Events : nullptr);
+      Exit = Chain ? runChained(Frag)
+                   : iisa::execute(Frag->Ops.data(), Frag->Body.data(),
+                                   ExecState, Mem, Timing ? &Events : nullptr);
     }
     ++Frag->ExecCount;
     accountExit(*Frag, Exit.InstIndex);
@@ -828,6 +904,7 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
 const StatisticSet &VirtualMachine::stats() {
   Stats.set("interp.insts", Hot.InterpInsts);
   Stats.set("vm.segments", Hot.Segments);
+  Stats.set("vm.executor_calls", Hot.ExecutorCalls);
   Stats.set("vm.guest_insts", GuestInsts);
   Stats.set("vm.vinsts_translated", Hot.VInstsTranslated);
   Stats.set("frag.insts", Hot.FragInsts);

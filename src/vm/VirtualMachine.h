@@ -229,6 +229,7 @@ private:
   struct HotCounters {
     uint64_t InterpInsts = 0;
     uint64_t Segments = 0;
+    uint64_t ExecutorCalls = 0; ///< Entries into an executor (any tier).
     uint64_t FragInsts = 0;
     uint64_t VInstsTranslated = 0;
     uint64_t CopyInsts = 0;
@@ -345,6 +346,21 @@ private:
   /// Accounts one run of \p Frag that exited at body index \p ExitIndex
   /// (counters and dual-RAS pushes), for every tier.
   void accountExit(const dbt::Fragment &Frag, uint32_t ExitIndex);
+  /// The counters accountExit() adds besides the guest-instruction count
+  /// and the dual-RAS pushes, for \p Runs runs exiting at \p ExitIndex.
+  void accountRuns(const dbt::Fragment &Frag, uint32_t ExitIndex,
+                   uint64_t Runs);
+  /// The chain policy of the threaded executor loop (iisa/ExecutorLoop.h):
+  /// follows a valid successor slot within the guest budget, doing the
+  /// per-run accounting that must stay in order inline.
+  struct ChainRunner;
+  /// Runs the I-ISA loop from \p Frag, chaining; on return \p Frag is the
+  /// fragment the exit belongs to, and every chained run is accounted.
+  iisa::IExit runChained(dbt::Fragment *&Frag);
+  /// (fragment, exit index) pairs whose ExitHits the threaded loop raised
+  /// from zero; runChained() folds and clears them before it returns, so
+  /// no evicted fragment is ever named here.
+  std::vector<std::pair<dbt::Fragment *, uint32_t>> PendingHits;
   /// Successor of a static exit (Chained / PredictHit): the exit's cached
   /// slot while the cache's link generation is unchanged, else a cache
   /// lookup — which refills the slot on a hit.
@@ -356,6 +372,8 @@ private:
   void emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc);
 
   void dualRasPush(uint64_t VRet);
+  /// The dual-RAS pushes of one run of \p Frag exiting at \p ExitIndex.
+  void dualRasPushes(const dbt::Fragment &Frag, uint32_t ExitIndex);
   bool dualRasPop(uint64_t Actual);
 
   // ---- Persistent translation cache ----

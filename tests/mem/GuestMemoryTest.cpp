@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace ildp;
 
 TEST(GuestMemory, UnmappedFaults) {
@@ -69,6 +71,32 @@ TEST(GuestMemory, WriteBlobMapsOnDemand) {
   Mem.writeBlob(0x7FFE, Data, sizeof(Data)); // Crosses a page boundary.
   EXPECT_EQ(Mem.load(0x7FFE, 1).Value, 1u);
   EXPECT_EQ(Mem.load(0x8002, 1).Value, 5u);
+}
+
+TEST(GuestMemory, WriteBlobSpanningThreePagesFromUnalignedStart) {
+  constexpr uint64_t Page = GuestMemory::PageSize;
+  const uint64_t Base = 5 * Page + 0x123;
+  // Ends inside the page after next: three pages touched, none whole.
+  const uint64_t Size = 2 * Page - 0x100;
+  std::vector<uint8_t> Data(Size);
+  for (uint64_t I = 0; I != Size; ++I)
+    Data[I] = uint8_t(I * 7 + 1);
+  GuestMemory Mem;
+  Mem.writeBlob(Base, Data.data(), Size);
+  EXPECT_EQ(Mem.mappedPageBases(),
+            (std::vector<uint64_t>{5 * Page, 6 * Page, 7 * Page}));
+  for (uint64_t I = 0; I != Size; ++I)
+    ASSERT_EQ(Mem.load(Base + I, 1).Value, Data[I]) << "byte " << I;
+  // Bytes just outside the blob stay zero, to the page edges.
+  EXPECT_EQ(Mem.load(Base - 1, 1).Value, 0u);
+  EXPECT_EQ(Mem.load(5 * Page, 1).Value, 0u);
+  EXPECT_EQ(Mem.load(Base + Size, 1).Value, 0u);
+  EXPECT_EQ(Mem.load(8 * Page - 1, 1).Value, 0u);
+
+  // A zero-length blob maps nothing, even at an unmapped address.
+  Mem.writeBlob(20 * Page + 3, Data.data(), 0);
+  EXPECT_EQ(Mem.mappedPageCount(), 3u);
+  EXPECT_FALSE(Mem.isMapped(20 * Page));
 }
 
 TEST(GuestMemory, PokeHelpers) {

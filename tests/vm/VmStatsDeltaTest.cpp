@@ -99,14 +99,16 @@ TEST_P(VmSlicedRun, MatchesUninterruptedRun) {
     ASSERT_GT(Sliced.Slices, 2u) << "workload too small to slice";
 
     EXPECT_EQ(Sliced.Arch, Whole.Arch);
-    // A slice boundary inside translated code splits that segment in
-    // two; nothing else may notice the slicing.
-    uint64_t Segments = Whole.Stats.get("vm.segments");
-    EXPECT_GE(Sliced.Stats.get("vm.segments"), Segments);
-    EXPECT_LE(Sliced.Stats.get("vm.segments"),
-              Segments + Sliced.Slices - 1);
+    // A slice boundary inside translated code splits that segment, and
+    // the executor entry (a chain of fragments) it falls in, in two;
+    // nothing else may notice the slicing.
+    for (const char *Split : {"vm.segments", "vm.executor_calls"}) {
+      uint64_t Count = Whole.Stats.get(Split);
+      EXPECT_GE(Sliced.Stats.get(Split), Count) << Split;
+      EXPECT_LE(Sliced.Stats.get(Split), Count + Sliced.Slices - 1) << Split;
+    }
     for (const auto &[Counter, Value] : Whole.Stats.getWithPrefix("")) {
-      if (Counter != "vm.segments") {
+      if (Counter != "vm.segments" && Counter != "vm.executor_calls") {
         EXPECT_EQ(Sliced.Stats.get(Counter), Value) << Counter;
       }
     }
