@@ -115,9 +115,10 @@ struct Fragment {
   std::vector<iisa::IOp> Ops;
   ExitAccounting Accounting;
   std::vector<SuccessorSlot> Successors;
-  /// Per body instruction: runs that left through this exit into a chained
-  /// successor without returning to the VM, and not yet folded into the
-  /// VM's counters. Zero whenever the VM is outside the threaded loop.
+  /// Per body instruction: runs that left through this exit, whatever its
+  /// kind, into a successor without returning to the VM, and whose
+  /// exit-index accounting is not yet folded into the VM's counters. Zero
+  /// whenever the VM is outside the threaded loop.
   std::vector<uint64_t> ExitHits;
 
   // Native-tier linkage (src/native). The core library never touches

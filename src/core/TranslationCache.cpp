@@ -312,11 +312,10 @@ void TranslationCache::flush() {
 }
 
 Fragment *TranslationCache::lookup(uint64_t VAddr) {
-  auto It = Index.find(VAddr);
-  if (It == Index.end())
-    return nullptr;
-  touch(*It->second);
-  return It->second;
+  Fragment *F = find(VAddr);
+  if (F)
+    touch(*F);
+  return F;
 }
 
 const Fragment *TranslationCache::lookup(uint64_t VAddr) const {

@@ -76,6 +76,12 @@ public:
   /// eviction policy.
   Fragment *lookup(uint64_t VAddr);
   const Fragment *lookup(uint64_t VAddr) const;
+  /// lookup() without the recency stamp, for a caller that caches the
+  /// answer and stamps its own hits (the VM's PC translation table).
+  Fragment *find(uint64_t VAddr) {
+    auto It = Index.find(VAddr);
+    return It == Index.end() ? nullptr : It->second;
+  }
 
   /// Applies the recency stamp lookup() applies to a hit. A cached
   /// successor hit calls this in place of lookup(), so eviction order is

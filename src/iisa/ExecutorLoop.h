@@ -13,14 +13,23 @@
 ///
 ///  - Record: append one IisaEvent per executed instruction (the timing
 ///    models' trace). The event-free instantiation carries no recording.
-///  - ChainT, the chain policy. At a taken direct exit that is not a
-///    call-translator exit, and at a software-prediction hit, the loop asks
-///    Chain.follow(Index, Ops, Body) for the successor. When it answers
-///    true it has repointed Ops and Body at the successor's, and the loop
-///    continues at the successor's first op without returning: the
-///    patched direct branch of the paper's Section 3.2. NoChain never
-///    follows. A recording run never chains, so the trace a caller
+///  - ChainT, the chain policy. At every exit whose successor the VM could
+///    run without re-entering itself, the loop asks
+///    Chain.follow<K>(Index, VTarget, Ops, Body) for it. K is the exit's
+///    kind: Chained (a taken direct exit that is not a call-translator
+///    exit) and PredictHit have static targets; PredictMiss, Dispatch and
+///    Return have the computed target VTarget. When follow answers true it
+///    has repointed Ops and Body at the successor's, and the loop
+///    continues at the successor's first op without returning: the patched
+///    direct branch, the dual-address RAS hit and the shared dispatch code
+///    of the paper's Section 3.2, all inside translated code. NoChain
+///    never follows. A recording run never chains, so the trace a caller
 ///    consumes always covers exactly one fragment.
+///
+/// No code here may take the address of the op pointer O (a by-reference
+/// lambda capture is enough): that pins O to the stack and puts a store
+/// and a reload on every op's critical path. Index and event recording are
+/// macros for that reason (DESIGN.md §16 has the objdump check).
 ///
 /// iisa::execute() instantiates the NoChain loops; the VM instantiates the
 /// chaining one with its own policy (vm/VirtualMachine.cpp).
@@ -38,8 +47,9 @@ namespace ildp {
 namespace iisa {
 
 /// Chain policy of a run that stops at its first exit. An enabled policy
-/// also has bool follow(uint32_t Index, const IOp *&Ops,
-/// const IisaInst *&Body) (see the file comment).
+/// also has template <IExit::Kind K> bool follow(uint32_t Index,
+/// uint64_t VTarget, const IOp *&Ops, const IisaInst *&Body) (see the file
+/// comment).
 struct NoChain {
   static constexpr bool Enabled = false;
 };
@@ -101,20 +111,19 @@ IExit runOps(const IOp *Ops, const IisaInst *Body, IExecState &State,
 
   uint64_t *R = State.Slots.data();
   const IOp *O = Ops;
-  auto Index = [&] { return uint32_t(O - Ops); };
-  // Records the current op's event (an exit's carries the taken flag).
-  auto Note = [&](bool Taken, uint64_t MemAddr) {
-    if constexpr (Record)
-      Events->push_back(IisaEvent{Index(), Taken, MemAddr});
-  };
-  // The kind a static exit (Chained or PredictHit) returns with when the
-  // chain policy does not follow it.
-  IExit::Kind StaticKind = IExit::Kind::Chained;
 
-// A macro rather than a lambda: with ~160 uses in one function, GCC's
-// inliner would otherwise keep it out of line. Both indices are read
-// before either store: a uint64_t store may alias the op as far as the
-// compiler knows.
+// Macros rather than lambdas: a lambda that captures O by reference takes
+// its address (see the file comment), and with ~160 uses in one function
+// GCC's inliner would keep a lambda out of line. ILDP_PUT reads both
+// indices before either store: a uint64_t store may alias the op as far as
+// the compiler knows. ILDP_NOTE records the current op's event (an exit's
+// carries the taken flag).
+#define ILDP_INDEX() uint32_t(O - Ops)
+#define ILDP_NOTE(Taken, MemAddr)                                              \
+  do {                                                                         \
+    if constexpr (Record)                                                      \
+      Events->push_back(IisaEvent{ILDP_INDEX(), Taken, MemAddr});              \
+  } while (0)
 #define ILDP_PUT(V)                                                            \
   do {                                                                         \
     uint64_t Value_ = (V);                                                     \
@@ -125,9 +134,25 @@ IExit runOps(const IOp *Ops, const IisaInst *Body, IExecState &State,
 #define ILDP_DISPATCH() goto *Handlers[unsigned(O->Code)]
 #define ILDP_NEXT(MemAddr)                                                     \
   do {                                                                         \
-    Note(false, MemAddr);                                                      \
+    ILDP_NOTE(false, MemAddr);                                                 \
     ++O;                                                                       \
     ILDP_DISPATCH();                                                           \
+  } while (0)
+// Continues at the successor when the chain policy follows this exit.
+#define ILDP_FOLLOW(K, VTarget)                                                \
+  do {                                                                         \
+    if constexpr (ChainT::Enabled)                                             \
+      if (Chain.template follow<K>(ILDP_INDEX(), VTarget, Ops, Body)) {        \
+        O = Ops;                                                               \
+        ILDP_DISPATCH();                                                       \
+      }                                                                        \
+  } while (0)
+// An indirect exit of kind K to the computed target (B + Imm) & ~3.
+#define ILDP_DYNAMIC_EXIT(K)                                                   \
+  do {                                                                         \
+    uint64_t Target_ = (R[O->B] + O->Imm) & ~uint64_t(3);                      \
+    ILDP_FOLLOW(K, Target_);                                                   \
+    return exitAt(K, ILDP_INDEX(), Target_);                                   \
   } while (0)
 
   ILDP_DISPATCH();
@@ -178,8 +203,8 @@ Op_BlendI:
     uint64_t Addr = R[O->B] + O->Imm;                                          \
     MemAccessResult Access = Mem.load(Addr, Size);                             \
     if (!Access.ok()) {                                                        \
-      Note(false, Addr);                                                       \
-      return memTrap(Access.Fault, Index(), Addr);                             \
+      ILDP_NOTE(false, Addr);                                                  \
+      return memTrap(Access.Fault, ILDP_INDEX(), Addr);                        \
     }                                                                          \
     ILDP_PUT(Extend(Access.Value));                                                 \
     ILDP_NEXT(Addr);                                                           \
@@ -195,8 +220,8 @@ Op_BlendI:
     uint64_t Addr = R[O->B] + O->Imm;                                          \
     MemFaultKind Fault = Mem.store(Addr, Data, Size);                          \
     if (Fault != MemFaultKind::None) {                                         \
-      Note(false, Addr);                                                       \
-      return memTrap(Fault, Index(), Addr);                                    \
+      ILDP_NOTE(false, Addr);                                                  \
+      return memTrap(Fault, ILDP_INDEX(), Addr);                               \
     }                                                                          \
     ILDP_NEXT(Addr);                                                           \
   }
@@ -231,42 +256,33 @@ Op_Branch:
 DirectExit:
   // A branch or taken cond_exit: target and flavour from the live body
   // instruction, so patching an exit needs no re-lowering.
-  Note(true, 0);
-  if (Body[Index()].ToTranslator)
-    return exitAt(IExit::Kind::ToTranslator, Index(), Body[Index()].VTarget);
-  StaticKind = IExit::Kind::Chained;
-  goto StaticExit;
+  ILDP_NOTE(true, 0);
+  if (Body[ILDP_INDEX()].ToTranslator)
+    return exitAt(IExit::Kind::ToTranslator, ILDP_INDEX(),
+                  Body[ILDP_INDEX()].VTarget);
+  ILDP_FOLLOW(IExit::Kind::Chained, 0);
+  return exitAt(IExit::Kind::Chained, ILDP_INDEX(), Body[ILDP_INDEX()].VTarget);
 Op_JumpPredict:
-  if ((R[O->A] | O->ImmA) == 0) {
-    Note(false, 0);
-    return exitAt(IExit::Kind::PredictMiss, Index(),
-                  (R[O->B] + O->Imm) & ~uint64_t(3));
+  if ((R[O->A] | O->ImmA) != 0) {
+    ILDP_NOTE(true, 0);
+    ILDP_FOLLOW(IExit::Kind::PredictHit, 0);
+    return exitAt(IExit::Kind::PredictHit, ILDP_INDEX(),
+                  Body[ILDP_INDEX()].VTarget);
   }
-  Note(true, 0);
-  StaticKind = IExit::Kind::PredictHit;
-StaticExit:
-  // The one place the loop chains: a static target, its successor
-  // cached per exit.
-  if constexpr (ChainT::Enabled)
-    if (Chain.follow(Index(), Ops, Body)) {
-      O = Ops;
-      ILDP_DISPATCH();
-    }
-  return exitAt(StaticKind, Index(), Body[Index()].VTarget);
+  ILDP_NOTE(false, 0);
+  ILDP_DYNAMIC_EXIT(IExit::Kind::PredictMiss);
 Op_JumpDispatch:
-  Note(true, 0);
-  return exitAt(IExit::Kind::Dispatch, Index(),
-                (R[O->B] + O->Imm) & ~uint64_t(3));
+  ILDP_NOTE(true, 0);
+  ILDP_DYNAMIC_EXIT(IExit::Kind::Dispatch);
 Op_ReturnDual:
-  Note(true, 0);
-  return exitAt(IExit::Kind::Return, Index(),
-                (R[O->B] + O->Imm) & ~uint64_t(3));
+  ILDP_NOTE(true, 0);
+  ILDP_DYNAMIC_EXIT(IExit::Kind::Return);
 Op_Halt:
-  Note(false, 0);
-  return exitAt(IExit::Kind::Halt, Index());
+  ILDP_NOTE(false, 0);
+  return exitAt(IExit::Kind::Halt, ILDP_INDEX());
 Op_Gentrap: {
-  Note(false, 0);
-  IExit Exit = exitAt(IExit::Kind::Trap, Index());
+  ILDP_NOTE(false, 0);
+  IExit Exit = exitAt(IExit::Kind::Trap, ILDP_INDEX());
   Exit.TrapInfo = {TrapKind::Gentrap, 0, 0};
   return Exit;
 }
@@ -274,9 +290,13 @@ Op_Bad:
   assert(false && "Malformed instruction or body fell off its end");
   return exitAt(IExit::Kind::Halt, 0);
 
+#undef ILDP_DYNAMIC_EXIT
+#undef ILDP_FOLLOW
 #undef ILDP_NEXT
 #undef ILDP_DISPATCH
 #undef ILDP_PUT
+#undef ILDP_NOTE
+#undef ILDP_INDEX
 }
 
 } // namespace iisa

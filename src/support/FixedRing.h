@@ -77,7 +77,13 @@ public:
   }
 
 private:
-  size_t wrap(size_t Index) const { return Index % Buf.size(); }
+  /// Every caller passes Index < 2 * capacity(): Head < capacity() and
+  /// the offset added to it is at most capacity(). A compare and subtract,
+  /// not a division, since the dual-address RAS wraps on every push and pop.
+  size_t wrap(size_t Index) const {
+    assert(Index < 2 * Buf.size() && "wrap() index out of range");
+    return Index >= Buf.size() ? Index - Buf.size() : Index;
+  }
 
   std::vector<T> Buf;
   size_t Head = 0;

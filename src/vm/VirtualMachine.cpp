@@ -693,11 +693,35 @@ dbt::Fragment *VirtualMachine::staticSuccessor(dbt::Fragment &Frag,
     TCache.touch(*Slot.Next);
     return Slot.Next;
   }
-  dbt::Fragment *Next = TCache.lookup(Exit.VTarget);
+  dbt::Fragment *Next = lookupTarget(Exit.VTarget);
   // Misses are not cached; they leave translated code.
   if (Next)
     Slot = {Next, TCache.linkGeneration()};
   return Next;
+}
+
+bool VirtualMachine::takeDynamicExit(iisa::IExit::Kind K, uint64_t VTarget,
+                                     const dbt::Fragment *Next) {
+  switch (K) {
+  case iisa::IExit::Kind::PredictMiss:
+    ++Hot.PredictMiss;
+    return true;
+  case iisa::IExit::Kind::Dispatch:
+    ++Hot.ExitDispatch;
+    return true;
+  case iisa::IExit::Kind::Return:
+    if (dualRasPop(VTarget) && Next) {
+      ++Hot.ReturnHit;
+      return false;
+    }
+    // Mispredicted return: the unconditional branch after the return
+    // redirects to dispatch (Section 3.2).
+    ++Hot.ReturnMiss;
+    return true;
+  default:
+    assert(false && "not a dynamic exit");
+    return false;
+  }
 }
 
 struct VirtualMachine::ChainRunner {
@@ -708,18 +732,33 @@ struct VirtualMachine::ChainRunner {
   const uint64_t Gen = VM.TCache.linkGeneration();
   const bool RasPushes = VM.Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas;
 
-  /// The exit at \p Index of Cur was taken (a chained direct exit or a
-  /// prediction hit). Follows it when the slot is valid and the guest
-  /// budget allows the successor to run — exactly when the VM's own exit
-  /// handling would run it next — doing in order what must stay in order:
-  /// the guest-instruction count the budget reads, the exec count, the
-  /// dual-RAS pushes and the recency stamp. The remaining counters wait in
+  /// The exit of kind \p K at \p Index of Cur was taken, to \p VTarget for
+  /// a dynamic exit. Follows it exactly when the VM's own exit handling
+  /// would run a successor next without leaving translated code: the
+  /// successor is translated (a static exit's slot is valid, a dynamic
+  /// target is in the PC table) and the guest budget allows it. It decides
+  /// before it changes anything, then does what the VM would, in the VM's
+  /// order: the guest-instruction count the budget reads, the exec count,
+  /// the dual-RAS pushes, the exit's own counters (a return's pop among
+  /// them) and the recency stamp. The exit-index accounting waits in
   /// ExitHits for runChained()'s fold.
-  [[gnu::always_inline]] bool follow(uint32_t Index, const iisa::IOp *&Ops,
+  template <iisa::IExit::Kind K>
+  [[gnu::always_inline]] bool follow(uint32_t Index, uint64_t VTarget,
+                                     const iisa::IOp *&Ops,
                                      const IisaInst *&Body) {
-    const dbt::SuccessorSlot &Slot = Cur->Successors[Index];
-    if (Slot.Gen != Gen)
-      return false;
+    constexpr bool Static = K == iisa::IExit::Kind::Chained ||
+                            K == iisa::IExit::Kind::PredictHit;
+    dbt::Fragment *Next;
+    if constexpr (Static) {
+      const dbt::SuccessorSlot &Slot = Cur->Successors[Index];
+      if (Slot.Gen != Gen)
+        return false;
+      Next = Slot.Next;
+    } else {
+      Next = VM.findTarget(VTarget);
+      if (!Next)
+        return false;
+    }
     uint32_t Credit = Cur->Accounting.Cum[Index].VCredit;
     // GuestInsts < MaxGuestInsts holds here: the VM checks it before the
     // first run, and every step keeps it.
@@ -731,8 +770,16 @@ struct VirtualMachine::ChainRunner {
       VM.PendingHits.emplace_back(Cur, Index);
     if (RasPushes)
       VM.dualRasPushes(*Cur, Index);
-    VM.TCache.touch(*Slot.Next);
-    Cur = Slot.Next;
+    if constexpr (K == iisa::IExit::Kind::Chained) {
+      ++VM.Hot.ExitChained;
+    } else if constexpr (K == iisa::IExit::Kind::PredictHit) {
+      ++VM.Hot.PredictHit;
+    } else if (VM.takeDynamicExit(K, VTarget, Next)) {
+      VM.emitStubBranch(Cur->IBase + Cur->BodyBytes);
+      VM.emitDispatch(VTarget, Next->IBase);
+    }
+    VM.TCache.touch(*Next);
+    Cur = Next;
     Ops = Cur->Ops.data();
     Body = Cur->Body.data();
     return true;
@@ -744,16 +791,10 @@ iisa::IExit VirtualMachine::runChained(dbt::Fragment *&Frag) {
   iisa::IExit Exit = iisa::runOps<false>(Frag->Ops.data(), Frag->Body.data(),
                                          ExecState, Mem, nullptr, Chain);
   Frag = Chain.Cur;
-  // The fold: what each chained exit would have added in the VM's exit
-  // handling below, multiplied out.
-  for (auto [F, Index] : PendingHits) {
-    uint64_t Runs = std::exchange(F->ExitHits[Index], 0);
-    accountRuns(*F, Index, Runs);
-    if (F->Body[Index].Kind == IKind::JumpPredict)
-      Hot.PredictHit += Runs;
-    else
-      Hot.ExitChained += Runs;
-  }
+  // The fold: the exit-index accounting each followed exit would have
+  // added in the VM's exit handling below, multiplied out.
+  for (auto [F, Index] : PendingHits)
+    accountRuns(*F, Index, std::exchange(F->ExitHits[Index], 0));
   PendingHits.clear();
   return Exit;
 }
@@ -828,29 +869,11 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
       ++(Next ? Hot.PredictHit : Hot.PredictHitUntranslated);
       break;
     case iisa::IExit::Kind::PredictMiss:
-      Next = TCache.lookup(Exit.VTarget);
-      NeedStubDispatch = true;
-      ++Hot.PredictMiss;
-      break;
     case iisa::IExit::Kind::Dispatch:
-      Next = TCache.lookup(Exit.VTarget);
-      NeedStubDispatch = true;
-      ++Hot.ExitDispatch;
+    case iisa::IExit::Kind::Return:
+      Next = lookupTarget(Exit.VTarget);
+      NeedStubDispatch = takeDynamicExit(Exit.K, Exit.VTarget, Next);
       break;
-    case iisa::IExit::Kind::Return: {
-      bool VMatch = dualRasPop(Exit.VTarget);
-      Next = VMatch ? TCache.lookup(Exit.VTarget) : nullptr;
-      if (Next) {
-        ++Hot.ReturnHit;
-      } else {
-        // Mispredicted return: the unconditional branch after the return
-        // redirects to dispatch (Section 3.2).
-        NeedStubDispatch = true;
-        Next = TCache.lookup(Exit.VTarget);
-        ++Hot.ReturnMiss;
-      }
-      break;
-    }
     case iisa::IExit::Kind::Halt:
       ++Hot.ExitHalt;
       break;

@@ -36,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 namespace ildp {
 namespace persist {
@@ -351,8 +352,9 @@ private:
   void accountRuns(const dbt::Fragment &Frag, uint32_t ExitIndex,
                    uint64_t Runs);
   /// The chain policy of the threaded executor loop (iisa/ExecutorLoop.h):
-  /// follows a valid successor slot within the guest budget, doing the
-  /// per-run accounting that must stay in order inline.
+  /// follows every exit whose successor is translated within the guest
+  /// budget (DESIGN.md §16), doing inline, in the VM's order, the per-run
+  /// effects that must stay in order and the exit's own counters.
   struct ChainRunner;
   /// Runs the I-ISA loop from \p Frag, chaining; on return \p Frag is the
   /// fragment the exit belongs to, and every chained run is accounted.
@@ -362,9 +364,46 @@ private:
   /// no evicted fragment is ever named here.
   std::vector<std::pair<dbt::Fragment *, uint32_t>> PendingHits;
   /// Successor of a static exit (Chained / PredictHit): the exit's cached
-  /// slot while the cache's link generation is unchanged, else a cache
-  /// lookup — which refills the slot on a hit.
+  /// slot while the cache's link generation is unchanged, else a lookup —
+  /// which refills the slot on a hit.
   dbt::Fragment *staticSuccessor(dbt::Fragment &Frag, const iisa::IExit &Exit);
+  /// The dual-RAS pop and the counters of a dynamic exit (PredictMiss,
+  /// Dispatch or Return) to \p VTarget, whose fragment is \p Next (null
+  /// when untranslated). Returns whether the exit went through the exit
+  /// stub into the shared dispatch code, whose counters it leaves to
+  /// emitStubBranch() and emitDispatch().
+  bool takeDynamicExit(iisa::IExit::Kind K, uint64_t VTarget,
+                       const dbt::Fragment *Next);
+
+  /// The PC translation table of the paper's Figure 3, which the shared
+  /// dispatch code and dual-RAS returns probe: a direct-mapped cache of
+  /// TCache lookups by V-ISA target, each entry valid for the link
+  /// generation it was filled in (every change to the cache's entry index
+  /// bumps it). Only hits are cached.
+  struct PcTableEntry {
+    uint64_t VAddr = 0;
+    dbt::Fragment *Frag = nullptr;
+    uint64_t Gen = 0; ///< 0 never matches: generations start at 1.
+  };
+  static constexpr size_t PcTableSize = 1024;
+  std::vector<PcTableEntry> PcTable = std::vector<PcTableEntry>(PcTableSize);
+  /// TCache.lookup(\p VAddr) through the table, without the recency stamp.
+  dbt::Fragment *findTarget(uint64_t VAddr) {
+    PcTableEntry &E = PcTable[(VAddr >> 2) & (PcTableSize - 1)];
+    if (E.Gen == TCache.linkGeneration() && E.VAddr == VAddr)
+      return E.Frag;
+    dbt::Fragment *Frag = TCache.find(VAddr);
+    if (Frag)
+      E = {VAddr, Frag, TCache.linkGeneration()};
+    return Frag;
+  }
+  /// TCache.lookup(\p VAddr) through the table, recency stamp included.
+  dbt::Fragment *lookupTarget(uint64_t VAddr) {
+    dbt::Fragment *Frag = findTarget(VAddr);
+    if (Frag)
+      TCache.touch(*Frag);
+    return Frag;
+  }
   void emitFragmentTrace(const dbt::Fragment &Frag,
                          const std::vector<iisa::IisaEvent> &Events,
                          const iisa::IExit &Exit, uint64_t NextIPc);

@@ -5,8 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/FixedRing.h"
+#include "support/Rng.h"
 
+#include <deque>
 #include <gtest/gtest.h>
+#include <string>
 
 using namespace ildp;
 
@@ -107,4 +110,52 @@ TEST(FixedRing, ZeroCapacityClampsToOne) {
   Ring.pushBackEvict(2);
   EXPECT_EQ(Ring.size(), 1u);
   EXPECT_EQ(Ring.front(), 2);
+}
+
+TEST(FixedRing, MatchesDequeOnRandomSequences) {
+  // wrap() is a compare and subtract, valid because every index it sees
+  // is below twice the capacity. Seeded random mixes of evicting pushes,
+  // pops from both ends and clears, checked element by element against a
+  // std::deque kept to the same capacity, cover every wrap position.
+  for (size_t Capacity : {1u, 3u, 8u}) {
+    for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+      SCOPED_TRACE("capacity " + std::to_string(Capacity) + " seed " +
+                   std::to_string(Seed));
+      Rng Rand(Seed);
+      FixedRing<uint64_t> Ring(Capacity);
+      std::deque<uint64_t> Ref;
+      for (unsigned Step = 0; Step != 2'000; ++Step) {
+        uint64_t Choice = Rand.nextBelow(64);
+        if (Choice < 36) {
+          uint64_t Value = Rand.next();
+          Ring.pushBackEvict(Value);
+          Ref.push_back(Value);
+          if (Ref.size() > Capacity)
+            Ref.pop_front();
+        } else if (Choice < 49) {
+          if (!Ref.empty()) {
+            Ring.popBack();
+            Ref.pop_back();
+          }
+        } else if (Choice < 63) {
+          if (!Ref.empty()) {
+            Ring.popFront();
+            Ref.pop_front();
+          }
+        } else {
+          Ring.clear();
+          Ref.clear();
+        }
+        ASSERT_EQ(Ring.size(), Ref.size());
+        ASSERT_EQ(Ring.empty(), Ref.empty());
+        ASSERT_EQ(Ring.full(), Ref.size() == Capacity);
+        for (size_t I = 0; I != Ref.size(); ++I)
+          ASSERT_EQ(Ring.at(I), Ref[I]) << "at " << I << ", step " << Step;
+        if (!Ref.empty()) {
+          ASSERT_EQ(Ring.front(), Ref.front());
+          ASSERT_EQ(Ring.back(), Ref.back());
+        }
+      }
+    }
+  }
 }
