@@ -116,9 +116,8 @@ struct Fragment {
   ExitAccounting Accounting;
   std::vector<SuccessorSlot> Successors;
   /// Per body instruction: runs that left through this exit, whatever its
-  /// kind, into a successor without returning to the VM, and whose
-  /// exit-index accounting is not yet folded into the VM's counters. Zero
-  /// whenever the VM is outside the threaded loop.
+  /// kind, whose exit-index accounting is not yet folded into the VM's
+  /// counters. Zero whenever the VM is outside translated execution.
   std::vector<uint64_t> ExitHits;
 
   // Native-tier linkage (src/native). The core library never touches

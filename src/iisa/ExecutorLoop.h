@@ -13,18 +13,20 @@
 ///
 ///  - Record: append one IisaEvent per executed instruction (the timing
 ///    models' trace). The event-free instantiation carries no recording.
-///  - ChainT, the chain policy. At every exit whose successor the VM could
-///    run without re-entering itself, the loop asks
-///    Chain.follow<K>(Index, VTarget, Ops, Body) for it. K is the exit's
-///    kind: Chained (a taken direct exit that is not a call-translator
-///    exit) and PredictHit have static targets; PredictMiss, Dispatch and
-///    Return have the computed target VTarget. When follow answers true it
-///    has repointed Ops and Body at the successor's, and the loop
-///    continues at the successor's first op without returning: the patched
-///    direct branch, the dual-address RAS hit and the shared dispatch code
-///    of the paper's Section 3.2, all inside translated code. NoChain
-///    never follows. A recording run never chains, so the trace a caller
-///    consumes always covers exactly one fragment.
+///  - ChainT, the chain policy. At every exit except a call-translator
+///    exit, a halt and a trap, the loop hands the exit to
+///    Chain.follow<K>(Index, VTarget, Ops, Body), which takes it whatever
+///    it answers. K is the exit's kind: Chained (a taken direct exit that
+///    is not a call-translator exit) and PredictHit have static targets;
+///    PredictMiss, Dispatch and Return have the computed target VTarget.
+///    When follow answers true it has repointed Ops and Body at the
+///    successor's, and the loop continues at the successor's first op
+///    without returning: the patched direct branch, the dual-address RAS
+///    hit and the shared dispatch code of the paper's Section 3.2, all
+///    inside translated code. When it answers false the loop returns the
+///    exit, already taken; the three kinds it never hands over return
+///    untaken. NoChain never follows. A recording run never chains, so
+///    the trace a caller consumes always covers exactly one fragment.
 ///
 /// No code here may take the address of the op pointer O (a by-reference
 /// lambda capture is enough): that pins O to the stack and puts a store

@@ -332,9 +332,14 @@ void VirtualMachine::importNativeObjects(const persist::CacheStore &St) {
   }
 }
 
-void VirtualMachine::dualRasPush(uint64_t VRet) {
-  DualRas.pushBackEvict(VRet); // Overflow forgets the deepest frame.
-  ++Hot.RasPushes;
+void VirtualMachine::dualRasPushes(const dbt::Fragment &Frag,
+                                   uint32_t ExitIndex) {
+  for (const auto &[PushIdx, VRet] : Frag.Accounting.RasPushes) {
+    if (PushIdx > ExitIndex)
+      break;
+    DualRas.pushBackEvict(VRet); // Overflow forgets the deepest frame.
+    ++Hot.RasPushes;
+  }
 }
 
 bool VirtualMachine::dualRasPop(uint64_t Actual) {
@@ -551,11 +556,9 @@ static uint8_t traceReg(const IOperand &Op) {
   }
 }
 
-void VirtualMachine::emitFragmentTrace(
-    const dbt::Fragment &Frag, const std::vector<IisaEvent> &Events,
-    const iisa::IExit &Exit, uint64_t NextIPc) {
-  if (!Timing)
-    return;
+void VirtualMachine::emitFragmentTrace(const dbt::Fragment &Frag,
+                                       const std::vector<IisaEvent> &Events,
+                                       iisa::IExit::Kind K, uint64_t NextIPc) {
   for (size_t E = 0; E != Events.size(); ++E) {
     const IisaEvent &Ev = Events[E];
     const IisaInst &Inst = Frag.Body[Ev.Index];
@@ -600,7 +603,7 @@ void VirtualMachine::emitFragmentTrace(
       Op.Taken = true;
       Op.NextPc = NextIPc;
       Op.RasHitKnown = true;
-      Op.RasHit = Exit.K == iisa::IExit::Kind::Return && NextIPc != 0 &&
+      Op.RasHit = K == iisa::IExit::Kind::Return && NextIPc != 0 &&
                   NextIPc != DispatchIPc && NextIPc != TranslatorIPc;
       break;
     default:
@@ -656,129 +659,106 @@ void VirtualMachine::emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc) {
   }
 }
 
-void VirtualMachine::accountRuns(const dbt::Fragment &Frag,
-                                 uint32_t ExitIndex, uint64_t Runs) {
-  // Every tier executes instructions 0..ExitIndex of the body, so the
-  // accounting is the fragment's prefix sums at the exit index.
-  const dbt::CumCounters &Cum = Frag.Accounting.Cum[ExitIndex];
-  Hot.FragInsts += Runs * (ExitIndex + 1);
-  Hot.VInstsTranslated += Runs * Cum.VCredit;
-  Hot.CopyInsts += Runs * Cum.CopyInsts;
-  Hot.SourceOps += Runs * Cum.SourceOps;
-  for (size_t U = 0; U != Cum.Usage.size(); ++U)
-    Hot.Usage[U] += Runs * Cum.Usage[U];
-}
-
-void VirtualMachine::accountExit(const dbt::Fragment &Frag,
-                                 uint32_t ExitIndex) {
-  GuestInsts += Frag.Accounting.Cum[ExitIndex].VCredit;
-  accountRuns(Frag, ExitIndex, 1);
-  if (Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas)
-    dualRasPushes(Frag, ExitIndex);
-}
-
-void VirtualMachine::dualRasPushes(const dbt::Fragment &Frag,
-                                   uint32_t ExitIndex) {
-  for (const auto &[PushIdx, VRet] : Frag.Accounting.RasPushes) {
-    if (PushIdx > ExitIndex)
-      break;
-    dualRasPush(VRet);
-  }
-}
-
-dbt::Fragment *VirtualMachine::staticSuccessor(dbt::Fragment &Frag,
-                                               const iisa::IExit &Exit) {
-  dbt::SuccessorSlot &Slot = Frag.Successors[Exit.InstIndex];
-  if (Slot.Gen == TCache.linkGeneration()) {
-    TCache.touch(*Slot.Next);
-    return Slot.Next;
-  }
-  dbt::Fragment *Next = lookupTarget(Exit.VTarget);
-  // Misses are not cached; they leave translated code.
-  if (Next)
-    Slot = {Next, TCache.linkGeneration()};
-  return Next;
-}
-
-bool VirtualMachine::takeDynamicExit(iisa::IExit::Kind K, uint64_t VTarget,
-                                     const dbt::Fragment *Next) {
-  switch (K) {
-  case iisa::IExit::Kind::PredictMiss:
-    ++Hot.PredictMiss;
-    return true;
-  case iisa::IExit::Kind::Dispatch:
-    ++Hot.ExitDispatch;
-    return true;
-  case iisa::IExit::Kind::Return:
-    if (dualRasPop(VTarget) && Next) {
-      ++Hot.ReturnHit;
-      return false;
-    }
-    // Mispredicted return: the unconditional branch after the return
-    // redirects to dispatch (Section 3.2).
-    ++Hot.ReturnMiss;
-    return true;
-  default:
-    assert(false && "not a dynamic exit");
-    return false;
-  }
-}
-
 struct VirtualMachine::ChainRunner {
   static constexpr bool Enabled = true;
 
   VirtualMachine &VM;
   dbt::Fragment *Cur;
+  /// What the last take() returned.
+  dbt::Fragment *Next = nullptr;
+  /// Cur's per-instruction events, recorded only for the timing model.
+  std::vector<IisaEvent> Events{};
+  /// Nothing installs, evicts or flushes while a segment runs.
   const uint64_t Gen = VM.TCache.linkGeneration();
   const bool RasPushes = VM.Config.Dbt.Chaining == dbt::ChainPolicy::SwPredRas;
 
-  /// The exit of kind \p K at \p Index of Cur was taken, to \p VTarget for
-  /// a dynamic exit. Follows it exactly when the VM's own exit handling
-  /// would run a successor next without leaving translated code: the
-  /// successor is translated (a static exit's slot is valid, a dynamic
-  /// target is in the PC table) and the guest budget allows it. It decides
-  /// before it changes anything, then does what the VM would, in the VM's
-  /// order: the guest-instruction count the budget reads, the exec count,
-  /// the dual-RAS pushes, the exit's own counters (a return's pop among
-  /// them) and the recency stamp. The exit-index accounting waits in
-  /// ExitHits for runChained()'s fold.
+  /// Takes the exit of kind \p K at body index \p Index of Cur (to
+  /// \p VTarget when the exit is dynamic) and returns the successor, null
+  /// when the target is not translated. Every instruction 0..Index ran, so
+  /// it adds the guest-instruction count the budget reads, the exec count
+  /// and the dual-RAS pushes, and leaves the rest of the exit-index
+  /// accounting in ExitHits for executeTranslated()'s fold. Then the exit's
+  /// own work: a static exit's successor slot, refilled through the PC
+  /// translation table when stale; a dynamic exit's table lookup and a
+  /// return's pop; the exit's counters; the trace, exit stub and shared
+  /// dispatch code; and the successor's recency stamp.
+  [[gnu::always_inline]] dbt::Fragment *take(iisa::IExit::Kind K,
+                                             uint32_t Index, uint64_t VTarget) {
+    using Kind = iisa::IExit::Kind;
+    dbt::Fragment &F = *Cur;
+    VM.GuestInsts += F.Accounting.Cum[Index].VCredit;
+    ++F.ExecCount;
+    if (F.ExitHits[Index]++ == 0)
+      VM.PendingHits.emplace_back(&F, Index);
+    if (RasPushes)
+      VM.dualRasPushes(F, Index);
+    dbt::Fragment *Succ = nullptr;
+    bool Stub = false; // Through the exit stub into the shared dispatch code.
+    switch (K) {
+    case Kind::Chained:
+    case Kind::PredictHit: {
+      dbt::SuccessorSlot &Slot = F.Successors[Index];
+      if (Slot.Gen == Gen)
+        Succ = Slot.Next;
+      else if ((Succ = VM.findTarget(F.Body[Index].VTarget)))
+        Slot = {Succ, Gen}; // Misses are not cached; they leave translated code.
+      if (K == Kind::Chained)
+        ++(Succ ? VM.Hot.ExitChained : VM.Hot.ExitChainedMissing);
+      else
+        ++(Succ ? VM.Hot.PredictHit : VM.Hot.PredictHitUntranslated);
+      break;
+    }
+    case Kind::PredictMiss:
+      Succ = VM.findTarget(VTarget);
+      ++VM.Hot.PredictMiss;
+      Stub = true;
+      break;
+    case Kind::Dispatch:
+      Succ = VM.findTarget(VTarget);
+      ++VM.Hot.ExitDispatch;
+      Stub = true;
+      break;
+    case Kind::Return:
+      Succ = VM.findTarget(VTarget);
+      // A mispredicted return: the unconditional branch after the return
+      // redirects to dispatch (Section 3.2).
+      Stub = !(VM.dualRasPop(VTarget) && Succ);
+      ++(Stub ? VM.Hot.ReturnMiss : VM.Hot.ReturnHit);
+      break;
+    case Kind::ToTranslator:
+      ++VM.Hot.ExitTranslator;
+      break;
+    case Kind::Halt:
+      ++VM.Hot.ExitHalt;
+      break;
+    case Kind::Trap:
+      ++VM.Hot.ExitTrap;
+      break;
+    }
+    // A dispatching exit falls into the stub; every other exit jumps
+    // straight to its successor, or to the translator when there is none.
+    uint64_t StubIPc = F.IBase + F.BodyBytes;
+    uint64_t TargetIPc = Succ ? Succ->IBase : TranslatorIPc;
+    if (VM.Timing)
+      VM.emitFragmentTrace(F, Events, K, Stub ? StubIPc : TargetIPc);
+    if (Stub) {
+      VM.emitStubBranch(StubIPc);
+      VM.emitDispatch(VTarget, TargetIPc);
+    }
+    if (Succ)
+      VM.TCache.touch(*Succ);
+    return Next = Succ;
+  }
+
+  /// The loop's question at an exit (iisa/ExecutorLoop.h): take it, then
+  /// run the successor next unless there is none or the VM's own budget
+  /// test stops the segment.
   template <iisa::IExit::Kind K>
   [[gnu::always_inline]] bool follow(uint32_t Index, uint64_t VTarget,
                                      const iisa::IOp *&Ops,
                                      const IisaInst *&Body) {
-    constexpr bool Static = K == iisa::IExit::Kind::Chained ||
-                            K == iisa::IExit::Kind::PredictHit;
-    dbt::Fragment *Next;
-    if constexpr (Static) {
-      const dbt::SuccessorSlot &Slot = Cur->Successors[Index];
-      if (Slot.Gen != Gen)
-        return false;
-      Next = Slot.Next;
-    } else {
-      Next = VM.findTarget(VTarget);
-      if (!Next)
-        return false;
-    }
-    uint32_t Credit = Cur->Accounting.Cum[Index].VCredit;
-    // GuestInsts < MaxGuestInsts holds here: the VM checks it before the
-    // first run, and every step keeps it.
-    if (Credit >= VM.Config.MaxGuestInsts - VM.GuestInsts)
+    if (!take(K, Index, VTarget) || VM.GuestInsts >= VM.Config.MaxGuestInsts)
       return false;
-    VM.GuestInsts += Credit;
-    ++Cur->ExecCount;
-    if (Cur->ExitHits[Index]++ == 0)
-      VM.PendingHits.emplace_back(Cur, Index);
-    if (RasPushes)
-      VM.dualRasPushes(*Cur, Index);
-    if constexpr (K == iisa::IExit::Kind::Chained) {
-      ++VM.Hot.ExitChained;
-    } else if constexpr (K == iisa::IExit::Kind::PredictHit) {
-      ++VM.Hot.PredictHit;
-    } else if (VM.takeDynamicExit(K, VTarget, Next)) {
-      VM.emitStubBranch(Cur->IBase + Cur->BodyBytes);
-      VM.emitDispatch(VTarget, Next->IBase);
-    }
-    VM.TCache.touch(*Next);
     Cur = Next;
     Ops = Cur->Ops.data();
     Body = Cur->Body.data();
@@ -786,142 +766,95 @@ struct VirtualMachine::ChainRunner {
   }
 };
 
-iisa::IExit VirtualMachine::runChained(dbt::Fragment *&Frag) {
-  ChainRunner Chain{*this, Frag};
-  iisa::IExit Exit = iisa::runOps<false>(Frag->Ops.data(), Frag->Body.data(),
-                                         ExecState, Mem, nullptr, Chain);
-  Frag = Chain.Cur;
-  // The fold: the exit-index accounting each followed exit would have
-  // added in the VM's exit handling below, multiplied out.
-  for (auto [F, Index] : PendingHits)
-    accountRuns(*F, Index, std::exchange(F->ExitHits[Index], 0));
-  PendingHits.clear();
-  return Exit;
-}
-
 VirtualMachine::SegmentOutcome
 VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
+  using Kind = iisa::IExit::Kind;
   ExecState.loadArchState(Interp.state());
-  std::vector<IisaEvent> Events;
   ++Hot.Segments;
+  ChainRunner Chain{*this, Frag};
   // The native tier's tier-up and the timing model's per-fragment trace
   // both need the VM between every two fragment runs.
-  const bool Chain = !NativeSvc && !Timing;
+  const bool Chaining = !NativeSvc && !Timing;
 
-  auto ToInterp = [&](uint64_t VPc) {
-    ArchState Arch = ExecState.toArchState();
-    Arch.Pc = VPc;
-    Interp.state() = Arch;
-    SegmentOutcome Out;
-    Out.K = SegmentOutcome::Kind::ToInterpreter;
-    Out.NextVPc = VPc;
-    return Out;
-  };
-
+  SegmentOutcome Out;
   for (;;) {
-    if (GuestInsts >= Config.MaxGuestInsts) {
-      SegmentOutcome Out = ToInterp(Frag->EntryVAddr);
-      Out.K = SegmentOutcome::Kind::Budget;
-      return Out;
-    }
-
+    ++Hot.ExecutorCalls;
     iisa::IExit Exit;
-    bool RanNative = false;
-    if (NativeSvc && !Timing) {
-      // Hot loops never leave this dispatch loop, so the native tier's
-      // drain/tier-up bookkeeping must also live here (attach never
-      // destroys a fragment, so Frag stays valid). Detailed-timing runs
-      // stay on the I-ISA tier: the model consumes per-instruction events.
+    if (Chaining) {
+      Exit = iisa::runOps<false>(Frag->Ops.data(), Frag->Body.data(),
+                                 ExecState, Mem, nullptr, Chain);
+      Frag = Chain.Cur;
+    } else if (Timing) {
+      // Detailed-timing runs stay on the I-ISA tier: the model consumes
+      // per-instruction events.
+      Chain.Events.clear();
+      Exit = iisa::execute(Frag->Ops.data(), Frag->Body.data(), ExecState,
+                           Mem, &Chain.Events);
+    } else {
+      // Hot loops never leave this loop, so the native tier's drain/tier-up
+      // bookkeeping must also live here (attach never destroys a fragment,
+      // so Frag stays valid).
       drainNativeCompleted();
       maybeNativeTierUp(Frag);
       if (Frag->Native) {
-        ++Hot.ExecutorCalls;
         Exit = native::runFragment(*Frag->Native, ExecState, Mem, Frag->Body);
         ++Nat.Runs;
         Nat.Insts += Exit.InstIndex + 1;
-        RanNative = true;
+      } else {
+        Exit = iisa::execute(Frag->Ops.data(), Frag->Body.data(), ExecState,
+                             Mem, nullptr);
       }
     }
-    if (!RanNative) {
-      ++Hot.ExecutorCalls;
-      // Per-instruction events feed only the timing model.
-      Events.clear();
-      Exit = Chain ? runChained(Frag)
-                   : iisa::execute(Frag->Ops.data(), Frag->Body.data(),
-                                   ExecState, Mem, Timing ? &Events : nullptr);
-    }
-    ++Frag->ExecCount;
-    accountExit(*Frag, Exit.InstIndex);
+    // The loop took every exit it asked the runner to follow; the VM takes
+    // the rest.
+    bool Taken = Chaining && Exit.K != Kind::ToTranslator &&
+                 Exit.K != Kind::Halt && Exit.K != Kind::Trap;
+    dbt::Fragment *Next =
+        Taken ? Chain.Next : Chain.take(Exit.K, Exit.InstIndex, Exit.VTarget);
 
-    // Exit decision.
-    dbt::Fragment *Next = nullptr;
-    bool NeedStubDispatch = false;
-    switch (Exit.K) {
-    case iisa::IExit::Kind::Chained:
-      Next = staticSuccessor(*Frag, Exit);
-      ++(Next ? Hot.ExitChained : Hot.ExitChainedMissing);
-      break;
-    case iisa::IExit::Kind::ToTranslator:
-      ++Hot.ExitTranslator;
-      break;
-    case iisa::IExit::Kind::PredictHit:
-      Next = staticSuccessor(*Frag, Exit);
-      ++(Next ? Hot.PredictHit : Hot.PredictHitUntranslated);
-      break;
-    case iisa::IExit::Kind::PredictMiss:
-    case iisa::IExit::Kind::Dispatch:
-    case iisa::IExit::Kind::Return:
-      Next = lookupTarget(Exit.VTarget);
-      NeedStubDispatch = takeDynamicExit(Exit.K, Exit.VTarget, Next);
-      break;
-    case iisa::IExit::Kind::Halt:
-      ++Hot.ExitHalt;
-      break;
-    case iisa::IExit::Kind::Trap:
-      ++Hot.ExitTrap;
-      break;
+    // GuestInsts < MaxGuestInsts held on entry; this is the VM's budget
+    // test before every further run.
+    if (Next && GuestInsts < Config.MaxGuestInsts) {
+      Frag = Chain.Cur = Next;
+      continue;
     }
-
-    // Trace emission. A dispatching exit (including a mispredicted
-    // return) falls into the stub; every other exit jumps straight to its
-    // target fragment, or to the translator when there is none.
-    uint64_t StubIPc = Frag->IBase + Frag->BodyBytes;
-    uint64_t TargetIPc = Next ? Next->IBase : TranslatorIPc;
-    emitFragmentTrace(*Frag, Events, Exit,
-                      NeedStubDispatch ? StubIPc : TargetIPc);
-    if (NeedStubDispatch) {
-      emitStubBranch(StubIPc);
-      emitDispatch(Exit.VTarget, TargetIPc);
-    }
-
-    switch (Exit.K) {
-    case iisa::IExit::Kind::Halt: {
-      // Count the HALT itself.
-      SegmentOutcome Out;
-      ArchState Arch = ExecState.toArchState();
-      Arch.Pc = Frag->Body[Exit.InstIndex].VAddr;
-      Interp.state() = Arch;
-      Out.K = SegmentOutcome::Kind::Halted;
-      return Out;
-    }
-    case iisa::IExit::Kind::Trap: {
-      SegmentOutcome Out;
+    if (Exit.K == Kind::Trap) {
       Out.K = SegmentOutcome::Kind::Trapped;
       Out.Trap = dbt::recoverTrapState(*Frag, Exit.InstIndex, ExecState,
                                        Exit.TrapInfo);
       // Leave the interpreter at the recovered state (the VM could resume
       // interpretation there after trap delivery).
       Interp.state() = Out.Trap.Arch;
-      return Out;
-    }
-    default:
       break;
     }
-
-    if (!Next)
-      return ToInterp(Exit.VTarget);
-    Frag = Next;
+    // A halt leaves the PC at the HALT; any other exit at its target, where
+    // the interpreter resumes (or a budget stop ends the run).
+    ArchState Arch = ExecState.toArchState();
+    Arch.Pc = Exit.K == Kind::Halt ? Frag->Body[Exit.InstIndex].VAddr
+                                   : Exit.VTarget;
+    Interp.state() = Arch;
+    Out.K = Exit.K == Kind::Halt ? SegmentOutcome::Kind::Halted
+                                 : SegmentOutcome::Kind::ToInterpreter;
+    break;
   }
+
+  // The fold: the exit-index accounting of every run in the segment, from
+  // the fragments' prefix sums (every tier executes instructions
+  // 0..Index). It is a pure function of the exit index, so one count per
+  // index serves every exit kind that leaves through it. Nothing installs,
+  // evicts or flushes during a segment, so no pair names a freed fragment.
+  for (auto [F, Index] : PendingHits) {
+    uint64_t Runs = std::exchange(F->ExitHits[Index], 0);
+    const dbt::CumCounters &Cum = F->Accounting.Cum[Index];
+    Hot.FragInsts += Runs * (Index + 1);
+    Hot.VInstsTranslated += Runs * Cum.VCredit;
+    Hot.CopyInsts += Runs * Cum.CopyInsts;
+    Hot.SourceOps += Runs * Cum.SourceOps;
+    for (size_t U = 0; U != Cum.Usage.size(); ++U)
+      Hot.Usage[U] += Runs * Cum.Usage[U];
+  }
+  PendingHits.clear();
+  return Out;
 }
 
 const StatisticSet &VirtualMachine::stats() {
@@ -1064,9 +997,6 @@ RunResult VirtualMachine::runLoop() {
     case SegmentOutcome::Kind::Trapped:
       Result.Reason = StopReason::Trapped;
       Result.Trap = Seg.Trap;
-      return Result;
-    case SegmentOutcome::Kind::Budget:
-      Result.Reason = StopReason::Budget;
       return Result;
     }
   }

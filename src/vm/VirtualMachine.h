@@ -339,41 +339,20 @@ private:
 
   // ---- Translated execution ----
   struct SegmentOutcome {
-    enum class Kind { ToInterpreter, Halted, Trapped, Budget } K;
-    uint64_t NextVPc = 0;
+    enum class Kind { ToInterpreter, Halted, Trapped } K;
     dbt::RecoveredState Trap;
   };
   SegmentOutcome executeTranslated(dbt::Fragment *Frag);
-  /// Accounts one run of \p Frag that exited at body index \p ExitIndex
-  /// (counters and dual-RAS pushes), for every tier.
-  void accountExit(const dbt::Fragment &Frag, uint32_t ExitIndex);
-  /// The counters accountExit() adds besides the guest-instruction count
-  /// and the dual-RAS pushes, for \p Runs runs exiting at \p ExitIndex.
-  void accountRuns(const dbt::Fragment &Frag, uint32_t ExitIndex,
-                   uint64_t Runs);
-  /// The chain policy of the threaded executor loop (iisa/ExecutorLoop.h):
-  /// follows every exit whose successor is translated within the guest
-  /// budget (DESIGN.md §16), doing inline, in the VM's order, the per-run
-  /// effects that must stay in order and the exit's own counters.
+  /// Takes every exit of a segment, for every tier (DESIGN.md §16): the
+  /// threaded executor loop's chain policy (iisa/ExecutorLoop.h), which
+  /// follows an exit it took while the successor is translated and the
+  /// guest budget allows, and the VM's exit handling after every run the
+  /// loop does not chain and for the exits it never asks about.
   struct ChainRunner;
-  /// Runs the I-ISA loop from \p Frag, chaining; on return \p Frag is the
-  /// fragment the exit belongs to, and every chained run is accounted.
-  iisa::IExit runChained(dbt::Fragment *&Frag);
-  /// (fragment, exit index) pairs whose ExitHits the threaded loop raised
-  /// from zero; runChained() folds and clears them before it returns, so
-  /// no evicted fragment is ever named here.
+  /// (fragment, exit index) pairs whose ExitHits ChainRunner::take() raised
+  /// from zero; executeTranslated() folds and clears them before it
+  /// returns, so no evicted fragment is ever named here.
   std::vector<std::pair<dbt::Fragment *, uint32_t>> PendingHits;
-  /// Successor of a static exit (Chained / PredictHit): the exit's cached
-  /// slot while the cache's link generation is unchanged, else a lookup —
-  /// which refills the slot on a hit.
-  dbt::Fragment *staticSuccessor(dbt::Fragment &Frag, const iisa::IExit &Exit);
-  /// The dual-RAS pop and the counters of a dynamic exit (PredictMiss,
-  /// Dispatch or Return) to \p VTarget, whose fragment is \p Next (null
-  /// when untranslated). Returns whether the exit went through the exit
-  /// stub into the shared dispatch code, whose counters it leaves to
-  /// emitStubBranch() and emitDispatch().
-  bool takeDynamicExit(iisa::IExit::Kind K, uint64_t VTarget,
-                       const dbt::Fragment *Next);
 
   /// The PC translation table of the paper's Figure 3, which the shared
   /// dispatch code and dual-RAS returns probe: a direct-mapped cache of
@@ -397,20 +376,12 @@ private:
       E = {VAddr, Frag, TCache.linkGeneration()};
     return Frag;
   }
-  /// TCache.lookup(\p VAddr) through the table, recency stamp included.
-  dbt::Fragment *lookupTarget(uint64_t VAddr) {
-    dbt::Fragment *Frag = findTarget(VAddr);
-    if (Frag)
-      TCache.touch(*Frag);
-    return Frag;
-  }
   void emitFragmentTrace(const dbt::Fragment &Frag,
                          const std::vector<iisa::IisaEvent> &Events,
-                         const iisa::IExit &Exit, uint64_t NextIPc);
+                         iisa::IExit::Kind K, uint64_t NextIPc);
   void emitStubBranch(uint64_t FromIPc);
   void emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc);
 
-  void dualRasPush(uint64_t VRet);
   /// The dual-RAS pushes of one run of \p Frag exiting at \p ExitIndex.
   void dualRasPushes(const dbt::Fragment &Frag, uint32_t ExitIndex);
   bool dualRasPop(uint64_t Actual);
