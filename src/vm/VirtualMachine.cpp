@@ -558,7 +558,7 @@ static uint8_t traceReg(const IOperand &Op) {
 
 void VirtualMachine::emitFragmentTrace(const dbt::Fragment &Frag,
                                        const std::vector<IisaEvent> &Events,
-                                       iisa::IExit::Kind K, uint64_t NextIPc) {
+                                       uint64_t NextIPc, bool RasHit) {
   for (size_t E = 0; E != Events.size(); ++E) {
     const IisaEvent &Ev = Events[E];
     const IisaInst &Inst = Frag.Body[Ev.Index];
@@ -603,8 +603,7 @@ void VirtualMachine::emitFragmentTrace(const dbt::Fragment &Frag,
       Op.Taken = true;
       Op.NextPc = NextIPc;
       Op.RasHitKnown = true;
-      Op.RasHit = K == iisa::IExit::Kind::Return && NextIPc != 0 &&
-                  NextIPc != DispatchIPc && NextIPc != TranslatorIPc;
+      Op.RasHit = RasHit;
       break;
     default:
       Op.NextPc = Frag.instPc(Ev.Index) + Inst.SizeBytes;
@@ -740,7 +739,7 @@ struct VirtualMachine::ChainRunner {
     uint64_t StubIPc = F.IBase + F.BodyBytes;
     uint64_t TargetIPc = Succ ? Succ->IBase : TranslatorIPc;
     if (VM.Timing)
-      VM.emitFragmentTrace(F, Events, K, Stub ? StubIPc : TargetIPc);
+      VM.emitFragmentTrace(F, Events, Stub ? StubIPc : TargetIPc, !Stub);
     if (Stub) {
       VM.emitStubBranch(StubIPc);
       VM.emitDispatch(VTarget, TargetIPc);

@@ -376,9 +376,11 @@ private:
       E = {VAddr, Frag, TCache.linkGeneration()};
     return Frag;
   }
+  /// Streams one run of \p Frag into the timing model. \p RasHit says
+  /// whether a dual-RAS return ended the run without the exit stub.
   void emitFragmentTrace(const dbt::Fragment &Frag,
                          const std::vector<iisa::IisaEvent> &Events,
-                         iisa::IExit::Kind K, uint64_t NextIPc);
+                         uint64_t NextIPc, bool RasHit);
   void emitStubBranch(uint64_t FromIPc);
   void emitDispatch(uint64_t TargetVAddr, uint64_t ResolvedIPc);
 

@@ -154,3 +154,33 @@ TEST(VmTiming, OriginalRunProducesStats) {
   EXPECT_GT(Model.stats().ipc(), 0.3);
   EXPECT_LT(Model.stats().ipc(), 4.0);
 }
+
+TEST(VmTiming, DualRasReturnMissesReachTheFrontEnd) {
+  // Under the dual-address RAS the VM resolves every return: a hit jumps
+  // to the paired I-ISA address, a miss falls through the exit stub into
+  // the shared dispatch code. Each timing model's front end must charge a
+  // return misprediction for exactly the misses.
+  uint64_t Misses = 0;
+  for (const std::string Name : {"parser", "perlbmk", "vortex"}) {
+    for (bool Ildp : {false, true}) {
+      SCOPED_TRACE(Name + (Ildp ? " on ILDP" : " on the superscalar"));
+      GuestMemory Mem;
+      workloads::WorkloadImage Img = workloads::buildWorkload(Name, Mem, 1);
+      VmConfig Config;
+      Config.Dbt.Chaining = dbt::ChainPolicy::SwPredRas;
+      uarch::IldpModel IldpM{uarch::IldpParams()};
+      uarch::SuperscalarModel SuperM(uarch::SuperscalarParams(),
+                                     /*ConventionalRas=*/false);
+      VirtualMachine Vm(Mem, Img.EntryPc, Config);
+      Vm.setTimingModel(Ildp ? static_cast<uarch::TimingModel *>(&IldpM)
+                             : &SuperM);
+      ASSERT_EQ(Vm.run().Reason, StopReason::Halted);
+      const uarch::FrontEndStats &Front =
+          Ildp ? IldpM.frontEndStats() : SuperM.frontEndStats();
+      uint64_t ReturnMisses = Vm.stats().get("exit.return_miss");
+      EXPECT_EQ(Front.RasMispredicts, ReturnMisses);
+      Misses += ReturnMisses;
+    }
+  }
+  EXPECT_GT(Misses, 0u);
+}
