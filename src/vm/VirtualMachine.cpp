@@ -663,8 +663,6 @@ struct VirtualMachine::ChainRunner {
 
   VirtualMachine &VM;
   dbt::Fragment *Cur;
-  /// What the last take() returned.
-  dbt::Fragment *Next = nullptr;
   /// Cur's per-instruction events, recorded only for the timing model.
   std::vector<IisaEvent> Events{};
   /// Nothing installs, evicts or flushes while a segment runs.
@@ -746,7 +744,7 @@ struct VirtualMachine::ChainRunner {
     }
     if (Succ)
       VM.TCache.touch(*Succ);
-    return Next = Succ;
+    return Succ;
   }
 
   /// The loop's question at an exit (iisa/ExecutorLoop.h): take it, then
@@ -756,7 +754,8 @@ struct VirtualMachine::ChainRunner {
   [[gnu::always_inline]] bool follow(uint32_t Index, uint64_t VTarget,
                                      const iisa::IOp *&Ops,
                                      const IisaInst *&Body) {
-    if (!take(K, Index, VTarget) || VM.GuestInsts >= VM.Config.MaxGuestInsts)
+    dbt::Fragment *Next = take(K, Index, VTarget);
+    if (!Next || VM.GuestInsts >= VM.Config.MaxGuestInsts)
       return false;
     Cur = Next;
     Ops = Cur->Ops.data();
@@ -804,12 +803,12 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
                              Mem, nullptr);
       }
     }
-    // The loop took every exit it asked the runner to follow; the VM takes
-    // the rest.
+    // A chained run returns an exit it took only where it could not follow
+    // it, which ends the segment; the VM takes every other exit.
     bool Taken = Chaining && Exit.K != Kind::ToTranslator &&
                  Exit.K != Kind::Halt && Exit.K != Kind::Trap;
     dbt::Fragment *Next =
-        Taken ? Chain.Next : Chain.take(Exit.K, Exit.InstIndex, Exit.VTarget);
+        Taken ? nullptr : Chain.take(Exit.K, Exit.InstIndex, Exit.VTarget);
 
     // GuestInsts < MaxGuestInsts held on entry; this is the VM's budget
     // test before every further run.
