@@ -765,11 +765,12 @@ struct VirtualMachine::ChainRunner {
 };
 
 VirtualMachine::SegmentOutcome
-VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
+VirtualMachine::executeTranslated(dbt::Fragment *Entry) {
   using Kind = iisa::IExit::Kind;
   ExecState.loadArchState(Interp.state());
   ++Hot.Segments;
-  ChainRunner Chain{*this, Frag};
+  ChainRunner Chain{*this, Entry};
+  dbt::Fragment *&Frag = Chain.Cur;
   // The native tier's tier-up and the timing model's per-fragment trace
   // both need the VM between every two fragment runs.
   const bool Chaining = !NativeSvc && !Timing;
@@ -781,7 +782,6 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
     if (Chaining) {
       Exit = iisa::runOps<false>(Frag->Ops.data(), Frag->Body.data(),
                                  ExecState, Mem, nullptr, Chain);
-      Frag = Chain.Cur;
     } else if (Timing) {
       // Detailed-timing runs stay on the I-ISA tier: the model consumes
       // per-instruction events.
@@ -813,7 +813,7 @@ VirtualMachine::executeTranslated(dbt::Fragment *Frag) {
     // GuestInsts < MaxGuestInsts held on entry; this is the VM's budget
     // test before every further run.
     if (Next && GuestInsts < Config.MaxGuestInsts) {
-      Frag = Chain.Cur = Next;
+      Frag = Next;
       continue;
     }
     if (Exit.K == Kind::Trap) {

@@ -342,7 +342,7 @@ private:
     enum class Kind { ToInterpreter, Halted, Trapped } K;
     dbt::RecoveredState Trap;
   };
-  SegmentOutcome executeTranslated(dbt::Fragment *Frag);
+  SegmentOutcome executeTranslated(dbt::Fragment *Entry);
   /// Takes every exit of a segment, for every tier (DESIGN.md §16): the
   /// threaded executor loop's chain policy (iisa/ExecutorLoop.h), which
   /// follows an exit it took while the successor is translated and the
