@@ -671,7 +671,8 @@ struct VirtualMachine::ChainRunner {
 
   /// Takes the exit of kind \p K at body index \p Index of Cur (to
   /// \p VTarget when the exit is dynamic) and returns the successor, null
-  /// when the target is not translated. Every instruction 0..Index ran, so
+  /// when the target is not translated. \p Traced: Cur's run recorded
+  /// Events for the timing model. Every instruction 0..Index ran, so
   /// it adds the guest-instruction count the budget reads, the exec count
   /// and the dual-RAS pushes, and leaves the rest of the exit-index
   /// accounting in ExitHits for executeTranslated()'s fold. Then the exit's
@@ -680,7 +681,8 @@ struct VirtualMachine::ChainRunner {
   /// return's pop; the exit's counters; the trace, exit stub and shared
   /// dispatch code; and the successor's recency stamp.
   [[gnu::always_inline]] dbt::Fragment *take(iisa::IExit::Kind K,
-                                             uint32_t Index, uint64_t VTarget) {
+                                             uint32_t Index, uint64_t VTarget,
+                                             bool Traced) {
     using Kind = iisa::IExit::Kind;
     dbt::Fragment &F = *Cur;
     VM.GuestInsts += F.Accounting.Cum[Index].VCredit;
@@ -736,7 +738,7 @@ struct VirtualMachine::ChainRunner {
     // straight to its successor, or to the translator when there is none.
     uint64_t StubIPc = F.IBase + F.BodyBytes;
     uint64_t TargetIPc = Succ ? Succ->IBase : TranslatorIPc;
-    if (VM.Timing)
+    if (Traced)
       VM.emitFragmentTrace(F, Events, Stub ? StubIPc : TargetIPc, !Stub);
     if (Stub) {
       VM.emitStubBranch(StubIPc);
@@ -749,12 +751,12 @@ struct VirtualMachine::ChainRunner {
 
   /// The loop's question at an exit (iisa/ExecutorLoop.h): take it, then
   /// run the successor next unless there is none or the VM's own budget
-  /// test stops the segment.
+  /// test stops the segment. A chaining run records no events.
   template <iisa::IExit::Kind K>
   [[gnu::always_inline]] bool follow(uint32_t Index, uint64_t VTarget,
                                      const iisa::IOp *&Ops,
                                      const IisaInst *&Body) {
-    dbt::Fragment *Next = take(K, Index, VTarget);
+    dbt::Fragment *Next = take(K, Index, VTarget, /*Traced=*/false);
     if (!Next || VM.GuestInsts >= VM.Config.MaxGuestInsts)
       return false;
     Cur = Next;
@@ -808,7 +810,9 @@ VirtualMachine::executeTranslated(dbt::Fragment *Entry) {
     bool Taken = Chaining && Exit.K != Kind::ToTranslator &&
                  Exit.K != Kind::Halt && Exit.K != Kind::Trap;
     dbt::Fragment *Next =
-        Taken ? nullptr : Chain.take(Exit.K, Exit.InstIndex, Exit.VTarget);
+        Taken ? nullptr
+              : Chain.take(Exit.K, Exit.InstIndex, Exit.VTarget,
+                           Timing != nullptr);
 
     // GuestInsts < MaxGuestInsts held on entry; this is the VM's budget
     // test before every further run.
