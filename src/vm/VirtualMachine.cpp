@@ -672,53 +672,54 @@ struct VirtualMachine::ChainRunner {
   /// Takes the exit of kind \p K at body index \p Index of Cur (to
   /// \p VTarget when the exit is dynamic) and returns the successor, null
   /// when the target is not translated. \p Traced: Cur's run recorded
-  /// Events for the timing model. Every instruction 0..Index ran, so
-  /// it adds the guest-instruction count the budget reads, the exec count
-  /// and the dual-RAS pushes, and leaves the rest of the exit-index
-  /// accounting in ExitHits for executeTranslated()'s fold. Then the exit's
-  /// own work: a static exit's successor slot, refilled through the PC
-  /// translation table when stale; a dynamic exit's table lookup and a
-  /// return's pop; the exit's counters; the trace, exit stub and shared
-  /// dispatch code; and the successor's recency stamp.
+  /// Events for the timing model. First the successor: a static exit's
+  /// slot, refilled through the PC translation table when stale, or a
+  /// dynamic exit's table lookup, read before the accounting's stores,
+  /// which may alias it as far as the compiler knows. Every instruction
+  /// 0..Index ran, so then come the guest-instruction count the budget
+  /// reads, the exec count and the dual-RAS pushes, with the rest of the exit-index
+  /// accounting left in ExitHits for executeTranslated()'s fold. Then the
+  /// exit's own work: a return's pop, the exit's counters, the trace, exit
+  /// stub and shared dispatch code, and the successor's recency stamp.
   [[gnu::always_inline]] dbt::Fragment *take(iisa::IExit::Kind K,
                                              uint32_t Index, uint64_t VTarget,
                                              bool Traced) {
     using Kind = iisa::IExit::Kind;
     dbt::Fragment &F = *Cur;
+    dbt::Fragment *Succ = nullptr;
+    if (K == Kind::Chained || K == Kind::PredictHit) {
+      dbt::SuccessorSlot &Slot = F.Successors[Index];
+      if (Slot.Gen == Gen)
+        Succ = Slot.Next;
+      else if ((Succ = VM.findTarget(F.Body[Index].VTarget)))
+        Slot = {Succ, Gen}; // Misses are not cached; they leave translated code.
+    } else if (K == Kind::PredictMiss || K == Kind::Dispatch ||
+               K == Kind::Return) {
+      Succ = VM.findTarget(VTarget);
+    }
     VM.GuestInsts += F.Accounting.Cum[Index].VCredit;
     ++F.ExecCount;
     if (F.ExitHits[Index]++ == 0)
       VM.PendingHits.emplace_back(&F, Index);
     if (RasPushes)
       VM.dualRasPushes(F, Index);
-    dbt::Fragment *Succ = nullptr;
     bool Stub = false; // Through the exit stub into the shared dispatch code.
     switch (K) {
     case Kind::Chained:
-    case Kind::PredictHit: {
-      dbt::SuccessorSlot &Slot = F.Successors[Index];
-      if (Slot.Gen == Gen)
-        Succ = Slot.Next;
-      else if ((Succ = VM.findTarget(F.Body[Index].VTarget)))
-        Slot = {Succ, Gen}; // Misses are not cached; they leave translated code.
-      if (K == Kind::Chained)
-        ++(Succ ? VM.Hot.ExitChained : VM.Hot.ExitChainedMissing);
-      else
-        ++(Succ ? VM.Hot.PredictHit : VM.Hot.PredictHitUntranslated);
+      ++(Succ ? VM.Hot.ExitChained : VM.Hot.ExitChainedMissing);
       break;
-    }
+    case Kind::PredictHit:
+      ++(Succ ? VM.Hot.PredictHit : VM.Hot.PredictHitUntranslated);
+      break;
     case Kind::PredictMiss:
-      Succ = VM.findTarget(VTarget);
       ++VM.Hot.PredictMiss;
       Stub = true;
       break;
     case Kind::Dispatch:
-      Succ = VM.findTarget(VTarget);
       ++VM.Hot.ExitDispatch;
       Stub = true;
       break;
     case Kind::Return:
-      Succ = VM.findTarget(VTarget);
       // A mispredicted return: the unconditional branch after the return
       // redirects to dispatch (Section 3.2).
       Stub = !(VM.dualRasPop(VTarget) && Succ);
