@@ -202,13 +202,11 @@ void BM_ExecuteFragmentNative(benchmark::State &State) {
     State.SkipWithError("host compile failed");
     return;
   }
-  native::NativeCode Code;
-  Code.Module = native::loadModule(C.Object);
-  if (!Code.Module) {
+  std::shared_ptr<native::NativeModule> Module = native::loadModule(C.Object);
+  if (!Module) {
     State.SkipWithError("dlopen failed");
     return;
   }
-  Code.Fn = Code.Module->entry();
   iisa::IExecState Exec;
   Exec.writeGpr(16, 0x20000000);
   Exec.writeGpr(17, 1);
@@ -218,7 +216,7 @@ void BM_ExecuteFragmentNative(benchmark::State &State) {
   Mem.mapRegion(0x28000000, 0x10000);
   for (auto _ : State) {
     Exec.writeGpr(17, 1); // single iteration, exits at the cond branch
-    iisa::IExit Exit = native::runFragment(Code, Exec, Mem, R.Frag.Body);
+    iisa::IExit Exit = native::runFragment(*Module, Exec, Mem, R.Frag.Body);
     benchmark::DoNotOptimize(Exit.VTarget);
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *

@@ -34,7 +34,7 @@
 namespace ildp {
 
 namespace native {
-struct NativeCode;
+class NativeModule;
 }
 
 namespace dbt {
@@ -122,13 +122,13 @@ struct Fragment {
 
   // Native-tier linkage (src/native). The core library never touches
   // these beyond default construction/destruction; the VM manages them.
-  // Holding the NativeCode by shared_ptr means the dlopen'd module lives
+  // Holding the module by shared_ptr means the dlopen'd object lives
   // exactly as long as some fragment (here or graveyarded) references it
   // — dlclose rides the reclaim safepoints for free.
   enum : uint8_t { NativeNone = 0, NativePending = 1, NativeFailed = 2 };
   uint64_t NativeKey = 0;   ///< native::fragmentKey(Body), 0 = uncomputed.
   uint8_t NativeState = NativeNone;
-  std::shared_ptr<native::NativeCode> Native; ///< Set once compiled+loaded.
+  std::shared_ptr<native::NativeModule> Native; ///< Set once compiled+loaded.
 
   /// I-PC of instruction \p Index.
   uint64_t instPc(size_t Index) const { return IBase + InstOffset[Index]; }

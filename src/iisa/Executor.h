@@ -182,6 +182,8 @@ static_assert(sizeof(IOp) <= 24, "keep lowered ops small");
 
 /// Lowers a fragment body into Body.size() + 1 ops: op i is body
 /// instruction i, and a final OpCode::Bad guards the end of the body.
+/// Native code is generated from these ops too (native/NativeEmitter.cpp):
+/// a change to what a body lowers to bumps NativeEmitterVersion.
 std::vector<IOp> lowerToOps(std::span<const IisaInst> Body);
 
 /// One executed-instruction record for trace-driven timing simulation.

@@ -7,12 +7,12 @@
 /// \file
 /// The pinned ABI between the VM and natively compiled fragments
 /// (DESIGN.md §13). A compiled fragment is a shared object exporting one
-/// symbol, `ildp_native_run`, taking a NativeContext: pointers into the
-/// live IExecState (accumulators, the 64-entry GPR file, the VPC-base
-/// special register), an opaque guest-memory handle with load/store
-/// callbacks (guest memory is sparse and paged, so there is no flat base
-/// pointer to hand out), and output fields describing how the body
-/// exited.
+/// symbol, `ildp_native_run`, taking a NativeContext: one pointer to the
+/// live IExecState::Slots array, which the emitted code indexes by the
+/// same slot numbers as the lowered ops it was generated from, an opaque
+/// guest-memory handle with load/store callbacks (guest memory is sparse
+/// and paged, so there is no flat base pointer to hand out), and output
+/// fields describing how the body exited.
 ///
 /// The emitted code reports exits in *deopt-neutral* form: a direct exit
 /// (taken cond_exit or branch) carries only the instruction index, and
@@ -25,12 +25,6 @@
 /// VM then runs the ordinary PEI recovery path — deopt is just another
 /// degrade.
 ///
-/// The guest-instruction budget stays fragment-granular (the I-ISA tier
-/// checks it between body runs, never mid-body; bodies are linear and
-/// bounded so a run always terminates); inst_budget is carried in the
-/// context for future intra-fragment slicing and currently ignored by
-/// emitted code.
-///
 /// The context struct, the exit codes and the GENTRAP fault value are
 /// defined once, in the C-compatible native/NativeCtx.h; the Alpha
 /// operations the emitted code calls are defined once, in
@@ -38,9 +32,10 @@
 /// nativeAbiPreamble(), so the host and every compiled fragment read the
 /// same text.
 ///
-/// NativeAbiVersion is folded into the compile-command checksum, so a
-/// persisted object compiled against an older ABI is rejected as stale
-/// instead of being dlopen'd.
+/// NativeAbiVersion and the slot layout (IExecState's slot constants) are
+/// folded into the compile-command checksum, so a persisted object
+/// compiled against an older ABI or layout is rejected as stale instead
+/// of being dlopen'd.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +53,7 @@ namespace native {
 
 /// Bumped on any incompatible change to NativeCtx.h, the exit-code
 /// numbering, or the embedded operation semantics.
-constexpr uint32_t NativeAbiVersion = 3;
+constexpr uint32_t NativeAbiVersion = 4;
 
 /// The pinned entry/exit context (see native/NativeCtx.h).
 using NativeContext = ::ildp_native_ctx;

@@ -6,6 +6,7 @@
 
 #include "native/NativeCompiler.h"
 
+#include "iisa/Executor.h"
 #include "native/NativeAbi.h"
 #include "native/NativeEmitter.h"
 
@@ -146,7 +147,12 @@ bool verifyCandidate(const std::string &Cmd, HostCompiler &Out) {
   H = fnv1a64(Out.Version.data(), Out.Version.size(), H);
   for (const char *F : CompileFlags)
     H = fnv1a64(F, std::strlen(F), H);
-  uint32_t Versions[2] = {NativeAbiVersion, NativeEmitterVersion};
+  // The slot layout too: emitted code indexes the context's slots by it.
+  using S = iisa::IExecState;
+  const uint32_t Versions[] = {NativeAbiVersion, NativeEmitterVersion,
+                               S::AccSlot0,      S::GprSlot0,
+                               S::VpcBaseSlot,   S::ZeroSlot,
+                               S::SinkSlot,      S::NumSlots};
   H = fnv1a64(Versions, sizeof(Versions), H);
   Out.Checksum = H;
   return true;

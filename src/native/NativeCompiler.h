@@ -15,9 +15,10 @@
 ///
 /// commandChecksum() fingerprints everything that affects the meaning of
 /// a compiled object: compiler path + reported version, the compile
-/// flags, NativeAbiVersion, and NativeEmitterVersion. CacheStore native
-/// payloads carry this checksum so a persisted object from a different
-/// toolchain/ABI/emitter is rejected as `native_stale` instead of being
+/// flags, NativeAbiVersion, NativeEmitterVersion, and the IExecState slot
+/// layout the emitted code indexes. CacheStore native payloads carry this
+/// checksum so a persisted object from a different toolchain, ABI, emitter
+/// or slot layout is rejected as `native_stale` instead of being
 /// dlopen'd.
 ///
 //===----------------------------------------------------------------------===//

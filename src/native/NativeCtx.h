@@ -36,14 +36,13 @@ enum ildp_native_exit {
 enum { ILDP_GENTRAP_FAULT = 255 };
 
 typedef struct ildp_native_ctx {
-  uint64_t *acc;      // MaxAccumulators entries of IExecState::acc().
-  uint64_t *gpr;      // NumIisaGprs entries; r31 reads as zero.
-  uint64_t *vpc_base; // IExecState::vpcBase().
-  void *mem;          // Opaque GuestMemory handle for the callbacks.
+  // IExecState::Slots: the accumulators, the GPRs, the VPC base, the zero
+  // slot and the sink, indexed exactly as lowered ops index them.
+  uint64_t *slots;
+  void *mem; // Opaque GuestMemory handle for the callbacks.
   // Guest-memory callbacks: return the MemFaultKind as an int (0 = ok).
   int (*ld)(void *mem, uint64_t addr, uint32_t size, uint64_t *out);
   int (*st)(void *mem, uint64_t addr, uint64_t value, uint32_t size);
-  uint64_t inst_budget; // Reserved (fragment-granular budget today).
   // Outputs.
   uint32_t exit_code;  // An ildp_native_exit value.
   uint32_t inst_index; // Body index of the exiting/trapping instruction.

@@ -6,21 +6,24 @@
 ///
 /// \file
 /// Lowers a settled I-ISA fragment body to a self-contained C translation
-/// unit implementing the NativeAbi entry point (DESIGN.md §13). Every
-/// instruction becomes straight-line C over locals for exactly the
-/// accumulators and GPRs the body touches. Each Alpha operation is a call
-/// into alpha/AlphaOps.h, which the preamble embeds verbatim and which
-/// alpha::evalIntOp and friends call too: ildp_op_ADDQ(a0, g3),
-/// ildp_br_BEQ(a1), ildp_cmov_CMOVNE(g4). The emitter writes only the
-/// per-fragment code, so the host compiler inlines the operation and
-/// constant-folds operand selection and opcode dispatch away entirely —
-/// that interpretive dispatch is the cost the native tier exists to
-/// eliminate.
+/// unit implementing the NativeAbi entry point (DESIGN.md §13). The
+/// emitter specialises the same ops the I-ISA executor runs: it lowers the
+/// body with iisa::lowerToOps, which alone resolves operand shapes, r31,
+/// destination routing, constant folding and the old value of a
+/// conditional move, and writes one C statement per op. Each statement is
+/// the expression of that op code's handler in iisa/ExecutorLoop.h, with
+/// every slot the op names as a local s<N> loaded from the context at
+/// entry: ildp_op_ADDQ(s9, 0x2ULL), if (ildp_br_BEQ(s1)) ILDP_EXIT(...).
+/// The zero slot reads as 0, a write to the sink is dropped, and every
+/// exit writes back exactly the destination slots. Each Alpha operation is
+/// a call into alpha/AlphaOps.h, which the preamble embeds verbatim, so
+/// the host compiler inlines the operation and the dispatch the executor
+/// pays per op disappears.
 ///
-/// The emitter is total over the I-ISA the translator generates today and
-/// *refuses* anything else (an opcode missing from AlphaOps.h's lists, an
-/// out-of-range register): refusal is a typed degrade — the fragment
-/// simply stays on the I-ISA tier — never a miscompile.
+/// A body is refused only when it is empty (`empty-body`) or one of its
+/// instructions lowers to OpCode::Bad (`bad-op`: a register the state
+/// lacks, or a kind paired with a foreign opcode). Refusal is a typed
+/// degrade — the fragment stays on the I-ISA tier — never a miscompile.
 ///
 /// fragmentKey() hashes only the emission-relevant instruction fields
 /// (kind, opcode, operands, destinations, embedded targets/displacements)
@@ -44,7 +47,7 @@ namespace native {
 
 /// Bumped whenever emitted code changes meaning; folded into the
 /// compile-command checksum so stale persisted objects are rejected.
-constexpr uint32_t NativeEmitterVersion = 2;
+constexpr uint32_t NativeEmitterVersion = 3;
 
 /// Result of lowering a fragment body to C.
 struct EmitResult {
@@ -54,8 +57,8 @@ struct EmitResult {
 };
 
 /// Lowers \p Body to a C translation unit exporting ildp_native_run().
-/// Refuses (Ok = false, typed Reason) anything outside the supported
-/// I-ISA surface instead of guessing.
+/// Refuses (Ok = false, typed Reason) an empty body or one whose lowering
+/// holds an OpCode::Bad op instead of guessing.
 EmitResult emitFragmentC(const std::vector<iisa::IisaInst> &Body,
                          iisa::IsaVariant Variant);
 

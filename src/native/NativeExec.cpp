@@ -28,24 +28,21 @@ int hostStore(void *Mem, uint64_t Addr, uint64_t Value, uint32_t Size) {
 
 } // namespace
 
-IExit native::runFragment(const NativeCode &Code, IExecState &State,
+IExit native::runFragment(const NativeModule &Module, IExecState &State,
                           GuestMemory &Mem,
                           const std::vector<IisaInst> &Body) {
   NativeContext Ctx;
-  Ctx.acc = State.acc().data();
-  Ctx.gpr = State.gpr().data();
-  Ctx.vpc_base = &State.vpcBase();
+  Ctx.slots = State.Slots.data();
   Ctx.mem = &Mem;
   Ctx.ld = &hostLoad;
   Ctx.st = &hostStore;
-  Ctx.inst_budget = 0;
   Ctx.exit_code = ILDP_EXIT_HALT;
   Ctx.inst_index = 0;
   Ctx.vtarget = 0;
   Ctx.mem_fault = 0;
   Ctx.trap_addr = 0;
 
-  Code.Fn(&Ctx);
+  Module.entry()(&Ctx);
   // The emitted body never writes r31; keep the hardwired-zero invariant
   // even against a miscompiled object.
   State.gpr()[alpha::RegZero] = 0;

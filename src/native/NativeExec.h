@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The host side of native fragment execution. NativeCode is what a
-/// fragment carries once tiered up: the shared dlopen'd module (shared
-/// across all fragments with the same content key, fleet-wide) and the
-/// resolved entry function.
+/// The host side of native fragment execution. A fragment that has tiered
+/// up holds its dlopen'd NativeModule (shared across all fragments with
+/// the same content key, fleet-wide), whose entry function runs its body.
 ///
 /// Native bodies produce no per-instruction events and need none: the VM
 /// accounts every tier's exit from the fragment's prefix sums
@@ -24,30 +23,20 @@
 #include "native/NativeModule.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace ildp {
 
 class GuestMemory;
 
-namespace dbt {
-struct Fragment;
-}
-
 namespace native {
 
-/// Everything a fragment needs to run natively.
-struct NativeCode {
-  std::shared_ptr<NativeModule> Module; ///< Keeps the mapping alive.
-  NativeEntryFn Fn = nullptr;
-};
-
-/// Runs \p Code over \p State / \p Mem and maps the NativeContext outputs
-/// to the same iisa::IExit the interpretive executor would have returned
-/// for \p Body (the live body supplies V-targets and the chained /
-/// call-translator flavor for direct exits — see NativeAbi.h).
-iisa::IExit runFragment(const NativeCode &Code, iisa::IExecState &State,
+/// Runs \p Module's entry over \p State / \p Mem and maps the
+/// NativeContext outputs to the same iisa::IExit the interpretive executor
+/// would have returned for \p Body (the live body supplies V-targets and
+/// the chained / call-translator flavor for direct exits — see
+/// NativeAbi.h).
+iisa::IExit runFragment(const NativeModule &Module, iisa::IExecState &State,
                         GuestMemory &Mem,
                         const std::vector<iisa::IisaInst> &Body);
 

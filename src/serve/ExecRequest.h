@@ -147,8 +147,8 @@ struct ExecRequest {
   /// it yields ExecStatus::InstBudgetExceeded.
   uint64_t MaxGuestInsts = 0;
   /// Per-request wall-clock deadline in microseconds from dispatch
-  /// (0 = none). Enforced between budget slices of
-  /// FleetConfig::DeadlineSliceInsts guest instructions.
+  /// (0 = none). Enforced between budget slices of guest instructions
+  /// (DeadlineSliceInsts in serve/VmFleet.cpp).
   uint64_t DeadlineMicros = 0;
   /// Per-request translation-cache byte budget override
   /// (InheritCacheBudget = use the tenant/fleet budget; 0 = unbounded).

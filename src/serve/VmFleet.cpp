@@ -15,6 +15,18 @@
 using namespace ildp;
 using namespace ildp::serve;
 
+namespace {
+
+/// Guest-instruction ceiling for requests that do not set their own.
+constexpr uint64_t DefaultMaxGuestInsts = 400'000'000;
+/// Deadline enforcement granularity: wall-clock checks happen between
+/// budget slices of this many guest instructions.
+constexpr uint64_t DeadlineSliceInsts = 1'000'000;
+/// Translation-cache budget of tenants without a TenantCacheBytes entry.
+constexpr uint64_t DefaultCacheBytes = 0; // Unbounded.
+
+} // namespace
+
 VmFleet::VmFleet(const FleetConfig &Config) : Config(Config) {
   // Normalize the VM template: fleet VMs never open or write a store
   // themselves — the one read-only store below is their only warm source.
@@ -87,7 +99,7 @@ uint64_t VmFleet::resolveCacheBudget(const ExecRequest &Request) const {
   auto It = Config.TenantCacheBytes.find(Request.Tenant);
   if (It != Config.TenantCacheBytes.end())
     return It->second;
-  return Config.DefaultCacheBytes;
+  return DefaultCacheBytes;
 }
 
 void VmFleet::countTenantRejected(const std::string &Tenant,
@@ -180,14 +192,13 @@ VmFleet::executeImpl(const ExecRequest &Request, unsigned Worker,
     VmConf.SharedStore = &Store;
   VmConf.CodeCacheBytes = resolveCacheBudget(Request);
 
-  uint64_t Ceiling = Request.MaxGuestInsts ? Request.MaxGuestInsts
-                                           : Config.DefaultMaxGuestInsts;
-  uint64_t Slice =
-      Config.DeadlineSliceInsts ? Config.DeadlineSliceInsts : 1'000'000;
+  uint64_t Ceiling =
+      Request.MaxGuestInsts ? Request.MaxGuestInsts : DefaultMaxGuestInsts;
   // With a deadline the VM runs in budget slices so the wall clock is
   // checked at bounded guest-instruction intervals; run() is resumable
   // after a Budget stop (setGuestInstBudget raises the ceiling in place).
-  VmConf.MaxGuestInsts = HasDeadline ? std::min(Ceiling, Slice) : Ceiling;
+  VmConf.MaxGuestInsts =
+      HasDeadline ? std::min(Ceiling, DeadlineSliceInsts) : Ceiling;
 
   vm::VirtualMachine Vm(Mem, EntryPc, VmConf);
 
@@ -213,7 +224,8 @@ VmFleet::executeImpl(const ExecRequest &Request, unsigned Worker,
       Detail = "wall-deadline";
       break;
     }
-    Vm.setGuestInstBudget(std::min(Ceiling, Vm.guestInsts() + Slice));
+    Vm.setGuestInstBudget(
+        std::min(Ceiling, Vm.guestInsts() + DeadlineSliceInsts));
   }
 
   Resp.Arch = Vm.interpreter().state();

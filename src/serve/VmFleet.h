@@ -75,16 +75,9 @@ struct FleetConfig {
   /// every request VM. Empty = cold fleet (every request translates for
   /// itself).
   std::string StorePath;
-  /// Guest-instruction ceiling for requests that do not set their own.
-  uint64_t DefaultMaxGuestInsts = 400'000'000;
-  /// Deadline enforcement granularity: wall-clock checks happen between
-  /// budget slices of this many guest instructions.
-  uint64_t DeadlineSliceInsts = 1'000'000;
   /// Per-tenant translation-cache byte budgets (0 = unbounded). Tenants
-  /// not listed use DefaultCacheBytes.
+  /// not listed get an unbounded cache.
   std::map<std::string, uint64_t> TenantCacheBytes;
-  /// Budget for tenants without an entry (0 = unbounded).
-  uint64_t DefaultCacheBytes = 0;
 };
 
 /// The fleet: shared warm store + image registry + request executor.

@@ -220,10 +220,7 @@ bool VirtualMachine::attachNative(dbt::Fragment &Frag,
     Frag.NativeState = dbt::Fragment::NativeFailed;
     return false;
   }
-  auto Code = std::make_shared<native::NativeCode>();
-  Code->Fn = Module->entry();
-  Code->Module = std::move(Module);
-  Frag.Native = std::move(Code);
+  Frag.Native = std::move(Module);
   Frag.NativeState = dbt::Fragment::NativeNone;
   return true;
 }

@@ -9,15 +9,20 @@
 /// covers exactly the emission-relevant fields (stable across exit
 /// repatching and accounting metadata, sensitive to anything that changes
 /// the generated code), and emission is total-or-refuse — malformed
-/// bodies come back with a typed reason, never a bogus translation unit.
+/// bodies come back with a typed reason, never a bogus translation unit,
+/// and a body is refused exactly when its lowering holds a Bad op.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "native/NativeEmitter.h"
 
+#include "../iisa/OpSweep.h"
 #include "native/NativeAbi.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 using namespace ildp;
 using namespace ildp::iisa;
@@ -134,22 +139,24 @@ TEST(NativeEmitter, RefusesMalformedBodiesWithTypedReason) {
   BadAcc[1].DestAcc = MaxAccumulators; // One past the hardware limit.
   native::EmitResult R1 = native::emitFragmentC(BadAcc, IsaVariant::Modified);
   EXPECT_FALSE(R1.Ok);
-  EXPECT_STREQ(R1.Reason, "acc-out-of-range");
+  EXPECT_STREQ(R1.Reason, "bad-op");
 
   std::vector<IisaInst> BadGpr = sampleBody();
   BadGpr[1].A = IOperand::gpr(NumIisaGprs); // One past the register file.
   native::EmitResult R2 = native::emitFragmentC(BadGpr, IsaVariant::Modified);
   EXPECT_FALSE(R2.Ok);
-  EXPECT_STREQ(R2.Reason, "gpr-out-of-range");
+  EXPECT_STREQ(R2.Reason, "bad-op");
 }
 
 TEST(NativeEmitter, CallsSharedOperationsAndNamedExitCodes) {
   native::EmitResult R =
       native::emitFragmentC(sampleBody(), IsaVariant::Modified);
   ASSERT_TRUE(R.Ok) << R.Reason;
-  // The operation is a call into the embedded alpha/AlphaOps.h, and exits
-  // name their native/NativeCtx.h code.
-  EXPECT_NE(R.Source.find("ildp_op_ADDQ(g1, 0x2ULL)"), std::string::npos);
+  // The operation is a call into the embedded alpha/AlphaOps.h on the
+  // local of GPR 1's slot, and exits name their native/NativeCtx.h code.
+  std::string Add = "ildp_op_ADDQ(s" +
+                    std::to_string(IExecState::GprSlot0 + 1) + ", 0x2ULL)";
+  EXPECT_NE(R.Source.find(Add), std::string::npos);
   EXPECT_NE(R.Source.find("ILDP_EXIT(ILDP_EXIT_DIRECT, "), std::string::npos);
 }
 
@@ -168,7 +175,63 @@ TEST(NativeEmitter, RefusesOpcodesOutsideTheSharedLists) {
     EXPECT_FALSE(R.Ok);
     return std::string(R.Reason);
   };
-  EXPECT_EQ(ReasonFor(IKind::Compute, Opcode::LDQ), "unknown-int-op");
-  EXPECT_EQ(ReasonFor(IKind::CmovMask, Opcode::ADDQ), "unknown-cmov-op");
-  EXPECT_EQ(ReasonFor(IKind::CondExit, Opcode::ADDQ), "unknown-branch-op");
+  EXPECT_EQ(ReasonFor(IKind::Compute, Opcode::LDQ), "bad-op");
+  EXPECT_EQ(ReasonFor(IKind::CmovMask, Opcode::ADDQ), "bad-op");
+  EXPECT_EQ(ReasonFor(IKind::CondExit, Opcode::ADDQ), "bad-op");
+}
+
+TEST(NativeEmitter, RefusesExactlyTheBodiesWhoseLoweringHoldsABadOp) {
+  // Every sweep instruction (tests/iisa/OpSweep.h) as it is, with a
+  // random foreign opcode, and with one register field out of range,
+  // each before a halt. Whether a variant lowers to Bad is for the
+  // lowering to say; the emitter must refuse exactly those bodies.
+  Rng R(0xBAD0C0DE);
+  IisaInst Halt;
+  Halt.Kind = IKind::Halt;
+  std::set<OpCode> Emitted;
+  size_t Refused = 0;
+  auto Check = [&](const std::vector<IisaInst> &Body) {
+    std::vector<IOp> Ops = lowerToOps(Body);
+    bool HasBad = std::any_of(Ops.begin(), Ops.end() - 1, [](const IOp &O) {
+      return O.Code == OpCode::Bad;
+    });
+    native::EmitResult E = native::emitFragmentC(Body, IsaVariant::Modified);
+    std::string Insts;
+    for (const IisaInst &I : Body)
+      Insts += std::string(getKindName(I.Kind)) + "/" +
+               std::to_string(int(I.AlphaOp)) + " ";
+    EXPECT_EQ(E.Ok, !HasBad) << Insts;
+    if (!E.Ok) {
+      EXPECT_STREQ(E.Reason, "bad-op");
+      ++Refused;
+    } else {
+      Emitted.insert(Ops[0].Code);
+    }
+  };
+  for (const IisaInst &Inst : opsweep::sweepInstructions(R)) {
+    Check({Inst, Halt});
+    IisaInst Foreign = Inst;
+    Foreign.AlphaOp = Opcode(R.nextBelow(alpha::NumOpcodes));
+    Check({Inst, Foreign, Halt});
+    IisaInst Missing = Inst;
+    switch (R.nextBelow(4)) {
+    case 0:
+      Missing.A = IOperand::acc(MaxAccumulators);
+      break;
+    case 1:
+      Missing.B = IOperand::gpr(NumIisaGprs);
+      break;
+    case 2:
+      Missing.DestAcc = MaxAccumulators;
+      break;
+    default:
+      Missing.DestGpr = NumIisaGprs;
+      break;
+    }
+    Check({Missing, Halt});
+  }
+  EXPECT_GT(Refused, 0u);
+  // Every op code but the guard is emitted somewhere.
+  EXPECT_EQ(Emitted.size(), NumOpCodes - 1);
+  EXPECT_EQ(Emitted.count(OpCode::Bad), 0u);
 }

@@ -13,8 +13,10 @@
 /// including side exits, software-predicted jumps, memory faults
 /// mid-body, and GENTRAP. Every operation in alpha/AlphaOps.h's lists is
 /// also compiled and run over edge and seeded random operands, against
-/// both iisa::execute and alpha::eval*. Skipped wholesale when no host
-/// compiler exists (the VM-level suites prove that degrade separately).
+/// both iisa::execute and alpha::eval*, and a one-instruction body per op
+/// code the lowering emits is compiled and run from seeded random states.
+/// Skipped wholesale when no host compiler exists (the VM-level suites
+/// prove that degrade separately).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,9 @@
 #include "native/NativeEmitter.h"
 #include "native/NativeExec.h"
 #include "native/NativeModule.h"
+#include "native/NativeService.h"
+
+#include "../iisa/OpSweep.h"
 
 #include "alpha/Semantics.h"
 #include "mem/GuestMemory.h"
@@ -30,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
 #include <set>
 
 using namespace ildp;
@@ -58,8 +64,8 @@ IisaInst branchTo(uint64_t Target, bool ToTranslator = false) {
   return I;
 }
 
-/// Emit + compile + load + wrap \p Body; hard-fails the test on any step.
-std::shared_ptr<native::NativeCode>
+/// Emit + compile + load \p Body; hard-fails the test on any step.
+std::shared_ptr<native::NativeModule>
 compileBody(const std::vector<IisaInst> &Body, IsaVariant Variant) {
   native::EmitResult Emit = native::emitFragmentC(Body, Variant);
   EXPECT_TRUE(Emit.Ok) << Emit.Reason;
@@ -73,12 +79,7 @@ compileBody(const std::vector<IisaInst> &Body, IsaVariant Variant) {
     return nullptr;
   std::shared_ptr<native::NativeModule> Module = native::loadModule(Obj.Object);
   EXPECT_NE(Module, nullptr);
-  if (!Module)
-    return nullptr;
-  auto Code = std::make_shared<native::NativeCode>();
-  Code->Fn = Module->entry();
-  Code->Module = std::move(Module);
-  return Code;
+  return Module;
 }
 
 /// Seeds deterministic non-trivial machine state.
@@ -96,12 +97,12 @@ void seedMemory(GuestMemory &Mem) {
     Mem.poke64(0x1000 + I * 8, 0xC0FFEE0000ull + I);
 }
 
-/// Runs \p Body natively (\p Code) and through iisa::execute from \p Init
+/// Runs \p Body natively (\p Module) and through iisa::execute from \p Init
 /// over identical guest memory, requires bit-identical outcomes — every
 /// accumulator, every GPR, the VPC base, the exit record, and guest
 /// memory — and returns the native end state and exit.
 std::pair<IExecState, IExit>
-runAgainstExecutor(const native::NativeCode &Code,
+runAgainstExecutor(const native::NativeModule &Module,
                    const std::vector<IisaInst> &Body, const IExecState &Init,
                    const std::string &Context) {
   GuestMemory RefMem, NatMem;
@@ -111,7 +112,7 @@ runAgainstExecutor(const native::NativeCode &Code,
 
   std::vector<IOp> Ops = lowerToOps(Body);
   IExit RefExit = execute(Ops.data(), Body.data(), Ref, RefMem, nullptr);
-  IExit NatExit = native::runFragment(Code, Nat, NatMem, Body);
+  IExit NatExit = native::runFragment(Module, Nat, NatMem, Body);
 
   EXPECT_EQ(NatExit.K, RefExit.K) << Context;
   EXPECT_EQ(NatExit.VTarget, RefExit.VTarget) << Context;
@@ -135,7 +136,7 @@ runAgainstExecutor(const native::NativeCode &Code,
 /// state.
 void expectSameRun(const std::vector<IisaInst> &Body, IsaVariant Variant,
                    const char *Context) {
-  std::shared_ptr<native::NativeCode> Code = compileBody(Body, Variant);
+  std::shared_ptr<native::NativeModule> Code = compileBody(Body, Variant);
   ASSERT_NE(Code, nullptr) << Context;
   IExecState Init;
   seedState(Init);
@@ -519,9 +520,9 @@ TEST_F(NativeRoundTrip, EveryListedOperationMatchesSemantics) {
   }
   LitBody.push_back(branchTo(0xB0040));
 
-  std::shared_ptr<native::NativeCode> RegCode =
+  std::shared_ptr<native::NativeModule> RegCode =
       compileBody(RegBody, IsaVariant::Modified);
-  std::shared_ptr<native::NativeCode> LitCode =
+  std::shared_ptr<native::NativeModule> LitCode =
       compileBody(LitBody, IsaVariant::Modified);
   ASSERT_NE(RegCode, nullptr);
   ASSERT_NE(LitCode, nullptr);
@@ -579,7 +580,7 @@ TEST_F(NativeRoundTrip, EveryListedBranchPredicateMatchesSemantics) {
     Body.push_back(Exit);
   }
   Body.push_back(branchTo(0xC1000));
-  std::shared_ptr<native::NativeCode> Code =
+  std::shared_ptr<native::NativeModule> Code =
       compileBody(Body, IsaVariant::Modified);
   ASSERT_NE(Code, nullptr);
 
@@ -610,4 +611,51 @@ TEST_F(NativeRoundTrip, EveryListedBranchPredicateMatchesSemantics) {
     }
   }
   EXPECT_EQ(Seen.size(), NumListedBranchOps);
+}
+
+TEST_F(NativeRoundTrip, EveryOpCodeMatchesTheExecutor) {
+  // One body per op code: the first sweep instruction (tests/iisa/
+  // OpSweep.h) that lowers to it, then a halt, as ExecutorOracle's sweep
+  // runs them. Compiled through the worker pool the VM uses.
+  Rng R(0x0C0DE5EE);
+  IisaInst Halt;
+  Halt.Kind = IKind::Halt;
+  std::map<uint64_t, std::vector<IisaInst>> Bodies; // By op code.
+  for (const IisaInst &Inst : opsweep::sweepInstructions(R)) {
+    std::vector<IisaInst> Body = {Inst, Halt};
+    Bodies.emplace(uint64_t(lowerToOps(Body)[0].Code), Body);
+  }
+  native::NativeService Service(native::hostCompiler(), 4, Bodies.size());
+  for (const auto &[Code, Body] : Bodies) {
+    native::NativeRequest Req;
+    Req.Key = Code;
+    Req.Body = Body;
+    ASSERT_TRUE(Service.trySubmit(std::move(Req)));
+  }
+  Service.waitAllIdle();
+  std::vector<native::NativeCompletion> Done;
+  Service.drainCompleted(Done);
+  ASSERT_EQ(Done.size(), Bodies.size());
+  // Completions arrive in any order; states are drawn in op-code order.
+  std::map<uint64_t, native::NativeCompletion> ByCode;
+  for (native::NativeCompletion &C : Done)
+    ByCode[C.Key] = std::move(C);
+
+  // Registers point into the one page seedMemory maps, or near it.
+  const std::vector<uint64_t> Pages = {0x1000};
+  std::set<uint64_t> Compiled;
+  for (const auto &[Code, Body] : Bodies) {
+    const native::NativeCompletion &C = ByCode[Code];
+    std::string Context = "op code " + std::to_string(Code) + " (kind " +
+                          getKindName(Body[0].Kind) + ")";
+    ASSERT_TRUE(C.Ok) << Context << ": " << C.Reason;
+    std::shared_ptr<native::NativeModule> Module =
+        native::loadModule(C.Object);
+    ASSERT_NE(Module, nullptr) << Context;
+    for (unsigned S = 0; S != 8; ++S)
+      runAgainstExecutor(*Module, Body, opsweep::randomState(R, Pages),
+                         Context + ", state " + std::to_string(S));
+    Compiled.insert(Code);
+  }
+  EXPECT_EQ(Compiled.size(), NumOpCodes - 1);
 }

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <set>
 #include <string>
 #include <unistd.h>
 
@@ -349,11 +350,12 @@ class VmSlicedNativeRun : public ::testing::TestWithParam<std::string> {};
 
 // A native warm run cut into budget slices: every stop lands inside or
 // between natively executed fragments, and the resumed run must end with
-// the uninterrupted run's state and statistics. Only vm.segments may
-// differ, by at most one per slice boundary (a boundary splits the
-// translated segment it falls in), and native.*, because a fragment the
-// seed run could not persist compiles in the background on its own
-// schedule in each run.
+// the uninterrupted run's state and statistics. Only vm.segments and
+// vm.executor_calls may differ, by at most one per slice boundary (a
+// boundary splits the translated segment it falls in, and with no host
+// compiler the I-ISA tier chains, one executor entry per segment), and
+// native.*, because a fragment the seed run could not persist compiles in
+// the background on its own schedule in each run.
 TEST_P(VmSlicedNativeRun, MatchesUninterruptedRun) {
   const std::string W = GetParam();
   constexpr uint64_t Slice = 7919; // Prime: boundaries fall everywhere.
@@ -382,11 +384,14 @@ TEST_P(VmSlicedNativeRun, MatchesUninterruptedRun) {
   const StatisticSet &Sliced = Vm.stats();
 
   EXPECT_EQ(Vm.interpreter().state(), Whole.Arch);
-  uint64_t Segments = Whole.Stats.get("vm.segments");
-  EXPECT_GE(Sliced.get("vm.segments"), Segments);
-  EXPECT_LE(Sliced.get("vm.segments"), Segments + Slices - 1);
+  const std::set<std::string> PerSegment = {"vm.segments",
+                                            "vm.executor_calls"};
+  for (const std::string &Name : PerSegment) {
+    EXPECT_GE(Sliced.get(Name), Whole.Stats.get(Name)) << Name;
+    EXPECT_LE(Sliced.get(Name), Whole.Stats.get(Name) + Slices - 1) << Name;
+  }
   for (const auto &[Name, Value] : Whole.Stats.getWithPrefix("")) {
-    if (Name != "vm.segments" && Name.rfind("native.", 0) != 0) {
+    if (!PerSegment.count(Name) && Name.rfind("native.", 0) != 0) {
       EXPECT_EQ(Sliced.get(Name), Value) << "stat " << Name;
     }
   }
