@@ -15,11 +15,11 @@
 /// architected state is left exactly as of the trapping instruction.
 ///
 /// Decoded instructions live in per-page arrays indexed by
-/// (pc & 4095) / 4, each slot decoded lazily on its first execution (a
-/// per-page bitmap marks decoded slots), behind a one-entry last-page
-/// cache (DESIGN.md §16). run() retires ordinary instructions without
-/// building a StepInfo and defers to step() — the reference — for any
-/// instruction that traps, halts, fails to decode, or is the final step.
+/// (pc & 4095) / 4, each slot decoded lazily on its first execution,
+/// behind a one-entry last-page cache (DESIGN.md §16). Decoding a slot
+/// also specialises it into a SlotOp: run() is a threaded loop over those
+/// ops and defers to step() — the reference — for any instruction that
+/// traps, halts, fails to decode, or is the final step.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +34,9 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+
+// C-compatible; only its opcode lists are used here.
+#include "alpha/AlphaOps.h"
 
 namespace ildp {
 
@@ -86,6 +89,50 @@ struct StepInfo {
   Trap TrapInfo;
 };
 
+/// Handler of one decoded slot in run()'s threaded loop. Every integer
+/// operation and conditional move has a register (_RR) and an immediate
+/// (_RI) shape; the memory-format LDA and LDAH only ever take _RI.
+enum class SlotCode : uint8_t {
+  Undecoded, ///< Not decoded yet (a zeroed op).
+#define ILDP_SLOT_SHAPES(M) M##_RR, M##_RI,
+  ILDP_INT_OPS(ILDP_SLOT_SHAPES) ILDP_CMOV_OPS(ILDP_SLOT_SHAPES)
+#undef ILDP_SLOT_SHAPES
+#define ILDP_SLOT_BRANCH(M) M,
+  ILDP_BRANCH_OPS(ILDP_SLOT_BRANCH)
+#undef ILDP_SLOT_BRANCH
+  LDBU, LDWU, LDL, LDQ, STB, STW, STL, STQ,
+  Br,      ///< BR and BSR.
+  Jump,    ///< JMP and JSR.
+  Ret,
+  Slow,    ///< CALL_PAL and invalid words: step() executes them.
+  PageEnd, ///< The sentinel after a page's last slot.
+};
+
+constexpr unsigned NumSlotCodes = unsigned(SlotCode::PageEnd) + 1;
+
+/// One decoded slot, specialised for run(): the handler code, register
+/// numbers and an immediate. A source r31 reads register 31, which the
+/// loop holds at zero; a destination r31 is SlotSinkReg. Field use:
+///  - operate, cmov: D = op(A, B or Imm), Imm the literal;
+///  - LDA/LDAH: D = op(A, Imm), A the base, Imm the displacement;
+///  - load: D = [B + Imm]; store: [B + Imm] = A;
+///  - conditional branch, BR/BSR: test A (link to D), Imm the displacement
+///    in instructions; JMP/JSR/RET: target B (link to D, except RET).
+struct SlotOp {
+  SlotCode Code = SlotCode::Undecoded;
+  uint8_t A = 0;
+  uint8_t B = 0;
+  uint8_t D = 0;
+  int32_t Imm = 0;
+};
+static_assert(sizeof(SlotOp) == 8, "a decoded page grows by 8 bytes a slot");
+
+/// The register file index run() writes for a destination r31.
+constexpr uint8_t SlotSinkReg = alpha::NumGprs;
+
+/// The op run() executes for \p Inst.
+SlotOp specialiseSlot(const alpha::AlphaInst &Inst);
+
 /// Functional Alpha interpreter over a GuestMemory image.
 class Interpreter {
 public:
@@ -115,7 +162,7 @@ public:
     uint64_t PageIndex = Addr >> GuestMemory::PageShift;
     unsigned Slot = unsigned(Addr & (GuestMemory::PageSize - 1)) >> 2;
     if (PageIndex == LastPageIndex && (Addr & 3) == 0 &&
-        LastPage->isDecoded(Slot))
+        LastPage->Ops[Slot].Code != SlotCode::Undecoded)
       return &LastPage->Insts[Slot];
     return decodeSlow(Addr);
   }
@@ -124,21 +171,28 @@ private:
   static constexpr unsigned SlotsPerPage =
       unsigned(GuestMemory::PageSize / alpha::InstBytes);
 
-  /// Decoded instructions of one guest page.
+  /// Decoded instructions of one guest page, and their ops: a slot is
+  /// decoded when its op is not Undecoded. The op after the last slot is
+  /// the PageEnd sentinel, so falling off the page needs no bounds test.
   struct DecodedPage {
     std::array<alpha::AlphaInst, SlotsPerPage> Insts;
-    std::array<uint64_t, SlotsPerPage / 64> Decoded{};
+    std::array<SlotOp, SlotsPerPage + 1> Ops{};
 
-    bool isDecoded(unsigned Slot) const {
-      return (Decoded[Slot / 64] >> (Slot % 64)) & 1;
-    }
+    DecodedPage() { Ops[SlotsPerPage].Code = SlotCode::PageEnd; }
   };
 
   const alpha::AlphaInst *decodeSlow(uint64_t Addr);
-  /// Retires the instruction at State.Pc if it completes normally and
-  /// returns true; returns false with all state untouched when it would
-  /// trap, halt, or fail to decode.
-  bool tryRetire();
+  /// The decoded page of \p PageIndex, or nullptr; refills the last-page
+  /// cache.
+  DecodedPage *findPage(uint64_t PageIndex);
+  /// The ops of the page holding \p Addr, decoding \p Addr's slot when
+  /// the page is new; nullptr when that fetch faults.
+  const SlotOp *pageOps(uint64_t Addr);
+  /// Retires up to \p Limit instructions from State.Pc through the ops and
+  /// returns how many. It stops before any instruction it does not
+  /// complete (a trap, a halt, a fetch fault), having written nothing for
+  /// it, so step() re-executes that one from the same state.
+  uint64_t runOps(uint64_t Limit);
 
   GuestMemory &Mem;
   ArchState State;

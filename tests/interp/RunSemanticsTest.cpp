@@ -16,6 +16,7 @@
 #include "alpha/Assembler.h"
 #include "alpha/Decoder.h"
 #include "interp/Interpreter.h"
+#include "StepCompare.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -223,27 +224,6 @@ TEST(RunSemantics, MemAddrReportedForLoadsAndStores) {
 
 namespace {
 
-void expectSameStep(const StepInfo &A, const StepInfo &B) {
-  EXPECT_EQ(A.Status, B.Status);
-  EXPECT_EQ(A.Pc, B.Pc);
-  EXPECT_EQ(A.NextPc, B.NextPc);
-  EXPECT_EQ(A.IsControl, B.IsControl);
-  EXPECT_EQ(A.Taken, B.Taken);
-  EXPECT_EQ(A.MemAddr, B.MemAddr);
-  EXPECT_EQ(A.TrapInfo.Kind, B.TrapInfo.Kind);
-  EXPECT_EQ(A.TrapInfo.Pc, B.TrapInfo.Pc);
-  EXPECT_EQ(A.TrapInfo.MemAddr, B.TrapInfo.MemAddr);
-  EXPECT_EQ(A.Inst.Op, B.Inst.Op);
-  EXPECT_EQ(A.Inst.Ra, B.Inst.Ra);
-  EXPECT_EQ(A.Inst.Rb, B.Inst.Rb);
-  EXPECT_EQ(A.Inst.Rc, B.Inst.Rc);
-  EXPECT_EQ(A.Inst.HasLit, B.Inst.HasLit);
-  EXPECT_EQ(A.Inst.Lit, B.Inst.Lit);
-  EXPECT_EQ(A.Inst.Disp, B.Inst.Disp);
-  EXPECT_EQ(A.Inst.JumpHint, B.Inst.JumpHint);
-  EXPECT_EQ(A.Inst.PalFunc, B.Inst.PalFunc);
-}
-
 /// A workload image, optionally with one instruction word replaced.
 struct Image {
   GuestMemory Mem;
@@ -259,17 +239,15 @@ Image buildImage(const std::string &Name, uint64_t PatchPc = 0,
   return Img;
 }
 
-/// Runs \p Budget steps both ways over identical images and compares the
-/// final state, the retired count, and the StepInfo run() returns with the
-/// one the last step() call returned, which it returns.
-StepInfo expectRunMatchesSteps(const std::string &Name, uint64_t Budget,
-                               uint64_t PatchPc = 0, uint32_t PatchWord = 0) {
-  SCOPED_TRACE(Name + " budget " + std::to_string(Budget));
-  Image A = buildImage(Name, PatchPc, PatchWord);
-  Image B = buildImage(Name, PatchPc, PatchWord);
-  Interpreter Stepper(A.Mem), Runner(B.Mem);
-  Stepper.state().Pc = A.Entry;
-  Runner.state().Pc = B.Entry;
+/// Runs \p Budget steps from \p Entry both ways, over \p StepMem and
+/// \p RunMem (identical images), and compares the final state, the
+/// retired count, and the StepInfo run() returns with the one the last
+/// step() call returned, which it returns.
+StepInfo expectRunMatchesStepsOn(GuestMemory &StepMem, GuestMemory &RunMem,
+                                 uint64_t Entry, uint64_t Budget) {
+  Interpreter Stepper(StepMem), Runner(RunMem);
+  Stepper.state().Pc = Entry;
+  Runner.state().Pc = Entry;
 
   StepInfo Last;
   for (uint64_t I = 0; I != Budget; ++I) {
@@ -282,6 +260,24 @@ StepInfo expectRunMatchesSteps(const std::string &Name, uint64_t Budget,
   EXPECT_EQ(Runner.state(), Stepper.state());
   EXPECT_EQ(Runner.retiredCount(), Stepper.retiredCount());
   return Last;
+}
+
+/// expectRunMatchesStepsOn over workload \p Name, optionally patched.
+StepInfo expectRunMatchesSteps(const std::string &Name, uint64_t Budget,
+                               uint64_t PatchPc = 0, uint32_t PatchWord = 0) {
+  SCOPED_TRACE(Name + " budget " + std::to_string(Budget));
+  Image A = buildImage(Name, PatchPc, PatchWord);
+  Image B = buildImage(Name, PatchPc, PatchWord);
+  return expectRunMatchesStepsOn(A.Mem, B.Mem, A.Entry, Budget);
+}
+
+/// expectRunMatchesStepsOn over \p Asm's program, for \p Budget.
+StepInfo expectRunMatchesSteps(const Assembler &Asm,
+                               const std::vector<uint32_t> &Words,
+                               uint64_t Budget) {
+  SCOPED_TRACE("budget " + std::to_string(Budget));
+  GuestMemory A = loadProgram(Asm, Words), B = loadProgram(Asm, Words);
+  return expectRunMatchesStepsOn(A, B, Asm.baseAddr(), Budget);
 }
 
 /// step() count to HALT and the PC of instruction number \p Probe.
@@ -440,4 +436,114 @@ TEST(RunSemantics, StoreToExecutedCodeSlotStaysStale) {
     ASSERT_EQ(Last.Status, StepStatus::Halted);
     EXPECT_EQ(Interp.state().readGpr(9), 2u);
   }
+}
+
+// ---- Page boundaries: the page-end sentinel, cross-page transfers ----
+//
+// Synthetic programs: the 12 workloads at scale 1 never execute a page's
+// last slot.
+
+namespace {
+
+constexpr uint64_t PageSize = GuestMemory::PageSize;
+
+/// Compares run(B) with B steps for every budget up to past the HALT.
+void expectEveryBudgetMatches(const Assembler &Asm,
+                              const std::vector<uint32_t> &Words) {
+  for (uint64_t Budget = 0;; ++Budget)
+    if (expectRunMatchesSteps(Asm, Words, Budget).Status != StepStatus::Ok ||
+        ::testing::Test::HasFailure())
+      return;
+}
+
+} // namespace
+
+TEST(RunSemantics, FallThroughIntoMappedNextPage) {
+  // Straight-line code over a page boundary, then a loop whose backward
+  // branch crosses it the other way.
+  Assembler Asm(0x10000 + PageSize - 12);
+  Asm.loadImm(17, 3);
+  auto Loop = Asm.createLabel("loop");
+  Asm.bind(Loop);
+  Asm.operatei(Op::ADDQ, 9, 1, 9); // On the first page.
+  Asm.operatei(Op::ADDQ, 10, 2, 10);
+  Asm.operatei(Op::SUBL, 17, 1, 17);
+  Asm.condBr(Op::BNE, 17, Loop);
+  Asm.halt();
+  std::vector<uint32_t> Words = Asm.finalize();
+  ASSERT_LT(Asm.labelAddr(Loop), 0x10000 + PageSize);
+  ASSERT_GE(Asm.baseAddr() + Words.size() * 4, 0x10000 + PageSize + 8);
+  expectEveryBudgetMatches(Asm, Words);
+}
+
+TEST(RunSemantics, FallThroughIntoUnmappedPageFaultsAtItsBase) {
+  // The page after the program's last two slots is not mapped.
+  Assembler Asm(0x10000 + PageSize - 8);
+  Asm.operatei(Op::ADDQ, 9, 5, 9);
+  Asm.operatei(Op::ADDQ, 9, 5, 9);
+  std::vector<uint32_t> Words = Asm.finalize();
+  GuestMemory Mem = loadProgram(Asm, Words);
+  ASSERT_FALSE(Mem.isMapped(0x10000 + PageSize));
+  Interpreter Interp(Mem);
+  Interp.state().Pc = Asm.baseAddr();
+  StepInfo Last = Interp.run(100);
+  ASSERT_EQ(Last.Status, StepStatus::Trapped);
+  EXPECT_EQ(Last.TrapInfo.Kind, TrapKind::FetchFault);
+  EXPECT_EQ(Last.TrapInfo.Pc, 0x10000 + PageSize);
+  EXPECT_EQ(Last.TrapInfo.MemAddr, 0x10000 + PageSize);
+  // Precise: both instructions retired, the PC is the new page's base.
+  EXPECT_EQ(Interp.state().Pc, 0x10000 + PageSize);
+  EXPECT_EQ(Interp.state().readGpr(9), 10u);
+  EXPECT_EQ(Interp.retiredCount(), 2u);
+  expectEveryBudgetMatches(Asm, Words);
+}
+
+TEST(RunSemantics, BranchAndReturnAcrossPages) {
+  // main (page 0) calls a function on page 2 three times; the function
+  // returns with RET. Then a taken BR to page 1, and HALT there.
+  Assembler Asm(0x10000);
+  auto Func = Asm.createLabel("func");
+  auto Tail = Asm.createLabel("tail");
+  auto Loop = Asm.createLabel("loop");
+  Asm.loadImm(17, 3);
+  Asm.bind(Loop);
+  Asm.directBr(Op::BSR, RegRA, Func);
+  Asm.operatei(Op::SUBL, 17, 1, 17);
+  Asm.condBr(Op::BNE, 17, Loop);
+  Asm.br(Tail);
+  while (Asm.currentAddr() != 0x10000 + PageSize + 16)
+    Asm.halt(); // Never reached.
+  Asm.bind(Tail);
+  Asm.operatei(Op::ADDQ, 11, 7, 11);
+  Asm.halt();
+  while (Asm.currentAddr() != 0x10000 + 2 * PageSize + 40)
+    Asm.halt();
+  Asm.bind(Func);
+  Asm.operatei(Op::ADDQ, 9, 1, 9);
+  Asm.ret();
+  std::vector<uint32_t> Words = Asm.finalize();
+  expectEveryBudgetMatches(Asm, Words);
+
+  GuestMemory Mem = loadProgram(Asm, Words);
+  Interpreter Interp(Mem);
+  Interp.state().Pc = 0x10000;
+  ASSERT_EQ(Interp.run(1000).Status, StepStatus::Halted);
+  EXPECT_EQ(Interp.state().readGpr(9), 3u);
+  EXPECT_EQ(Interp.state().readGpr(11), 7u);
+}
+
+TEST(RunSemantics, BudgetEndingOnAPageLastSlot) {
+  // Straight-line code from slot 1020 into the next page: budget 4 ends
+  // with step() on slot 1023, budget 5 with the loop retiring slot 1023
+  // and step() on the next page's first slot.
+  Assembler Asm(0x10000 + PageSize - 16);
+  for (unsigned Reg = 1; Reg != 7; ++Reg)
+    Asm.operatei(Op::ADDQ, Reg, uint8_t(Reg), Reg);
+  Asm.halt();
+  std::vector<uint32_t> Words = Asm.finalize();
+  StepInfo OnLast = expectRunMatchesSteps(Asm, Words, 4);
+  EXPECT_EQ(OnLast.Pc, 0x10000 + PageSize - 4);
+  EXPECT_EQ(OnLast.NextPc, 0x10000 + PageSize);
+  StepInfo AfterLast = expectRunMatchesSteps(Asm, Words, 5);
+  EXPECT_EQ(AfterLast.Pc, 0x10000 + PageSize);
 }
