@@ -12,7 +12,7 @@
 /// VM — same checksum, fragments, translator units, guest instructions —
 /// because none of the eviction machinery may run without a budget. The
 /// pressured configurations must stay architecturally identical while
-/// the cache.* statistics show the eviction/unchain/re-translation churn
+/// the cache.* statistics show the eviction/re-translation churn
 /// and the budget high-water mark proves the bound held after every
 /// install.
 ///
@@ -38,7 +38,6 @@ struct Sample {
   uint64_t BodyBytes = 0;
   uint64_t Evictions = 0;
   uint64_t EvictedBytes = 0;
-  uint64_t Unchained = 0;
   uint64_t Retranslations = 0;
   uint64_t DegradedFlushes = 0;
   uint64_t HighWater = 0;
@@ -70,7 +69,6 @@ Sample runOnce(const std::string &Workload, uint64_t BudgetBytes) {
   S.BodyBytes = Stats.get("tcache.body_bytes");
   S.Evictions = Stats.get("cache.evictions");
   S.EvictedBytes = Stats.get("cache.evicted_bytes");
-  S.Unchained = Stats.get("cache.unchained_exits");
   S.Retranslations = Stats.get("cache.retranslations");
   S.DegradedFlushes = Stats.get("cache.degraded_flushes");
   S.HighWater = Stats.get("cache.budget_high_water");
@@ -112,8 +110,8 @@ int main() {
   // Part 2: the pressure sweep. Budgets derive from each workload's own
   // unbounded footprint so the pressure is comparable across workloads.
   // -------------------------------------------------------------------
-  TablePrinter T({"workload", "budget", "evict", "evict KB", "unchain",
-                  "retrans", "degr", "high water", "ms", "slowdown %"});
+  TablePrinter T({"workload", "budget", "evict", "evict KB", "retrans",
+                  "degr", "high water", "ms", "slowdown %"});
   bool AllIdentical = true;
   bool BudgetHeld = true;
   uint64_t TotalEvictions = 0;
@@ -141,7 +139,6 @@ int main() {
                          : std::to_string(Budget) + " B");
       T.cellInt(int64_t(S.Evictions));
       T.cellFloat(double(S.EvictedBytes) / 1024.0, 1);
-      T.cellInt(int64_t(S.Unchained));
       T.cellInt(int64_t(S.Retranslations));
       T.cellInt(int64_t(S.DegradedFlushes));
       T.cellInt(int64_t(S.HighWater));

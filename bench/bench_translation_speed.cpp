@@ -79,7 +79,7 @@ void BM_TranslateBasic(benchmark::State &State) {
   Config.Variant = iisa::IsaVariant::Basic;
   for (auto _ : State) {
     dbt::TranslationResult R =
-        dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+        dbt::translate(F.Sb, Config).take();
     benchmark::DoNotOptimize(R.Frag.Body.data());
   }
   State.SetItemsProcessed(int64_t(State.iterations()) * F.Sb.Insts.size());
@@ -92,7 +92,7 @@ void BM_TranslateModified(benchmark::State &State) {
   Config.Variant = iisa::IsaVariant::Modified;
   for (auto _ : State) {
     dbt::TranslationResult R =
-        dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+        dbt::translate(F.Sb, Config).take();
     benchmark::DoNotOptimize(R.Frag.Body.data());
   }
   State.SetItemsProcessed(int64_t(State.iterations()) * F.Sb.Insts.size());
@@ -104,7 +104,7 @@ void BM_TranslateStraight(benchmark::State &State) {
   Config.Variant = iisa::IsaVariant::Straight;
   for (auto _ : State) {
     dbt::TranslationResult R =
-        dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+        dbt::translate(F.Sb, Config).take();
     benchmark::DoNotOptimize(R.Frag.Body.data());
   }
   State.SetItemsProcessed(int64_t(State.iterations()) * F.Sb.Insts.size());
@@ -127,7 +127,7 @@ void BM_ExecuteFragment(benchmark::State &State) {
   dbt::DbtConfig Config;
   Config.Variant = iisa::IsaVariant::Modified;
   dbt::TranslationResult R =
-      dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+      dbt::translate(F.Sb, Config).take();
   iisa::IExecState Exec;
   // Seed plausible state: loop registers that keep the loop bounded.
   Exec.writeGpr(16, 0x20000000);
@@ -152,7 +152,7 @@ void BM_NativeEmitC(benchmark::State &State) {
   dbt::DbtConfig Config;
   Config.Variant = iisa::IsaVariant::Modified;
   dbt::TranslationResult R =
-      dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+      dbt::translate(F.Sb, Config).take();
   for (auto _ : State) {
     native::EmitResult E =
         native::emitFragmentC(R.Frag.Body, R.Frag.Variant);
@@ -171,7 +171,7 @@ void BM_NativeHostCompile(benchmark::State &State) {
   dbt::DbtConfig Config;
   Config.Variant = iisa::IsaVariant::Modified;
   dbt::TranslationResult R =
-      dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+      dbt::translate(F.Sb, Config).take();
   native::EmitResult E = native::emitFragmentC(R.Frag.Body, R.Frag.Variant);
   for (auto _ : State) {
     native::CompileResult C = native::compileToObject(CC, E.Source);
@@ -195,7 +195,7 @@ void BM_ExecuteFragmentNative(benchmark::State &State) {
   dbt::DbtConfig Config;
   Config.Variant = iisa::IsaVariant::Modified;
   dbt::TranslationResult R =
-      dbt::translate(F.Sb, Config, dbt::ChainEnv()).take();
+      dbt::translate(F.Sb, Config).take();
   native::EmitResult E = native::emitFragmentC(R.Frag.Body, R.Frag.Variant);
   native::CompileResult C = native::compileToObject(CC, E.Source);
   if (!C.Ok) {

@@ -65,11 +65,10 @@ int main(int argc, char **argv) {
   }
 
   const StatisticSet &S = Vm.stats();
-  std::printf("workload %s, %s backend: %llu fragments, %llu patches, "
+  std::printf("workload %s, %s backend: %llu fragments, "
               "%llu bytes of translated code\n\n",
               Name.c_str(), VariantName.c_str(),
               (unsigned long long)S.get("tcache.fragments"),
-              (unsigned long long)S.get("tcache.patches"),
               (unsigned long long)S.get("tcache.body_bytes"));
 
   // Rank fragments by executed instructions.
@@ -122,14 +121,20 @@ int main(int argc, char **argv) {
         std::printf("\n");
       }
     }
-    if (!Frag->Exits.empty()) {
-      std::printf("  exits:");
-      for (const dbt::ExitRecord &Exit : Frag->Exits)
-        std::printf(" [%u]->0x%llx%s", Exit.InstIndex,
-                    (unsigned long long)Exit.VTarget,
-                    Exit.Pending ? " (translator)" : "");
-      std::printf("\n");
+    // A direct exit is chained exactly when its target is resident.
+    bool AnyExit = false;
+    for (size_t I = 0; I != Frag->Body.size(); ++I) {
+      const iisa::IisaInst &Inst = Frag->Body[I];
+      if (!Inst.isDirectExit())
+        continue;
+      std::printf("%s [%zu]->0x%llx (%s)", AnyExit ? "" : "  exits:", I,
+                  (unsigned long long)Inst.VTarget,
+                  Vm.tcache().contains(Inst.VTarget) ? "resident"
+                                                     : "not resident");
+      AnyExit = true;
     }
+    if (AnyExit)
+      std::printf("\n");
     std::printf("\n");
   }
   return 0;

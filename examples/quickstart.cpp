@@ -82,7 +82,7 @@ int main() {
     dbt::DbtConfig Config;
     Config.Variant = Variant;
     dbt::TranslationResult R =
-        dbt::translate(Sb, Config, dbt::ChainEnv()).take();
+        dbt::translate(Sb, Config).take();
     std::printf("\n== %s ==\n", Title);
     for (const iisa::IisaInst &Inst : R.Frag.Body)
       std::printf("  %s\n", iisa::disassemble(Inst).c_str());

@@ -28,9 +28,8 @@ constexpr uint8_t ChainScratch = NumIisaGprs - 1;
 class Generator {
 public:
   Generator(const Superblock &Sb, const LoweredBlock &Block,
-            const StrandAllocResult *Alloc, const DbtConfig &Config,
-            const ChainEnv &Env)
-      : Sb(Sb), Block(Block), Alloc(Alloc), Config(Config), Env(Env) {}
+            const StrandAllocResult *Alloc, const DbtConfig &Config)
+      : Sb(Sb), Block(Block), Alloc(Alloc), Config(Config) {}
 
   Fragment run();
 
@@ -39,7 +38,6 @@ private:
   const LoweredBlock &Block;
   const StrandAllocResult *Alloc;
   const DbtConfig &Config;
-  const ChainEnv &Env;
 
   Fragment Frag;
   unsigned PendingCredit = 0; ///< V-credit to attach to the next inst.
@@ -88,22 +86,11 @@ private:
   void emitUop(int32_t UopIdx);
   void emitChainTail();
   void emitSwPredict(const Uop &EndU);
-  bool exitIsPending(uint64_t Target) const;
-  void recordExit(uint64_t Target, bool Pending) {
-    Frag.Exits.push_back(
-        {uint32_t(Frag.Body.size()) - 1, Target, Pending});
-  }
 
   void computeTempRanges();
 };
 
 } // namespace
-
-bool Generator::exitIsPending(uint64_t Target) const {
-  if (Target == Sb.EntryVAddr)
-    return false; // Self-chain: this fragment is about to be installed.
-  return !Env.IsTranslated(Target);
-}
 
 void Generator::computeTempRanges() {
   const auto &Uops = Block.List.Uops;
@@ -430,9 +417,7 @@ void Generator::emitUop(int32_t UopIdx) {
     Inst.A = resolveOperand(U.In1, inputMustUseAcc(U.In1) ? AccUse::Require
                                                           : AccUse::Allow);
     Inst.VTarget = Target;
-    Inst.ToTranslator = exitIsPending(Target);
     emit(Inst);
-    recordExit(Target, Inst.ToTranslator);
     break;
   }
   case UopKind::SaveRet: {
@@ -522,9 +507,7 @@ void Generator::emitChainTail() {
     Br.Kind = IKind::Branch;
     Br.VTarget = FallThrough;
     Br.VAddr = Sb.Insts.back().VAddr;
-    Br.ToTranslator = exitIsPending(FallThrough);
     emit(Br);
-    recordExit(FallThrough, Br.ToTranslator);
     break;
   }
   case SbEndReason::Cycle:
@@ -534,9 +517,7 @@ void Generator::emitChainTail() {
     Br.Kind = IKind::Branch;
     Br.VTarget = Sb.FinalNextVAddr;
     Br.VAddr = Sb.Insts.empty() ? Sb.EntryVAddr : Sb.Insts.back().VAddr;
-    Br.ToTranslator = exitIsPending(Sb.FinalNextVAddr);
     emit(Br);
-    recordExit(Sb.FinalNextVAddr, Br.ToTranslator);
     break;
   }
   case SbEndReason::Trap: {
@@ -655,15 +636,14 @@ Fragment Generator::run() {
 Expected<Fragment> dbt::generateCode(const Superblock &Sb,
                                      const LoweredBlock &Block,
                                      const StrandAllocResult *Alloc,
-                                     const DbtConfig &Config,
-                                     const ChainEnv &Env) {
+                                     const DbtConfig &Config) {
   if (support::injected(Config.Fault, support::InjectSite::CodeGen))
     return {TranslateStatus::InjectedFault, "codegen"};
   try {
     ensure((Config.Variant == IsaVariant::Straight) == (Alloc == nullptr),
            TranslateStatus::InternalCodeGen,
            "Accumulator backends require allocation results");
-    return Generator(Sb, Block, Alloc, Config, Env).run();
+    return Generator(Sb, Block, Alloc, Config).run();
   } catch (const TranslateAbort &Abort) {
     return Abort;
   }

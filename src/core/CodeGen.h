@@ -15,10 +15,12 @@
 ///     code-straightening-only DBT/simulator).
 ///
 /// plus fragment chaining (Section 3.2): the set-VPC-base prologue,
-/// conditional side exits (chained or call-translator-if-condition-is-met),
-/// terminal branches, the three-instruction software jump prediction
-/// sequence using load-embedded-target-address, the dual-address-RAS
-/// return, and the PEI table for precise traps.
+/// conditional side exits, terminal branches, the three-instruction
+/// software jump prediction sequence using load-embedded-target-address,
+/// the dual-address-RAS return, and the PEI table for precise traps. A
+/// side exit or terminal branch is emitted only with its V-target: it is
+/// chained when taken exactly when that target is resident in the
+/// translation cache, so codegen needs no view of the cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,17 +33,8 @@
 #include "core/StrandAlloc.h"
 #include "core/TranslateStatus.h"
 
-#include <functional>
-
 namespace ildp {
 namespace dbt {
-
-/// Translation-time environment queries.
-struct ChainEnv {
-  /// Returns true if a fragment for the given V-ISA entry exists (the exit
-  /// can be chained immediately instead of calling the translator).
-  std::function<bool(uint64_t)> IsTranslated = [](uint64_t) { return false; };
-};
 
 /// Generates the fragment body for \p Sb. \p Block must have been analyzed
 /// (analyzeUsage) and, for the accumulator backends, allocated
@@ -52,7 +45,21 @@ struct ChainEnv {
 Expected<Fragment> generateCode(const Superblock &Sb,
                                 const LoweredBlock &Block,
                                 const StrandAllocResult *Alloc,
-                                const DbtConfig &Config, const ChainEnv &Env);
+                                const DbtConfig &Config);
+
+/// Empty argument of the older three- and five-argument forms of
+/// translate() and generateCode(), which the repo benchmark's probes still
+/// call; it carries nothing, since linkage is no longer decided at
+/// translation time.
+struct ChainEnv {};
+
+inline Expected<Fragment> generateCode(const Superblock &Sb,
+                                       const LoweredBlock &Block,
+                                       const StrandAllocResult *Alloc,
+                                       const DbtConfig &Config,
+                                       const ChainEnv &) {
+  return generateCode(Sb, Block, Alloc, Config);
+}
 
 } // namespace dbt
 } // namespace ildp

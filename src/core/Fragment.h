@@ -7,7 +7,9 @@
 /// \file
 /// A fragment: one translated superblock resident in the translation cache
 /// (Sections 3.1-3.2), stored in decoded I-ISA form together with its PEI
-/// side table (Section 2.2) and its patchable exit records.
+/// side table (Section 2.2). Its direct exits are the body's branches and
+/// cond_exits; whether one is chained is derived from the cache when it is
+/// taken (TranslationCache.h), never stored.
 ///
 /// It also carries its exit accounting: every tier executes a body
 /// linearly from index 0, so an exit at body index i has executed exactly
@@ -51,13 +53,6 @@ struct PeiEntry {
   std::vector<std::pair<uint8_t, uint8_t>> AccHeldRegs;
 };
 
-/// A patchable fragment exit (cond_exit or branch instruction).
-struct ExitRecord {
-  uint32_t InstIndex = 0;
-  uint64_t VTarget = 0;
-  bool Pending = false; ///< Still a call-translator exit (not yet patched).
-};
-
 constexpr size_t NumUsageClasses =
     size_t(iisa::UsageClass::NoUserToGlobal) + 1;
 
@@ -78,9 +73,10 @@ struct ExitAccounting {
 
 struct Fragment;
 
-/// Cached successor of a static exit (a chained branch/cond_exit or a
+/// Cached successor of a static exit (a branch/cond_exit or a
 /// software-prediction hit): valid only while Gen equals the cache's
-/// current link generation (TranslationCache::linkGeneration()).
+/// current link generation (TranslationCache::linkGeneration()). A null
+/// Next with a current Gen is a cached miss: the target is not resident.
 struct SuccessorSlot {
   Fragment *Next = nullptr;
   uint64_t Gen = 0; ///< 0 never matches: generations start at 1.
@@ -95,7 +91,6 @@ struct Fragment {
   /// timing models' I-cache and predictors).
   std::vector<uint32_t> InstOffset;
   std::vector<PeiEntry> PeiTable;
-  std::vector<ExitRecord> Exits;
   /// Distinct source V-ISA addresses covered (footprint statistics).
   std::vector<uint64_t> SourceVAddrs;
 

@@ -87,25 +87,23 @@ public:
   /// resets, its hot threshold is multiplied by \p Backoff (so it
   /// re-profiles exponentially longer before the next attempt), and once it
   /// has failed more than \p MaxRetries times it is blacklisted — bump()
-  /// never fires for it again. Also drops any translation mark. Returns
-  /// true when the failure crossed into blacklisting.
-  bool recordFailure(uint64_t VAddr, unsigned MaxRetries, uint64_t Backoff) {
+  /// never fires for it again. Also drops any translation mark.
+  void recordFailure(uint64_t VAddr, unsigned MaxRetries, uint64_t Backoff) {
     Translated.erase(VAddr);
     Counters.erase(VAddr);
     FailureState &F = Failed[VAddr];
     if (F.Blacklisted)
-      return false;
+      return;
     ++F.Failures;
     if (F.Failures > MaxRetries) {
       F.Blacklisted = true;
-      return true;
+      return;
     }
     if (Backoff == 0)
       Backoff = 1;
     uint64_t Next = uint64_t(F.Threshold ? F.Threshold : Threshold) * Backoff;
     constexpr uint64_t Cap = 1u << 30; // Avoid unsigned overflow; still
     F.Threshold = unsigned(Next < Cap ? Next : Cap); // effectively "never".
-    return false;
   }
 
   bool isBlacklisted(uint64_t VAddr) const {

@@ -1,4 +1,4 @@
-//===- core/TranslationCache.cpp - Fragment registry and patching ---------===//
+//===- core/TranslationCache.cpp - Fragment registry ----------------------===//
 //
 // Part of the ILDP-DBT project (CGO 2003 reproduction).
 //
@@ -57,7 +57,7 @@ Fragment &TranslationCache::install(Fragment Frag) {
   F.Accounting = buildExitAccounting(F.Body);
   F.Successors.assign(F.Body.size(), SuccessorSlot());
   F.ExitHits.assign(F.Body.size(), 0);
-  ++LinkGen;
+  ++LinkGen; // Every exit into the new entry is chained from here on.
   F.IBase = NextIBase;
   NextIBase += F.BodyBytes + 64; // Pad fragments apart (stub/alignment).
   TotalBytes += F.BodyBytes;
@@ -67,113 +67,9 @@ Fragment &TranslationCache::install(Fragment Frag) {
   Fragments.push_back(std::move(Owned));
   Index.emplace(F.EntryVAddr, &F);
 
-  // Authoritative exit pass. Codegen marked exits pending/chained against
-  // its own chainability snapshot; the self-entry case and — under a
-  // budget — evictions that happened since (including by this very
-  // install) make this pass the source of truth:
-  //   - pending exit, target chainable  -> patch + reverse-index
-  //   - pending exit, target absent     -> pending multimap
-  //   - chained exit, target absent     -> unchain back to call-translator
-  //   - chained exit, target chainable  -> reverse-index only
-  for (size_t E = 0; E != F.Exits.size(); ++E) {
-    ExitRecord &Exit = F.Exits[E];
-    bool Chainable = contains(Exit.VTarget);
-    if (Exit.Pending) {
-      if (Chainable) {
-        Exit.Pending = false;
-        F.Body[Exit.InstIndex].ToTranslator = false;
-        registerChainedInto(Exit.VTarget, &F, E);
-        ++Patches;
-      } else {
-        Pending.emplace(Exit.VTarget, std::make_pair(&F, E));
-      }
-    } else if (!Chainable) {
-      Exit.Pending = true;
-      F.Body[Exit.InstIndex].ToTranslator = true;
-      Pending.emplace(Exit.VTarget, std::make_pair(&F, E));
-      ++UnchainedExits;
-    } else {
-      registerChainedInto(Exit.VTarget, &F, E);
-    }
-  }
-
-  // Patch other fragments' pending exits that target the new entry.
-  patchPendingExitsTo(F.EntryVAddr);
-
   if (TotalBytes > HighWater)
     HighWater = TotalBytes;
   return F;
-}
-
-size_t TranslationCache::patchPendingExitsTo(uint64_t EntryVAddr) {
-  size_t Patched = 0;
-  // Single multimap probe: the bucket found by equal_range is consumed by
-  // the ranged erase below (previously a second hash walk erased by key).
-  auto [It, End] = Pending.equal_range(EntryVAddr);
-  for (auto Cur = It; Cur != End; ++Cur) {
-    auto [Owner, ExitIdx] = Cur->second;
-    ExitRecord &Exit = Owner->Exits[ExitIdx];
-    assert(Exit.VTarget == EntryVAddr && "Pending index corrupt");
-    if (!Exit.Pending)
-      continue;
-    Exit.Pending = false;
-    Owner->Body[Exit.InstIndex].ToTranslator = false;
-    registerChainedInto(EntryVAddr, Owner, ExitIdx);
-    ++Patches;
-    ++Patched;
-  }
-  Pending.erase(It, End);
-  if (Patched)
-    ++LinkGen;
-  return Patched;
-}
-
-void TranslationCache::registerChainedInto(uint64_t Target, Fragment *Owner,
-                                           size_t ExitIdx) {
-  ChainedIn.emplace(Target, std::make_pair(Owner, ExitIdx));
-}
-
-size_t TranslationCache::unchainExitsTo(uint64_t EntryVAddr) {
-  size_t Unchained = 0;
-  auto [It, End] = ChainedIn.equal_range(EntryVAddr);
-  for (auto Cur = It; Cur != End; ++Cur) {
-    auto [Owner, ExitIdx] = Cur->second;
-    ExitRecord &Exit = Owner->Exits[ExitIdx];
-    assert(Exit.VTarget == EntryVAddr && "Reverse chain index corrupt");
-    if (Exit.Pending)
-      continue;
-    Exit.Pending = true;
-    Owner->Body[Exit.InstIndex].ToTranslator = true;
-    Pending.emplace(EntryVAddr, std::make_pair(Owner, ExitIdx));
-    ++Unchained;
-  }
-  ChainedIn.erase(It, End);
-  UnchainedExits += Unchained;
-  if (Unchained)
-    ++LinkGen;
-  return Unchained;
-}
-
-size_t TranslationCache::dropPendingExitsTo(uint64_t EntryVAddr) {
-  // The owners keep their call-translator exits (still correct — they exit
-  // to the dispatcher); only the index records go, so a target that will
-  // never translate cannot leak multimap entries for the rest of the run.
-  size_t Dropped = Pending.erase(EntryVAddr);
-  DroppedPending += Dropped;
-  return Dropped;
-}
-
-void TranslationCache::forgetChainMemberships(Fragment &F) {
-  for (size_t E = 0; E != F.Exits.size(); ++E) {
-    const ExitRecord &Exit = F.Exits[E];
-    auto &Map = Exit.Pending ? Pending : ChainedIn;
-    auto [It, End] = Map.equal_range(Exit.VTarget);
-    for (auto Cur = It; Cur != End; ++Cur)
-      if (Cur->second.first == &F && Cur->second.second == E) {
-        Map.erase(Cur);
-        break;
-      }
-  }
 }
 
 Fragment *TranslationCache::selectVictim() {
@@ -216,11 +112,8 @@ bool TranslationCache::evictToFit(uint64_t NeededBytes) {
 void TranslationCache::evictFragment(Fragment &F) {
   if (EvictionListener)
     EvictionListener(F);
-  // Purge the victim's own index records first, so the unchain pass below
-  // never re-registers a pending record owned by the dying fragment (a
-  // self-looping fragment chains into its own entry).
-  forgetChainMemberships(F);
-  unchainExitsTo(F.EntryVAddr);
+  // Every exit into the victim leaves through the translator from here on:
+  // the new generation invalidates each successor slot that named it.
   Index.erase(F.EntryVAddr);
   TotalBytes -= F.BodyBytes;
   EvictedBytes += F.BodyBytes;
@@ -242,21 +135,9 @@ void TranslationCache::moveToGraveyard(Fragment &F) {
 void TranslationCache::degradedFlush() {
   // Eviction could not proceed (injected fault, or nothing evictable): the
   // one always-safe fallback is the wholesale flush — crude, but it leaves
-  // no partially-unchained linkage behind.
+  // no partially evicted state behind.
   ++DegradedFlushes;
   flush();
-}
-
-size_t TranslationCache::chainInvariantViolations() const {
-  size_t Violations = 0;
-  for (const std::unique_ptr<Fragment> &Frag : Fragments)
-    for (const ExitRecord &Exit : Frag->Exits) {
-      if (Frag->Body[Exit.InstIndex].ToTranslator != Exit.Pending)
-        ++Violations; // Record and branch instruction disagree.
-      if (!Exit.Pending && !contains(Exit.VTarget))
-        ++Violations; // Chained branch into a non-resident I-PC.
-    }
-  return Violations;
 }
 
 std::vector<const Fragment *> TranslationCache::exportAll() const {
@@ -279,13 +160,6 @@ size_t TranslationCache::importAll(std::vector<Fragment> Frags) {
       ++ImportBudgetSkips;
       continue;
     }
-    // Rewind every patchable exit to the call-translator state it had when
-    // codegen emitted it against an empty cache; install() below re-runs
-    // the authoritative patch pass against what is actually present now.
-    for (ExitRecord &Exit : Frag.Exits) {
-      Exit.Pending = true;
-      Frag.Body[Exit.InstIndex].ToTranslator = true;
-    }
     install(std::move(Frag));
     ++Installed;
   }
@@ -300,8 +174,6 @@ void TranslationCache::flush() {
     Graveyard.push_back(std::move(Frag));
   Fragments.clear();
   Index.clear();
-  Pending.clear();
-  ChainedIn.clear();
   CoveredVAddrs.clear();
   RecentUse.clear();
   TotalBytes = 0;

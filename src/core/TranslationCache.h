@@ -1,4 +1,4 @@
-//===- core/TranslationCache.h - Fragment registry and patching -----------===//
+//===- core/TranslationCache.h - Fragment registry ------------------------===//
 //
 // Part of the ILDP-DBT project (CGO 2003 reproduction).
 //
@@ -6,26 +6,26 @@
 ///
 /// \file
 /// The translation cache (Section 3.1-3.2): maps V-ISA entry addresses to
-/// fragments, assigns translation-cache (I-PC) addresses, and performs
-/// exit patching — when a fragment for address X is installed, every
-/// call-translator[-if-condition-is-met] exit targeting X in previously
-/// installed fragments is rewritten into a normal chained branch.
+/// fragments and assigns translation-cache (I-PC) addresses.
+///
+/// Linkage is derived, never stored: a direct exit (branch or cond_exit)
+/// is chained exactly when a fragment for its V-target is resident, and is
+/// a call-translator[-if-condition-is-met] exit otherwise. This is the
+/// state the paper's patch-on-install reaches, without the patching: the
+/// VM resolves each taken exit through its successor slot
+/// (Fragment::Successors), tagged with the cache's link generation, which
+/// every install, eviction and flush bumps. A slot is only trusted while
+/// its tag matches, so a cached successor — or a cached miss — always
+/// equals what lookup() would return (DESIGN.md §10, §16).
 ///
 /// The paper sidesteps cache management because its working sets fit
 /// (Section 4.1). Beyond the paper, the cache optionally enforces a hard
 /// byte budget (DESIGN.md §10): when an install would exceed it, victims
 /// chosen by exec-count-weighted LRU are evicted until the new fragment
-/// fits. Eviction is made safe by a reverse chain index: every chained
-/// exit in a surviving fragment that targets an evicted entry is
-/// *unchained* back to its call-translator form, so no branch ever leads
-/// to a non-resident I-PC. With no budget set (the default) none of this
-/// machinery runs and behavior is bit-identical to the append-only cache.
-///
-/// Static exits cache their successor fragment (Fragment::Successors)
-/// tagged with the cache's link generation, which every install,
-/// eviction, flush, unchain and pending-exit patch bumps; a slot is only
-/// trusted while its tag matches, so a hit always equals what lookup()
-/// would return (DESIGN.md §16).
+/// fits. Evicting an entry removes it from the index and bumps the link
+/// generation, which is all it takes for every exit into it to leave
+/// through the translator again. With no budget set (the default) no
+/// eviction runs and behavior is bit-identical to the append-only cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,8 +48,8 @@ class Injector;
 }
 namespace dbt {
 
-/// Fragment registry with pending-exit patching and (optionally) a byte
-/// budget enforced by exec-weighted LRU eviction.
+/// Fragment registry with (optionally) a byte budget enforced by
+/// exec-weighted LRU eviction.
 class TranslationCache {
 public:
   /// Translation-cache address space origin (synthetic I-PCs for the
@@ -64,11 +64,8 @@ public:
 
   /// Installs \p Frag: evicts victims if a byte budget is set and would be
   /// exceeded, assigns the fragment's IBase, registers it under its entry
-  /// address, and patches pending exits in all fragments (including the
-  /// new one) that target already-translated entries. Exits of the new
-  /// fragment that arrive pre-chained to entries that are no longer
-  /// resident (this very install evicted the target) are unchained back to
-  /// their call-translator form. Returns the installed fragment.
+  /// address and bumps the link generation, which chains every exit into
+  /// the entry. Returns the installed fragment.
   Fragment &install(Fragment Frag);
 
   /// Fragment for entry \p VAddr, or nullptr. The non-const form stamps
@@ -95,7 +92,7 @@ public:
   }
 
   /// Current link generation. Starts at 1 and changes whenever the entry
-  /// index or any exit's chaining state may have changed.
+  /// index changes: every install, eviction and flush.
   uint64_t linkGeneration() const { return LinkGen; }
 
   bool contains(uint64_t VAddr) const { return Index.count(VAddr) != 0; }
@@ -109,14 +106,6 @@ public:
   /// fragment (static footprint denominator for Table 2).
   size_t uniqueSourceInsts() const { return CoveredVAddrs.size(); }
 
-  /// Number of exit patches performed so far.
-  uint64_t patchCount() const { return Patches; }
-
-  /// Patches every still-pending exit that targets \p EntryVAddr into its
-  /// chained form and returns how many were patched. install() runs this
-  /// for the new fragment's entry.
-  size_t patchPendingExitsTo(uint64_t EntryVAddr);
-
   // ---- Byte budget and eviction (DESIGN.md §10) ----
 
   /// Hard bound on totalBodyBytes(); 0 (the default) disables eviction
@@ -124,29 +113,16 @@ public:
   void setByteBudget(uint64_t Bytes) { Budget = Bytes; }
   uint64_t byteBudget() const { return Budget; }
 
-  /// Called once per evicted fragment, before its linkage is torn down
-  /// (the VM un-marks the entry in its profiler).
+  /// Called once per evicted fragment, before it leaves the index (the VM
+  /// un-marks the entry in its profiler).
   /// Not called for wholesale flushes, including the degradation flush.
   void setEvictionListener(std::function<void(const Fragment &)> Listener) {
     EvictionListener = std::move(Listener);
   }
 
-  /// Attaches the injector driving the evict_select / unchain sites.
+  /// Attaches the injector driving the evict_select and unchain sites;
+  /// unchain fires between victim selection and the victim's teardown.
   void setInjector(support::Injector *Injector) { Fault = Injector; }
-
-  /// Rewrites every chained exit targeting \p EntryVAddr in any resident
-  /// fragment back to its call-translator (pending) form and re-registers
-  /// it in the pending multimap. Used when an entry leaves the cache by
-  /// eviction (a flush discards every exit instead). Returns the number of
-  /// exits unchained.
-  size_t unchainExitsTo(uint64_t EntryVAddr);
-
-  /// Drops every pending exit targeting \p EntryVAddr (the owner keeps its
-  /// call-translator exit, it just stops being indexed). Used when the VM
-  /// blacklists an entry: its translation will never arrive, so the
-  /// pending records would otherwise leak forever. Returns the number
-  /// dropped.
-  size_t dropPendingExitsTo(uint64_t EntryVAddr);
 
   /// Destroys fragments retired by eviction or flush. Their storage is
   /// kept alive until this is called so raw Fragment pointers held across
@@ -157,8 +133,6 @@ public:
 
   uint64_t evictionCount() const { return Evictions; }
   uint64_t evictedBytes() const { return EvictedBytes; }
-  uint64_t unchainedExitCount() const { return UnchainedExits; }
-  uint64_t droppedPendingCount() const { return DroppedPending; }
   /// Wholesale flushes forced by a failed eviction (fault injection or no
   /// selectable victim).
   uint64_t degradedFlushCount() const { return DegradedFlushes; }
@@ -167,19 +141,13 @@ public:
   /// Warm-start imports skipped because they did not fit the budget.
   uint64_t importBudgetSkips() const { return ImportBudgetSkips; }
 
-  /// Test hook: number of chaining-invariant violations — a non-pending
-  /// exit whose target is not resident, or an exit record disagreeing
-  /// with its branch instruction's ToTranslator form.
-  /// Zero after any sequence of installs/evictions/flushes.
-  size_t chainInvariantViolations() const;
-
   /// Number of flushes performed so far.
   uint64_t flushCount() const { return Flushes; }
 
   /// Flushes the whole cache (Dynamo-style reaction to a program phase
   /// change, which the paper notes its own system lacks — "once a fragment
   /// is constructed there is no second chance"; Section 4.1). All
-  /// fragments, pending exits, and footprint accounting are discarded;
+  /// fragments and footprint accounting are discarded;
   /// I-PC assignment restarts so stale fragments cannot be re-entered.
   /// Fragment storage moves to the graveyard (see reclaimEvicted()).
   void flush();
@@ -194,11 +162,11 @@ public:
   /// fragments left the vector at eviction time and are never exported.
   std::vector<const Fragment *> exportAll() const;
 
-  /// Installs previously exported fragments (warm start). Every exit is
-  /// first reset to its unpatched call-translator form and each fragment
-  /// then goes through install(), so I-PC assignment and exit patching
-  /// re-run from scratch and the chaining invariants hold exactly as they
-  /// would after a cold translation of the same fragments. Fragments whose
+  /// Installs previously exported fragments (warm start). Each fragment
+  /// goes through install(), so I-PC assignment and every install-derived
+  /// field are rebuilt exactly as after a cold translation of the same
+  /// fragments, and each exit is chained once its target is resident,
+  /// whatever the import order. Fragments whose
   /// entry address is already present are skipped, as are fragments that
   /// would not fit a configured byte budget (a warm start must not thrash
   /// the cache it is trying to warm; counted by importBudgetSkips()).
@@ -211,27 +179,18 @@ private:
   /// nullptr when nothing is evictable. Deterministic for a deterministic
   /// install/lookup sequence.
   Fragment *selectVictim();
-  /// Evicts \p F: notifies the listener, unchains every surviving exit
-  /// targeting it, purges its own pending entries and reverse-index
-  /// memberships, and moves its storage to the graveyard.
+  /// Evicts \p F: notifies the listener, removes it from the index, bumps
+  /// the link generation and moves its storage to the graveyard.
   void evictFragment(Fragment &F);
   /// Frees at least \p NeededBytes of budget headroom. Returns false when
   /// eviction could not proceed (injected fault or no victim); the caller
   /// degrades to a wholesale flush.
   bool evictToFit(uint64_t NeededBytes);
   void degradedFlush();
-  void registerChainedInto(uint64_t Target, Fragment *Owner, size_t ExitIdx);
-  void forgetChainMemberships(Fragment &F);
   void moveToGraveyard(Fragment &F);
 
   std::vector<std::unique_ptr<Fragment>> Fragments;
   std::unordered_map<uint64_t, Fragment *> Index;
-  /// Pending exits by target address: (fragment, exit index).
-  std::unordered_multimap<uint64_t, std::pair<Fragment *, size_t>> Pending;
-  /// Reverse chain index: chained (non-pending) exits by target address.
-  /// Maintained by install()/patchPendingExitsTo(); consulted by eviction
-  /// so unchaining never scans the whole cache.
-  std::unordered_multimap<uint64_t, std::pair<Fragment *, size_t>> ChainedIn;
   std::unordered_set<uint64_t> CoveredVAddrs;
   std::function<void(const Fragment &)> EvictionListener;
   support::Injector *Fault = nullptr;
@@ -245,12 +204,9 @@ private:
   uint64_t TotalBytes = 0;
   uint64_t Budget = 0;
   uint64_t UseTick = 0;
-  uint64_t Patches = 0;
   uint64_t Flushes = 0;
   uint64_t Evictions = 0;
   uint64_t EvictedBytes = 0;
-  uint64_t UnchainedExits = 0;
-  uint64_t DroppedPending = 0;
   uint64_t DegradedFlushes = 0;
   uint64_t HighWater = 0;
   uint64_t ImportBudgetSkips = 0;

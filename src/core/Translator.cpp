@@ -60,8 +60,7 @@ static TranslateStatus validateDecoded(const Superblock &Sb,
 }
 
 Expected<TranslationResult> dbt::translate(const Superblock &Sb,
-                                           const DbtConfig &Config,
-                                           const ChainEnv &Env) {
+                                           const DbtConfig &Config) {
   if (TranslateStatus S = validateDecoded(Sb, Config);
       S != TranslateStatus::Ok)
     return {S, "decode"};
@@ -92,7 +91,7 @@ Expected<TranslationResult> dbt::translate(const Superblock &Sb,
   }
 
   Expected<Fragment> Generated =
-      generateCode(Sb, Block, Accumulators ? &Alloc : nullptr, Config, Env);
+      generateCode(Sb, Block, Accumulators ? &Alloc : nullptr, Config);
   if (!Generated)
     return {Generated.status(), Generated.detail()};
   Result.Frag = Generated.take();
@@ -103,7 +102,10 @@ Expected<TranslationResult> dbt::translate(const Superblock &Sb,
   Cost.Strands = Accumulators ? CostStrandPerUop * Result.Uops : 0;
   Cost.CodeGen = CostCodeGenPerInst * Result.Frag.Body.size();
   Cost.CacheCopy = CostCacheCopyPerInst * Result.Frag.Body.size();
-  Cost.Chaining = CostChainingPerExit * Result.Frag.Exits.size();
+  uint64_t DirectExits = 0;
+  for (const iisa::IisaInst &Inst : Result.Frag.Body)
+    DirectExits += Inst.isDirectExit();
+  Cost.Chaining = CostChainingPerExit * DirectExits;
   Cost.Overhead = CostPerFragment;
   return Result;
 }

@@ -31,14 +31,14 @@ namespace dbt {
 /// Per-phase translation-cost accounting, in translator instructions.
 /// The constants are calibrated so a typical translation lands near the
 /// paper's measured magnitude; the per-benchmark variation comes from real
-/// structural differences (uop expansion, chaining, patch activity).
+/// structural differences (uop expansion, chaining).
 struct TranslationCost {
   uint64_t Decode = 0;     ///< Source fetch/decode during recording.
   uint64_t Analysis = 0;   ///< Dependence/usage identification.
   uint64_t Strands = 0;    ///< Strand formation + accumulator assignment.
   uint64_t CodeGen = 0;    ///< Instruction selection/emission.
   uint64_t CacheCopy = 0;  ///< Field-by-field fragment copy (Section 4.2).
-  uint64_t Chaining = 0;   ///< Exit bookkeeping and patching.
+  uint64_t Chaining = 0;   ///< Direct-exit bookkeeping.
   uint64_t Overhead = 0;   ///< Per-fragment fixed bookkeeping.
 
   uint64_t total() const {
@@ -59,14 +59,18 @@ struct TranslationResult {
   unsigned TrapPromotions = 0;
 };
 
-/// Translates \p Sb under \p Config. \p Env supplies translation-time
-/// queries (which targets already have fragments). Every pipeline stage is
-/// guarded: malformed superblocks, resource exhaustion, internal invariant
+/// Translates \p Sb under \p Config. Every pipeline stage is guarded:
+/// malformed superblocks, resource exhaustion, internal invariant
 /// violations, and injected faults surface as a typed failure — the caller
 /// falls back to interpretation (DESIGN.md §9) — and never abort.
 Expected<TranslationResult> translate(const Superblock &Sb,
-                                      const DbtConfig &Config,
-                                      const ChainEnv &Env);
+                                      const DbtConfig &Config);
+
+/// The older form (see ChainEnv).
+inline Expected<TranslationResult>
+translate(const Superblock &Sb, const DbtConfig &Config, const ChainEnv &) {
+  return translate(Sb, Config);
+}
 
 } // namespace dbt
 } // namespace ildp

@@ -188,11 +188,9 @@ std::string iisa::disassemble(const IisaInst &Inst) {
     return "push_ras v=" + hex(Inst.VTarget);
   case IKind::CondExit:
     return "P <- " + hex(Inst.VTarget) + ", if (" +
-           condExpr(Inst.AlphaOp, operand(Inst.A)) + ")" +
-           (Inst.ToTranslator ? " [translator]" : "");
+           condExpr(Inst.AlphaOp, operand(Inst.A)) + ")";
   case IKind::Branch:
-    return "P <- " + hex(Inst.VTarget) +
-           (Inst.ToTranslator ? " [translator]" : "");
+    return "P <- " + hex(Inst.VTarget);
   case IKind::JumpPredict:
     return "P <- " + hex(Inst.VTarget) + " if (" + operand(Inst.A) +
            ") else dispatch[" + operand(Inst.B) + "]";

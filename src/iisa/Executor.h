@@ -21,9 +21,9 @@
 ///    two instantiations of the one threaded loop in iisa/ExecutorLoop.h,
 ///    whose chaining instantiation the VM runs (DESIGN.md §16).
 ///
-/// Exit ops read VTarget and the chained/call-translator flavour from the
-/// live body instruction, so patching or unchaining an exit updates only
-/// the IisaInst, exactly as for natively compiled fragments.
+/// Exit ops read a static VTarget from the body instruction. Whether a
+/// direct exit is chained is not stored anywhere: its runner resolves the
+/// target against the translation cache when the exit is taken.
 ///
 /// Arithmetic calls the one definition of each operation in
 /// alpha/AlphaOps.h — the functions the reference interpreter and natively
@@ -196,8 +196,7 @@ struct IisaEvent {
 /// How fragment execution ended.
 struct IExit {
   enum class Kind : uint8_t {
-    Chained,      ///< Direct exit to a known V-target (branch/cond_exit).
-    ToTranslator, ///< call-translator exit (target not yet translated).
+    Direct,       ///< Taken branch/cond_exit to its static V-target.
     PredictHit,   ///< Software jump prediction matched; VTarget=predicted.
     PredictMiss,  ///< Prediction failed; VTarget=actual, via dispatch.
     Dispatch,     ///< no_pred indirect jump; VTarget=actual, via dispatch.
@@ -214,7 +213,7 @@ struct IExit {
 
 /// Runs \p Ops, lowered from \p Body, from index 0 until an exit, appending
 /// one IisaEvent per executed instruction to \p Events when non-null.
-/// Exits read VTarget and ToTranslator from \p Body.
+/// Direct and predict-hit exits read their VTarget from \p Body.
 IExit execute(const IOp *Ops, const IisaInst *Body, IExecState &State,
               GuestMemory &Mem, std::vector<IisaEvent> *Events);
 

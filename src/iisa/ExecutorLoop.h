@@ -13,20 +13,22 @@
 ///
 ///  - Record: append one IisaEvent per executed instruction (the timing
 ///    models' trace). The event-free instantiation carries no recording.
-///  - ChainT, the chain policy. At every exit except a call-translator
-///    exit, a halt and a trap, the loop hands the exit to
-///    Chain.follow<K>(Index, VTarget, Ops, Body), which takes it whatever
-///    it answers. K is the exit's kind: Chained (a taken direct exit that
-///    is not a call-translator exit) and PredictHit have static targets;
-///    PredictMiss, Dispatch and Return have the computed target VTarget.
-///    When follow answers true it has repointed Ops and Body at the
-///    successor's, and the loop continues at the successor's first op
-///    without returning: the patched direct branch, the dual-address RAS
+///  - ChainT, the chain policy. At every exit except a halt and a trap,
+///    the loop hands the exit to Chain.follow<K>(Index, VTarget, Ops,
+///    Body), which takes it whatever it answers. K is the exit's kind:
+///    Direct (a taken branch or cond_exit) and PredictHit have static
+///    targets; PredictMiss, Dispatch and Return have the computed target
+///    VTarget. The loop never knows whether a direct exit is chained: the
+///    policy resolves every successor itself, so a direct exit is chained
+///    exactly when its target is resident, and is a call-translator exit
+///    otherwise. When follow answers true it has repointed Ops and Body at
+///    the successor's, and the loop continues at the successor's first op
+///    without returning: the chained direct branch, the dual-address RAS
 ///    hit and the shared dispatch code of the paper's Section 3.2, all
 ///    inside translated code. When it answers false the loop returns the
-///    exit, already taken; the three kinds it never hands over return
-///    untaken. NoChain never follows. A recording run never chains, so
-///    the trace a caller consumes always covers exactly one fragment.
+///    exit, already taken; halts and traps return untaken. NoChain never
+///    follows. A recording run never chains, so the trace a caller
+///    consumes always covers exactly one fragment.
 ///
 /// No code here may take the address of the op pointer O (a by-reference
 /// lambda capture is enough): that pins O to the stack and puts a store
@@ -256,14 +258,10 @@ Op_Nop:
 
 Op_Branch:
 DirectExit:
-  // A branch or taken cond_exit: target and flavour from the live body
-  // instruction, so patching an exit needs no re-lowering.
+  // A branch or taken cond_exit, to the body instruction's target.
   ILDP_NOTE(true, 0);
-  if (Body[ILDP_INDEX()].ToTranslator)
-    return exitAt(IExit::Kind::ToTranslator, ILDP_INDEX(),
-                  Body[ILDP_INDEX()].VTarget);
-  ILDP_FOLLOW(IExit::Kind::Chained, 0);
-  return exitAt(IExit::Kind::Chained, ILDP_INDEX(), Body[ILDP_INDEX()].VTarget);
+  ILDP_FOLLOW(IExit::Kind::Direct, 0);
+  return exitAt(IExit::Kind::Direct, ILDP_INDEX(), Body[ILDP_INDEX()].VTarget);
 Op_JumpPredict:
   if ((R[O->A] | O->ImmA) != 0) {
     ILDP_NOTE(true, 0);

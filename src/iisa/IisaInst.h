@@ -152,7 +152,6 @@ struct IisaInst {
                         ///< overhead instructions).
   uint64_t VTarget = 0; ///< Exit target / embedded address.
   int32_t MemDisp = 0;  ///< Displacement (only in no-split-memory mode).
-  bool ToTranslator = false; ///< Exit flavor: call-translator vs chained.
   /// V-ISA instructions retired when this instruction commits (V-IPC
   /// credit). Removed NOPs and straightened-away BRs credit the following
   /// instruction, so V-instruction accounting matches the original program.
@@ -168,6 +167,11 @@ struct IisaInst {
            Kind == IKind::JumpPredict || Kind == IKind::JumpDispatch ||
            Kind == IKind::ReturnDual || Kind == IKind::Halt ||
            Kind == IKind::Gentrap;
+  }
+
+  /// Branch or cond_exit: an exit to the static target VTarget.
+  bool isDirectExit() const {
+    return Kind == IKind::CondExit || Kind == IKind::Branch;
   }
 
   bool isMemory() const { return Kind == IKind::Load || Kind == IKind::Store; }

@@ -15,10 +15,11 @@
 /// fields describing how the body exited.
 ///
 /// The emitted code reports exits in *deopt-neutral* form: a direct exit
-/// (taken cond_exit or branch) carries only the instruction index, and
-/// the host re-derives chained-vs-call-translator and the V-target from
-/// the live fragment body — so exit patching/unchaining in the I-ISA
-/// fragment never invalidates an installed native module. Indirect exits
+/// (taken cond_exit or branch) carries only the instruction index, the
+/// host reads the V-target from the fragment body, and the VM resolves
+/// whether it is chained when it takes the exit — so residency changes in
+/// the translation cache never invalidate an installed native module.
+/// Indirect exits
 /// (predict-miss, dispatch, return) carry the register-computed V-target.
 /// Memory faults and GENTRAP surface as trap exits with the architected
 /// state written back exactly as the I-ISA executor would leave it; the

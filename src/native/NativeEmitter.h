@@ -27,9 +27,9 @@
 ///
 /// fragmentKey() hashes only the emission-relevant instruction fields
 /// (kind, opcode, operands, destinations, embedded targets/displacements)
-/// — NOT the patchable ToTranslator flag, exec counts, or accounting
-/// metadata — so one compiled object stays valid across exit re-patching,
-/// eviction/re-install, and persist round-trips, and identical bodies at
+/// — NOT exec counts or accounting metadata, and no linkage, which the
+/// body does not hold — so one compiled object stays valid across
+/// eviction/re-install and persist round-trips, and identical bodies at
 /// different entry points share a module.
 ///
 //===----------------------------------------------------------------------===//
@@ -63,7 +63,7 @@ EmitResult emitFragmentC(const std::vector<iisa::IisaInst> &Body,
                          iisa::IsaVariant Variant);
 
 /// Content key over the emission-relevant fields of \p Body (FNV-1a 64).
-/// Stable across exit patching, install state, and persist round-trips.
+/// Stable across install state and persist round-trips.
 uint64_t fragmentKey(const std::vector<iisa::IisaInst> &Body,
                      iisa::IsaVariant Variant);
 

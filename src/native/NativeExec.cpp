@@ -60,10 +60,9 @@ IExit native::runFragment(const NativeModule &Module, IExecState &State,
   const IisaInst &Inst = Body[Ctx.inst_index];
   switch (Ctx.exit_code) {
   case ILDP_EXIT_DIRECT:
-    // Deopt-neutral: chained-vs-translator and the V-target come from the
-    // LIVE instruction, so exit repatching never touches compiled code.
-    Exit.K = Inst.ToTranslator ? IExit::Kind::ToTranslator
-                               : IExit::Kind::Chained;
+    // Deopt-neutral: the V-target comes from the body instruction, and the
+    // VM decides whether the exit is chained when it takes it.
+    Exit.K = IExit::Kind::Direct;
     Exit.VTarget = Inst.VTarget;
     break;
   case ILDP_EXIT_PREDICT_HIT:

@@ -33,9 +33,8 @@ namespace native {
 
 /// Runs \p Module's entry over \p State / \p Mem and maps the
 /// NativeContext outputs to the same iisa::IExit the interpretive executor
-/// would have returned for \p Body (the live body supplies V-targets and
-/// the chained / call-translator flavor for direct exits — see
-/// NativeAbi.h).
+/// would have returned for \p Body (the body supplies the V-targets of
+/// direct and predict-hit exits — see NativeAbi.h).
 iisa::IExit runFragment(const NativeModule &Module, iisa::IExecState &State,
                         GuestMemory &Mem,
                         const std::vector<iisa::IisaInst> &Body);

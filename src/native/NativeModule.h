@@ -16,8 +16,8 @@
 /// destroyed at the translation-cache graveyard reclaim safepoints
 /// (TranslationCache::reclaimEvicted), so a native body can never be
 /// unmapped while any frame could still be executing inside it — the
-/// exact deferred-unchain discipline PR 4 established, now carrying
-/// dlclose too.
+/// same deferred-teardown discipline that keeps evicted I-ISA fragments
+/// alive, now carrying dlclose too.
 ///
 //===----------------------------------------------------------------------===//
 

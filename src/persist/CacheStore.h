@@ -62,8 +62,9 @@ namespace persist {
 /// "ILDPTS1\0" as a little-endian u64 (TS = translation store).
 constexpr uint64_t CacheStoreMagic = 0x0031535450444C49ull;
 /// Bumped on any incompatible change to the header, index, or fragment
-/// encoding.
-constexpr uint32_t CacheStoreVersion = 1;
+/// encoding. Version 2 dropped the persisted link state (each
+/// instruction's call-translator byte and the exit table).
+constexpr uint32_t CacheStoreVersion = 2;
 /// Corruption guard on the image count: a store serving even a very large
 /// fleet holds a few dozen images, and a corrupt count must never drive a
 /// huge allocation.

@@ -18,8 +18,7 @@ constexpr size_t OperandBytes = 1 + 1 + 8;           // kind, reg, imm
 constexpr size_t InstBytes = 1 + 2 + 2 * OperandBytes // kind, op, A, B
                              + 1 + 1 + 1              // dests, arch-only
                              + 8 + 8 + 4              // vaddr, vtarget, disp
-                             + 1 + 1 + 1 + 1 + 1 + 2; // flags..peiindex
-constexpr size_t ExitBytes = 4 + 8 + 1;
+                             + 1 + 1 + 1 + 1 + 2;     // vcredit..peiindex
 constexpr size_t PeiMinBytes = 4 + 8 + 4; // inst index, vaddr, pair count
 
 void encodeOperand(const IOperand &Op, ByteWriter &W) {
@@ -55,7 +54,6 @@ void encodeInst(const IisaInst &Inst, ByteWriter &W) {
   W.putU64(Inst.VAddr);
   W.putU64(Inst.VTarget);
   W.putI32(Inst.MemDisp);
-  W.putU8(Inst.ToTranslator ? 1 : 0);
   W.putU8(Inst.VCredit);
   W.putU8(Inst.IsSourceOp ? 1 : 0);
   W.putU8(uint8_t(Inst.Usage));
@@ -74,7 +72,6 @@ bool decodeInst(ByteReader &R, IisaInst &Inst) {
   Inst.VAddr = R.getU64();
   Inst.VTarget = R.getU64();
   Inst.MemDisp = R.getI32();
-  Inst.ToTranslator = R.getU8() != 0;
   Inst.VCredit = R.getU8();
   Inst.IsSourceOp = R.getU8() != 0;
   uint8_t Usage = R.getU8();
@@ -121,13 +118,6 @@ void persist::encodeFragment(const Fragment &Frag, ByteWriter &W) {
       W.putU8(Reg);
       W.putU8(Acc);
     }
-  }
-
-  W.putU32(uint32_t(Frag.Exits.size()));
-  for (const ExitRecord &Exit : Frag.Exits) {
-    W.putU32(Exit.InstIndex);
-    W.putU64(Exit.VTarget);
-    W.putU8(Exit.Pending ? 1 : 0);
   }
 
   W.putU32(uint32_t(Frag.SourceVAddrs.size()));
@@ -184,20 +174,6 @@ bool persist::decodeFragment(ByteReader &R, Fragment &Out) {
         R.fail();
         return false;
       }
-    }
-  }
-
-  uint32_t ExitCount = R.getCount(ExitBytes);
-  if (R.failed())
-    return false;
-  Out.Exits.resize(ExitCount);
-  for (ExitRecord &Exit : Out.Exits) {
-    Exit.InstIndex = R.getU32();
-    Exit.VTarget = R.getU64();
-    Exit.Pending = R.getU8() != 0;
-    if (R.failed() || Exit.InstIndex >= BodyCount) {
-      R.fail();
-      return false;
     }
   }
 

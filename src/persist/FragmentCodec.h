@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Binary serialization of translation-cache fragments: the decoded I-ISA
-/// body, the PEI side table (Section 2.2's precise-trap metadata), the
-/// patchable exit records, and the source-address map. Encoding is
+/// body, the PEI side table (Section 2.2's precise-trap metadata) and the
+/// source-address map. No linkage is persisted: a direct exit is chained
+/// exactly when its target is resident in the importing cache. Encoding is
 /// byte-exact and deterministic (a fragment always encodes to the same
 /// bytes), which lets round-trip tests compare encodings directly and lets
 /// cache files carry flat CRCs.
@@ -21,7 +22,7 @@
 ///
 /// Installation-time state (IBase, ExecCount) is NOT serialized: imported
 /// fragments go through TranslationCache::install() again, which reassigns
-/// I-PCs and re-runs exit patching.
+/// I-PCs and rebuilds every derived field.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -23,7 +23,8 @@
 ///     assemble        generateCode() encoding/sizing pass
 ///     persist_import  VM warm-start import of a persisted store
 ///     evict_select    TranslationCache victim selection under a budget
-///     unchain         TranslationCache exit unchaining in an eviction
+///     unchain         TranslationCache eviction, between victim selection
+///                     and the victim's teardown
 ///     native_compile  VM native tier-up, before a compile is submitted
 ///     native_load     dlopen/attach of a compiled native module
 ///

@@ -87,8 +87,9 @@ void VirtualMachine::importFragments(std::vector<dbt::Fragment> Frags) {
   for (const std::unique_ptr<dbt::Fragment> &Frag : TCache.fragments()) {
     Profile.addCandidate(Frag->EntryVAddr);
     Profile.markTranslated(Frag->EntryVAddr);
-    for (const dbt::ExitRecord &Exit : Frag->Exits)
-      Profile.addCandidate(Exit.VTarget);
+    for (const IisaInst &Inst : Frag->Body)
+      if (Inst.isDirectExit())
+        Profile.addCandidate(Inst.VTarget);
   }
   Stats.add("persist.load_ok");
   Stats.set("persist.fragments_imported", Installed);
@@ -412,8 +413,9 @@ void VirtualMachine::installFragment(dbt::Fragment Frag) {
     ++CacheRetranslations;
   Profile.markTranslated(Entry);
   // Exit targets of existing fragments become trace-start candidates.
-  for (const dbt::ExitRecord &Exit : Frag.Exits)
-    Profile.addCandidate(Exit.VTarget);
+  for (const IisaInst &Inst : Frag.Body)
+    if (Inst.isDirectExit())
+      Profile.addCandidate(Inst.VTarget);
   uint64_t DegradedBefore = TCache.degradedFlushCount();
   dbt::Fragment &Installed = TCache.install(std::move(Frag));
   Stats.add("dbt.fragments");
@@ -453,10 +455,7 @@ bool VirtualMachine::recordAndTranslate(uint64_t HotPc) {
   if (Robust.Bailouts != 0 && Profile.failureCount(HotPc) > 0)
     ++Robust.Retries;
 
-  dbt::ChainEnv Env;
-  Env.IsTranslated = [this](uint64_t VAddr) { return TCache.contains(VAddr); };
-  dbt::Expected<dbt::TranslationResult> Xlated =
-      translate(Sb, Config.Dbt, Env);
+  dbt::Expected<dbt::TranslationResult> Xlated = translate(Sb, Config.Dbt);
   if (!Xlated) {
     noteTranslateFailure(HotPc, Xlated.status(), Sb.Insts.size());
     return Halted;
@@ -478,12 +477,8 @@ void VirtualMachine::noteTranslateFailure(uint64_t EntryPc,
   ++Robust.Bailouts;
   ++Robust.ByReason[size_t(Status)];
   Robust.FallbackInsts += SourceInsts;
-  if (Profile.recordFailure(EntryPc, Config.MaxTranslateRetries,
-                            Config.BlacklistBackoff)) {
-    // Just blacklisted: pending exits targeting this entry would never be
-    // patched and their index records would leak for the rest of the run.
-    TCache.dropPendingExitsTo(EntryPc);
-  }
+  Profile.recordFailure(EntryPc, Config.MaxTranslateRetries,
+                        Config.BlacklistBackoff);
 }
 
 VirtualMachine::InterpOutcome VirtualMachine::interpretUntilTranslated() {
@@ -684,12 +679,12 @@ struct VirtualMachine::ChainRunner {
     using Kind = iisa::IExit::Kind;
     dbt::Fragment &F = *Cur;
     dbt::Fragment *Succ = nullptr;
-    if (K == Kind::Chained || K == Kind::PredictHit) {
+    if (K == Kind::Direct || K == Kind::PredictHit) {
+      // A miss is cached too: every install bumps the generation.
       dbt::SuccessorSlot &Slot = F.Successors[Index];
-      if (Slot.Gen == Gen)
-        Succ = Slot.Next;
-      else if ((Succ = VM.findTarget(F.Body[Index].VTarget)))
-        Slot = {Succ, Gen}; // Misses are not cached; they leave translated code.
+      if (Slot.Gen != Gen)
+        Slot = {VM.findTarget(F.Body[Index].VTarget), Gen};
+      Succ = Slot.Next;
     } else if (K == Kind::PredictMiss || K == Kind::Dispatch ||
                K == Kind::Return) {
       Succ = VM.findTarget(VTarget);
@@ -702,8 +697,10 @@ struct VirtualMachine::ChainRunner {
       VM.dualRasPushes(F, Index);
     bool Stub = false; // Through the exit stub into the shared dispatch code.
     switch (K) {
-    case Kind::Chained:
-      ++(Succ ? VM.Hot.ExitChained : VM.Hot.ExitChainedMissing);
+    case Kind::Direct:
+      // Chained exactly when the target is resident; a call-translator
+      // exit otherwise.
+      ++(Succ ? VM.Hot.ExitChained : VM.Hot.ExitTranslator);
       break;
     case Kind::PredictHit:
       ++(Succ ? VM.Hot.PredictHit : VM.Hot.PredictHitUntranslated);
@@ -721,9 +718,6 @@ struct VirtualMachine::ChainRunner {
       // redirects to dispatch (Section 3.2).
       Stub = !(VM.dualRasPop(VTarget) && Succ);
       ++(Stub ? VM.Hot.ReturnMiss : VM.Hot.ReturnHit);
-      break;
-    case Kind::ToTranslator:
-      ++VM.Hot.ExitTranslator;
       break;
     case Kind::Halt:
       ++VM.Hot.ExitHalt;
@@ -805,8 +799,7 @@ VirtualMachine::executeTranslated(dbt::Fragment *Entry) {
     }
     // A chained run returns an exit it took only where it could not follow
     // it, which ends the segment; the VM takes every other exit.
-    bool Taken = Chaining && Exit.K != Kind::ToTranslator &&
-                 Exit.K != Kind::Halt && Exit.K != Kind::Trap;
+    bool Taken = Chaining && Exit.K != Kind::Halt && Exit.K != Kind::Trap;
     dbt::Fragment *Next =
         Taken ? nullptr
               : Chain.take(Exit.K, Exit.InstIndex, Exit.VTarget,
@@ -870,7 +863,6 @@ const StatisticSet &VirtualMachine::stats() {
     Stats.set(std::string("usage.") + getUsageName(UsageClass(I)),
               Hot.Usage[I]);
   Stats.set("exit.chained", Hot.ExitChained);
-  Stats.set("exit.chained_missing", Hot.ExitChainedMissing);
   Stats.set("exit.translator", Hot.ExitTranslator);
   Stats.set("exit.predict_hit", Hot.PredictHit);
   Stats.set("exit.predict_hit_untranslated", Hot.PredictHitUntranslated);
@@ -887,15 +879,12 @@ const StatisticSet &VirtualMachine::stats() {
   Stats.set("tcache.fragments", TCache.fragmentCount());
   Stats.set("tcache.body_bytes", TCache.totalBodyBytes());
   Stats.set("tcache.unique_source_insts", TCache.uniqueSourceInsts());
-  Stats.set("tcache.patches", TCache.patchCount());
   Stats.set("tcache.flushes", TCache.flushCount());
   Stats.set("cache.evictions", TCache.evictionCount());
   Stats.set("cache.evicted_bytes", TCache.evictedBytes());
-  Stats.set("cache.unchained_exits", TCache.unchainedExitCount());
   Stats.set("cache.retranslations", CacheRetranslations);
   Stats.set("cache.budget_high_water", TCache.budgetHighWater());
   Stats.set("cache.degraded_flushes", TCache.degradedFlushCount());
-  Stats.set("cache.pending_dropped_blacklisted", TCache.droppedPendingCount());
   Stats.set("robust.bailouts", Robust.Bailouts);
   Stats.set("robust.retries", Robust.Retries);
   Stats.set("robust.fallback_insts", Robust.FallbackInsts);

@@ -125,8 +125,8 @@ struct VmConfig {
 
   /// Hard byte budget for the translation cache (DESIGN.md §10). When an
   /// install would push the cache's total body bytes past this bound,
-  /// exec-weighted-LRU victims are evicted (and every surviving chained
-  /// exit into them unchained) until the new fragment fits; evicted-hot
+  /// exec-weighted-LRU victims are evicted (every exit into them then
+  /// leaves through the translator) until the new fragment fits; evicted-hot
   /// entries re-enter profiling with their counters intact. 0 (the
   /// default) disables eviction and is bit-identical to the unbounded
   /// cache. The VM clamps Dbt.MaxFragmentBytes to this value so a single
@@ -237,7 +237,6 @@ private:
     uint64_t SourceOps = 0;
     std::array<uint64_t, 9> Usage{}; ///< Indexed by iisa::UsageClass.
     uint64_t ExitChained = 0;
-    uint64_t ExitChainedMissing = 0;
     uint64_t ExitTranslator = 0;
     uint64_t PredictHit = 0;
     uint64_t PredictHitUntranslated = 0;

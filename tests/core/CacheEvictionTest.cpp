@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Invariant suite for the bounded translation cache (DESIGN.md §10):
-/// the byte budget is never exceeded after any install, eviction never
-/// leaves a chained exit pointing at a non-resident entry, unchained
-/// exits re-patch when their target returns, victim selection follows
+/// the byte budget is never exceeded after any install, no exit ever
+/// resolves to a non-resident fragment, an exit into an evicted entry
+/// chains again when its target returns, victim selection follows
 /// the exec-weighted LRU order (with recency protection), injected
 /// eviction faults degrade to a wholesale flush, and evicted storage
 /// survives in the graveyard until explicitly reclaimed.
@@ -19,6 +19,8 @@
 #include "support/Injector.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 using namespace ildp;
 using namespace ildp::dbt;
@@ -42,17 +44,37 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Target;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6};
   F.BodyBytes = 10;
-  F.Exits.push_back({1, Target, /*Pending=*/true});
   F.SourceVAddrs = {Entry};
   return F;
 }
 
 constexpr uint64_t FragBytes = 10;
+
+/// The fragment \p F's branch chains to: the one resident at its target,
+/// or null (a call-translator exit). Const, so no recency stamp.
+const Fragment *successor(const TranslationCache &Cache, const Fragment &F) {
+  return Cache.lookup(F.Body[1].VTarget);
+}
+
+/// Direct exits that resolve to a fragment that is not resident, or not
+/// for the exit's target: zero after any sequence of installs, evictions
+/// and flushes, so no branch ever leads to a non-resident I-PC.
+size_t danglingLinks(const TranslationCache &Cache) {
+  std::unordered_set<const Fragment *> Resident;
+  for (const std::unique_ptr<Fragment> &F : Cache.fragments())
+    Resident.insert(F.get());
+  size_t Dangling = 0;
+  for (const std::unique_ptr<Fragment> &F : Cache.fragments())
+    for (const IisaInst &Inst : F->Body)
+      if (Inst.isDirectExit())
+        if (const Fragment *Succ = Cache.lookup(Inst.VTarget))
+          Dangling += !Resident.count(Succ) || Succ->EntryVAddr != Inst.VTarget;
+  return Dangling;
+}
 
 } // namespace
 
@@ -68,7 +90,7 @@ TEST(CacheEviction, ZeroBudgetNeverEvicts) {
   EXPECT_EQ(Cache.graveyardSize(), 0u);
   EXPECT_EQ(Cache.degradedFlushCount(), 0u);
   EXPECT_EQ(Cache.totalBodyBytes(), 100 * FragBytes);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, BudgetNeverExceededAfterAnyInstall) {
@@ -82,8 +104,8 @@ TEST(CacheEviction, BudgetNeverExceededAfterAnyInstall) {
     Cache.install(makeFragment(EntryOf(I), EntryOf((I + 1) % N)));
     EXPECT_LE(Cache.totalBodyBytes(), Cache.byteBudget())
         << "budget exceeded after install " << I;
-    EXPECT_EQ(Cache.chainInvariantViolations(), 0u)
-        << "chain invariant broken after install " << I;
+    EXPECT_EQ(danglingLinks(Cache), 0u)
+        << "dangling link after install " << I;
   }
   EXPECT_EQ(Cache.fragmentCount(), 3u);
   EXPECT_EQ(Cache.evictionCount(), uint64_t(N - 3));
@@ -106,37 +128,32 @@ TEST(CacheEviction, EvictedEntriesAreNotVisible) {
   EXPECT_EQ(Const.lookup(0x30000), nullptr);
 }
 
-TEST(CacheEviction, EvictionUnchainsSurvivorsAndReinstallRepatches) {
+TEST(CacheEviction, EvictionUnchainsSurvivorsAndReinstallRechains) {
   TranslationCache Cache;
   Cache.setByteBudget(2 * FragBytes);
   Fragment &A = Cache.install(makeFragment(0x40000, 0x41000));
-  Cache.install(makeFragment(0x41000, 0x99000)); // Patches A's exit.
-  ASSERT_FALSE(A.Exits[0].Pending);
-  ASSERT_FALSE(A.Body[A.Exits[0].InstIndex].ToTranslator);
+  Fragment &B = Cache.install(makeFragment(0x41000, 0x99000));
+  ASSERT_EQ(successor(Cache, A), &B); // A's exit chains.
 
   // Protect A via the recency ring, then overflow: B (0x41000) is the
   // only unprotected candidate and must be the victim.
   Cache.lookup(0x40000);
+  uint64_t Gen = Cache.linkGeneration();
   Cache.install(makeFragment(0x42000, 0x99000));
   ASSERT_FALSE(Cache.contains(0x41000));
   ASSERT_TRUE(Cache.contains(0x40000));
 
-  // A's chained exit into the evicted fragment reverted to its
-  // call-translator form...
-  EXPECT_TRUE(A.Exits[0].Pending);
-  EXPECT_TRUE(A.Body[A.Exits[0].InstIndex].ToTranslator);
-  EXPECT_EQ(Cache.unchainedExitCount(), 1u);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  // A's exit into the evicted fragment is a call-translator exit again,
+  // and the generation moved, so no slot still names B...
+  EXPECT_EQ(successor(Cache, A), nullptr);
+  EXPECT_NE(Cache.linkGeneration(), Gen);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 
-  // ...and went back into the pending multimap: reinstalling the target
-  // patches it again.
-  uint64_t PatchesBefore = Cache.patchCount();
-  Cache.install(makeFragment(0x41000, 0x99000)); // Evicts 0x42000.
-  ASSERT_TRUE(Cache.contains(0x40000));
-  EXPECT_FALSE(A.Exits[0].Pending);
-  EXPECT_FALSE(A.Body[A.Exits[0].InstIndex].ToTranslator);
-  EXPECT_GT(Cache.patchCount(), PatchesBefore);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  // ...and reinstalling the target chains it again.
+  Fragment &B2 = Cache.install(makeFragment(0x41000, 0x99000));
+  ASSERT_TRUE(Cache.contains(0x40000)); // 0x42000 was the victim.
+  EXPECT_EQ(successor(Cache, A), &B2);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, VictimSelectionIsExecWeighted) {
@@ -189,42 +206,22 @@ TEST(CacheEviction, SelfLoopFragmentEvictsCleanly) {
   TranslationCache Cache;
   Cache.setByteBudget(FragBytes);
   Fragment &A = Cache.install(makeFragment(0x70000, 0x70000));
-  ASSERT_FALSE(A.Exits[0].Pending); // Chained to itself.
-  // Evicting the self-chained fragment must not leave a dangling pending
-  // or reverse-chain record pointing into the graveyard.
+  ASSERT_EQ(successor(Cache, A), &A); // Chained to itself.
+  // Evicting the self-chained fragment must leave nothing that resolves
+  // into the graveyard.
   Cache.install(makeFragment(0x70100, 0x70100));
   EXPECT_FALSE(Cache.contains(0x70000));
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
-  // Reinstalling the entry must patch only the new fragment's own exit.
+  EXPECT_EQ(danglingLinks(Cache), 0u);
+  // The reinstalled entry chains to itself, not to its evicted copy.
   Fragment &A2 = Cache.install(makeFragment(0x70000, 0x70000));
-  EXPECT_FALSE(A2.Exits[0].Pending);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
-}
-
-TEST(CacheEviction, PreChainedExitToMissingTargetIsUnchainedAtInstall) {
-  // Codegen chains against the cache as it stood at translation time; by
-  // install the target may be gone (this very install can evict it), so
-  // an exit can arrive pre-chained to a missing entry. install() must
-  // revert that exit.
-  TranslationCache Cache;
-  Fragment F = makeFragment(0x80000, 0x81000);
-  F.Exits[0].Pending = false;
-  F.Body[F.Exits[0].InstIndex].ToTranslator = false;
-  Fragment &In = Cache.install(std::move(F));
-  EXPECT_TRUE(In.Exits[0].Pending);
-  EXPECT_TRUE(In.Body[In.Exits[0].InstIndex].ToTranslator);
-  EXPECT_EQ(Cache.unchainedExitCount(), 1u);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
-  // The reverted exit is pending again: installing the target chains it.
-  Cache.install(makeFragment(0x81000, 0x99000));
-  EXPECT_FALSE(In.Exits[0].Pending);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(successor(Cache, A2), &A2);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, DegradedFlushInsideInstallUnchainsExitIntoFlushedEntry) {
   // The install that degrades to a wholesale flush is the one whose exit
-  // codegen chained to a then-resident entry: after the flush only the
-  // incoming fragment is resident, so that exit must go back to pending.
+  // targets a then-resident entry: after the flush only the incoming
+  // fragment is resident, so that exit leaves through the translator.
   Injector Inj;
   Inj.armAlways(InjectSite::EvictSelect);
   TranslationCache Cache;
@@ -232,22 +229,18 @@ TEST(CacheEviction, DegradedFlushInsideInstallUnchainsExitIntoFlushedEntry) {
   Cache.setByteBudget(2 * FragBytes);
   Cache.install(makeFragment(0xA0000, 0x99000));
   Cache.install(makeFragment(0xA0100, 0x99000));
-  Fragment F = makeFragment(0xA0200, 0xA0000);
-  F.Exits[0].Pending = false;
-  F.Body[F.Exits[0].InstIndex].ToTranslator = false;
-  Fragment &In = Cache.install(std::move(F));
+  Fragment &In = Cache.install(makeFragment(0xA0200, 0xA0000));
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
   EXPECT_EQ(Cache.fragmentCount(), 1u);
   EXPECT_FALSE(Cache.contains(0xA0000));
-  EXPECT_TRUE(In.Exits[0].Pending);
-  EXPECT_TRUE(In.Body[In.Exits[0].InstIndex].ToTranslator);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
-  // Once the target is back, the pending exit chains to it again.
+  EXPECT_EQ(successor(Cache, In), nullptr);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
+  // Once the target is back, the exit chains to it again.
   Inj.disarm(InjectSite::EvictSelect);
-  Cache.install(makeFragment(0xA0000, 0x99000));
+  Fragment &Back = Cache.install(makeFragment(0xA0000, 0x99000));
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
-  EXPECT_FALSE(In.Exits[0].Pending);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(successor(Cache, In), &Back);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, EvictSelectFaultDegradesToWholesaleFlush) {
@@ -270,7 +263,7 @@ TEST(CacheEviction, EvictSelectFaultDegradesToWholesaleFlush) {
   EXPECT_EQ(Cache.fragmentCount(), 1u);
   EXPECT_TRUE(Cache.contains(0x90200));
   EXPECT_GT(Cache.fragments().back()->IBase, IBaseBefore);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, UnchainFaultDegradesToWholesaleFlush) {
@@ -286,7 +279,7 @@ TEST(CacheEviction, UnchainFaultDegradesToWholesaleFlush) {
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
   EXPECT_EQ(Cache.evictionCount(), 0u);
   EXPECT_EQ(Cache.fragmentCount(), 1u);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, TransientEvictFaultRecovers) {
@@ -304,7 +297,7 @@ TEST(CacheEviction, TransientEvictFaultRecovers) {
   EXPECT_EQ(Cache.degradedFlushCount(), 1u);
   EXPECT_EQ(Cache.evictionCount(), 1u);
   EXPECT_LE(Cache.totalBodyBytes(), Cache.byteBudget());
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, EvictionListenerSeesEachVictimBeforeTeardown) {
@@ -345,27 +338,6 @@ TEST(CacheEviction, FlushedFragmentsAlsoLandInGraveyard) {
   EXPECT_EQ(Cache.graveyardSize(), 0u);
 }
 
-TEST(CacheEviction, DropPendingExitsToBlacklistedTarget) {
-  TranslationCache Cache;
-  Fragment &A = Cache.install(makeFragment(0xD0000, 0xD9000));
-  Fragment &B = Cache.install(makeFragment(0xD0100, 0xD9000));
-  ASSERT_TRUE(A.Exits[0].Pending);
-  // The VM blacklisted 0xD9000: both records must be purged.
-  EXPECT_EQ(Cache.dropPendingExitsTo(0xD9000), 2u);
-  EXPECT_EQ(Cache.droppedPendingCount(), 2u);
-  // The owners keep their (correct) call-translator exits...
-  EXPECT_TRUE(A.Exits[0].Pending);
-  EXPECT_TRUE(B.Exits[0].Pending);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
-  // ...and a later install at the address patches nothing stale.
-  uint64_t PatchesBefore = Cache.patchCount();
-  Fragment &T = Cache.install(makeFragment(0xD9000, 0xE0000));
-  (void)T;
-  EXPECT_EQ(Cache.patchCount(), PatchesBefore);
-  EXPECT_TRUE(A.Exits[0].Pending);
-  EXPECT_EQ(Cache.dropPendingExitsTo(0xFFFFF), 0u); // No-op on empty.
-}
-
 TEST(CacheEviction, ExportExcludesEvictedFragments) {
   TranslationCache Cache;
   Cache.setByteBudget(2 * FragBytes);
@@ -390,7 +362,7 @@ TEST(CacheEviction, ImportRespectsBudgetAndCountsSkips) {
   EXPECT_LE(Cache.totalBodyBytes(), Cache.byteBudget());
   // A warm start must never thrash the budget with evictions.
   EXPECT_EQ(Cache.evictionCount(), 0u);
-  EXPECT_EQ(Cache.chainInvariantViolations(), 0u);
+  EXPECT_EQ(danglingLinks(Cache), 0u);
 }
 
 TEST(CacheEviction, EvictionEpochCountsEvictionsAndDegradedFlushes) {

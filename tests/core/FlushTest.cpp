@@ -37,12 +37,10 @@ dbt::Fragment miniFragment(uint64_t Entry) {
   iisa::IisaInst Br;
   Br.Kind = iisa::IKind::Branch;
   Br.VTarget = Entry + 0x100;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6};
   F.BodyBytes = 10;
-  F.Exits.push_back({1, Entry + 0x100, true});
   F.SourceVAddrs = {Entry};
   return F;
 }
@@ -69,13 +67,19 @@ TEST(TranslationCacheFlush, ClearsEverything) {
   EXPECT_GT(F.IBase, FirstIBase);
 }
 
-TEST(TranslationCacheFlush, PendingExitsDoNotDangleAcrossFlush) {
+TEST(TranslationCacheFlush, ExitsDoNotDangleAcrossFlush) {
   dbt::TranslationCache TC;
-  TC.install(miniFragment(0x1000)); // pending exit to 0x1100
+  dbt::Fragment &Old = TC.install(miniFragment(0x1000)); // exits to 0x1100
+  uint64_t Gen = TC.linkGeneration();
   TC.flush();
-  // Installing the old pending target must not touch freed fragments.
-  TC.install(miniFragment(0x1100));
-  EXPECT_EQ(TC.patchCount(), 0u);
+  // The flushed fragment is unreachable, and the flush moved the
+  // generation, so no successor slot filled before it is trusted. Its old
+  // exit target resolves only to the fragment installed since.
+  EXPECT_NE(TC.linkGeneration(), Gen);
+  dbt::Fragment &New = TC.install(miniFragment(0x1100));
+  EXPECT_EQ(TC.lookup(0x1000), nullptr);
+  EXPECT_EQ(TC.lookup(Old.Body.back().VTarget), &New);
+  EXPECT_EQ(TC.fragmentCount(), 1u);
 }
 
 namespace {

@@ -67,14 +67,13 @@ void checkInvariants(const Fragment &Frag) {
     Credits += Inst.VCredit;
   EXPECT_EQ(Credits, Frag.SourceInsts - Frag.NopsRemoved);
 
-  // Exit records point at exit instructions with matching targets.
-  for (const ExitRecord &Exit : Frag.Exits) {
-    const iisa::IisaInst &Inst = Frag.Body[Exit.InstIndex];
-    EXPECT_TRUE(Inst.Kind == iisa::IKind::CondExit ||
-                Inst.Kind == iisa::IKind::Branch);
-    EXPECT_EQ(Inst.VTarget, Exit.VTarget);
-    EXPECT_EQ(Inst.ToTranslator, Exit.Pending);
-  }
+  // Every direct exit names an instruction-aligned V-target: its linkage
+  // is derived from that target alone.
+  for (const iisa::IisaInst &Inst : Frag.Body)
+    if (Inst.isDirectExit()) {
+      EXPECT_NE(Inst.VTarget, 0u);
+      EXPECT_EQ(Inst.VTarget % alpha::InstBytes, 0u);
+    }
 }
 
 /// A program with diverse instruction shapes for invariant checking.
@@ -129,7 +128,7 @@ TEST_P(FragmentInvariants, HoldOnDiverseProgram) {
   Config.Chaining = Param.Chaining;
   Config.NumAccumulators = Param.Accs;
   Config.SplitMemoryOps = Param.SplitMem;
-  TranslationResult R = translate(Sb, Config, ChainEnv()).take();
+  TranslationResult R = translate(Sb, Config).take();
   checkInvariants(R.Frag);
 }
 
@@ -185,25 +184,25 @@ TEST(FragmentInvariants, IndirectEndingsPerPolicy) {
   DbtConfig C;
   C.Variant = iisa::IsaVariant::Modified;
   C.Chaining = ChainPolicy::NoPred;
-  EXPECT_EQ(LastKind(translate(CallSb, C, ChainEnv()).take().Frag),
+  EXPECT_EQ(LastKind(translate(CallSb, C).take().Frag),
             iisa::IKind::JumpDispatch);
-  EXPECT_EQ(LastKind(translate(RetSb, C, ChainEnv()).take().Frag),
+  EXPECT_EQ(LastKind(translate(RetSb, C).take().Frag),
             iisa::IKind::JumpDispatch);
 
   C.Chaining = ChainPolicy::SwPredNoRas;
-  EXPECT_EQ(LastKind(translate(CallSb, C, ChainEnv()).take().Frag),
+  EXPECT_EQ(LastKind(translate(CallSb, C).take().Frag),
             iisa::IKind::JumpPredict);
-  EXPECT_EQ(LastKind(translate(RetSb, C, ChainEnv()).take().Frag),
+  EXPECT_EQ(LastKind(translate(RetSb, C).take().Frag),
             iisa::IKind::JumpPredict);
 
   C.Chaining = ChainPolicy::SwPredRas;
-  Fragment CallFrag = translate(CallSb, C, ChainEnv()).take().Frag;
+  Fragment CallFrag = translate(CallSb, C).take().Frag;
   EXPECT_EQ(LastKind(CallFrag), iisa::IKind::JumpPredict);
   // The call fragment pushes the dual-address RAS.
   bool HasPush = false;
   for (const auto &Inst : CallFrag.Body)
     HasPush |= Inst.Kind == iisa::IKind::PushDualRas;
   EXPECT_TRUE(HasPush);
-  EXPECT_EQ(LastKind(translate(RetSb, C, ChainEnv()).take().Frag),
+  EXPECT_EQ(LastKind(translate(RetSb, C).take().Frag),
             iisa::IKind::ReturnDual);
 }

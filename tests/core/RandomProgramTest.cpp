@@ -132,7 +132,7 @@ TEST_P(RandomProgramTest, TranslatedStateMatchesInterpreter) {
   DbtConfig Config;
   Config.Variant = Case.Variant;
   Config.NumAccumulators = Case.Accs;
-  TranslationResult R = translate(Sb, Config, ChainEnv()).take();
+  TranslationResult R = translate(Sb, Config).take();
 
   // Execute the fragment against a fresh copy of the initial environment
   // (the executor never fetches code; fragments are decoded structures).

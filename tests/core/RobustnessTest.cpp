@@ -63,7 +63,7 @@ TEST(GuardedTranslate, InjectedFaultAtEveryPipelineSite) {
     Inj.armAlways(Site);
     DbtConfig Config;
     Config.Fault = &Inj;
-    Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
+    Expected<TranslationResult> R = translate(Sb, Config);
     EXPECT_FALSE(bool(R)) << getSiteName(Site);
     EXPECT_EQ(R.status(), TranslateStatus::InjectedFault)
         << getSiteName(Site);
@@ -86,7 +86,7 @@ TEST(GuardedTranslate, StrandAllocSiteIsSkippedForStraightVariant) {
   DbtConfig Config;
   Config.Variant = iisa::IsaVariant::Straight;
   Config.Fault = &Inj;
-  Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
+  Expected<TranslationResult> R = translate(Sb, Config);
   EXPECT_TRUE(bool(R));
   EXPECT_EQ(Inj.hitCount(InjectSite::StrandAlloc), 0u);
 }
@@ -94,7 +94,7 @@ TEST(GuardedTranslate, StrandAllocSiteIsSkippedForStraightVariant) {
 TEST(GuardedTranslate, EmptySuperblockIsMalformed) {
   Superblock Sb;
   Sb.EntryVAddr = 0x10000;
-  Expected<TranslationResult> R = translate(Sb, DbtConfig(), ChainEnv());
+  Expected<TranslationResult> R = translate(Sb, DbtConfig());
   ASSERT_FALSE(bool(R));
   EXPECT_EQ(R.status(), TranslateStatus::MalformedGuestInst);
 }
@@ -102,7 +102,7 @@ TEST(GuardedTranslate, EmptySuperblockIsMalformed) {
 TEST(GuardedTranslate, InvalidInstructionIsMalformed) {
   Superblock Sb = loopSuperblock();
   Sb.Insts[0].Inst = alpha::AlphaInst(); // Opcode::Invalid.
-  Expected<TranslationResult> R = translate(Sb, DbtConfig(), ChainEnv());
+  Expected<TranslationResult> R = translate(Sb, DbtConfig());
   ASSERT_FALSE(bool(R));
   EXPECT_EQ(R.status(), TranslateStatus::MalformedGuestInst);
 }
@@ -110,7 +110,7 @@ TEST(GuardedTranslate, InvalidInstructionIsMalformed) {
 TEST(GuardedTranslate, MisalignedSourceAddressIsMalformed) {
   Superblock Sb = loopSuperblock();
   Sb.Insts[0].VAddr |= 2;
-  Expected<TranslationResult> R = translate(Sb, DbtConfig(), ChainEnv());
+  Expected<TranslationResult> R = translate(Sb, DbtConfig());
   ASSERT_FALSE(bool(R));
   EXPECT_EQ(R.status(), TranslateStatus::MalformedGuestInst);
 }
@@ -119,7 +119,7 @@ TEST(GuardedTranslate, TinyFragmentBudgetReportsFragmentTooLarge) {
   Superblock Sb = loopSuperblock();
   DbtConfig Config;
   Config.MaxFragmentBytes = 4; // No real fragment encodes this small.
-  Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
+  Expected<TranslationResult> R = translate(Sb, Config);
   ASSERT_FALSE(bool(R));
   EXPECT_EQ(R.status(), TranslateStatus::FragmentTooLarge);
 }
@@ -128,7 +128,7 @@ TEST(GuardedTranslate, UnboundedFragmentBudgetStillTranslates) {
   Superblock Sb = loopSuperblock();
   DbtConfig Config;
   Config.MaxFragmentBytes = 0;
-  EXPECT_TRUE(bool(translate(Sb, Config, ChainEnv())));
+  EXPECT_TRUE(bool(translate(Sb, Config)));
 }
 
 TEST(GuardedTranslate, SameSuperblockSucceedsOnceInjectionStops) {
@@ -137,8 +137,8 @@ TEST(GuardedTranslate, SameSuperblockSucceedsOnceInjectionStops) {
   Inj.armCount(InjectSite::Lowering, 1);
   DbtConfig Config;
   Config.Fault = &Inj;
-  EXPECT_FALSE(bool(translate(Sb, Config, ChainEnv())));
-  Expected<TranslationResult> R = translate(Sb, Config, ChainEnv());
+  EXPECT_FALSE(bool(translate(Sb, Config)));
+  Expected<TranslationResult> R = translate(Sb, Config);
   ASSERT_TRUE(bool(R));
   EXPECT_FALSE(R->Frag.Body.empty());
 }
@@ -167,13 +167,15 @@ TEST(ProfileBackoff, FailureResetsCounterAndInflatesThreshold) {
   // First failure: the threshold is multiplied by the backoff factor and
   // any Translated mark drops.
   P.markTranslated(0x100);
-  EXPECT_FALSE(P.recordFailure(0x100, /*MaxRetries=*/3, /*Backoff=*/2));
+  P.recordFailure(0x100, /*MaxRetries=*/3, /*Backoff=*/2);
+  EXPECT_FALSE(P.isBlacklisted(0x100));
   EXPECT_FALSE(P.isTranslated(0x100));
   EXPECT_EQ(P.failureCount(0x100), 1u);
   EXPECT_EQ(bumpsUntilHot(P, 0x100, 100), 8u);
 
   // Second failure doubles again.
-  EXPECT_FALSE(P.recordFailure(0x100, 3, 2));
+  P.recordFailure(0x100, 3, 2);
+  EXPECT_FALSE(P.isBlacklisted(0x100));
   EXPECT_EQ(bumpsUntilHot(P, 0x100, 100), 16u);
 }
 
@@ -181,15 +183,18 @@ TEST(ProfileBackoff, BlacklistAfterRetryBudget) {
   ProfileController P(2);
   P.addCandidate(0x200);
   // MaxRetries = 1: the second failure blacklists.
-  EXPECT_FALSE(P.recordFailure(0x200, 1, 8));
+  P.recordFailure(0x200, 1, 8);
   EXPECT_FALSE(P.isBlacklisted(0x200));
-  EXPECT_TRUE(P.recordFailure(0x200, 1, 8));
+  P.recordFailure(0x200, 1, 8);
   EXPECT_TRUE(P.isBlacklisted(0x200));
   EXPECT_EQ(P.blacklistedCount(), 1u);
   // A blacklisted entry never qualifies again.
   EXPECT_EQ(bumpsUntilHot(P, 0x200, 10'000), 0u);
   // Recording another failure on a blacklisted entry is a no-op.
-  EXPECT_FALSE(P.recordFailure(0x200, 1, 8));
+  P.recordFailure(0x200, 1, 8);
+  EXPECT_TRUE(P.isBlacklisted(0x200));
+  EXPECT_EQ(P.failureCount(0x200), 2u);
+  EXPECT_EQ(P.blacklistedCount(), 1u);
 }
 
 TEST(ProfileBackoff, FailureStateSurvivesFlush) {

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Property sweeps over the translation cache: I-PC assignment is
-/// monotone and non-overlapping under any install order, pending-exit
-/// patching converges to a fully-chained state regardless of the order
-/// fragments appear, and flushing restarts the world without leaving
-/// stale linkage behind.
+/// monotone and non-overlapping under any install order, derived linkage
+/// (an exit is chained exactly when its target is resident) reaches a
+/// fully-chained state regardless of the order fragments appear, and
+/// flushing restarts the world without leaving stale linkage behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +38,10 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Target;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6};
   F.BodyBytes = 10;
-  F.Exits.push_back({1, Target, /*Pending=*/true});
   F.SourceVAddrs = {Entry};
   return F;
 }
@@ -52,11 +50,11 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target) {
 
 class TCacheOrderTest : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(TCacheOrderTest, ChainRingFullyPatchedUnderAnyInstallOrder) {
+TEST_P(TCacheOrderTest, ChainRingFullyChainedUnderAnyInstallOrder) {
   // N fragments forming a ring (each exits to the next entry). Install
-  // them in a seeded random order: once all are present, every exit must
-  // be patched (no Pending flags, no call-translator branches left) —
-  // the same converged state for every order.
+  // them in a seeded random order: after every install an exit is chained
+  // exactly when its target is installed, and once all are present every
+  // exit chains to its successor — the same state for every order.
   constexpr unsigned N = 9;
   std::vector<unsigned> Order(N);
   for (unsigned I = 0; I != N; ++I)
@@ -66,20 +64,27 @@ TEST_P(TCacheOrderTest, ChainRingFullyPatchedUnderAnyInstallOrder) {
     std::swap(Order[I - 1], Order[R.nextBelow(I)]);
 
   TranslationCache Cache;
+  const TranslationCache &View = Cache; // Lookups without recency stamps.
   auto EntryOf = [](unsigned I) { return 0x10000ull + I * 0x100; };
-  for (unsigned I : Order)
+  std::vector<bool> Installed(N, false);
+  for (unsigned I : Order) {
     Cache.install(makeFragment(EntryOf(I), EntryOf((I + 1) % N)));
+    Installed[I] = true;
+    for (unsigned J = 0; J != N; ++J) {
+      if (Installed[J]) {
+        EXPECT_EQ(View.lookup(EntryOf((J + 1) % N)) != nullptr,
+                  bool(Installed[(J + 1) % N]));
+      }
+    }
+  }
 
   ASSERT_EQ(Cache.fragmentCount(), size_t(N));
-  // Every exit patched exactly once: N pending exits, N patches.
-  EXPECT_EQ(Cache.patchCount(), uint64_t(N));
   for (const auto &F : Cache.fragments()) {
-    ASSERT_EQ(F->Exits.size(), 1u);
-    EXPECT_FALSE(F->Exits[0].Pending);
-    EXPECT_FALSE(F->Body[F->Exits[0].InstIndex].ToTranslator);
-    // The patched branch targets the successor fragment's entry.
-    const Fragment *Succ = Cache.lookup(F->Exits[0].VTarget);
+    ASSERT_TRUE(F->Body.back().isDirectExit());
+    // The branch chains to the fragment at its target entry.
+    const Fragment *Succ = View.lookup(F->Body.back().VTarget);
     ASSERT_NE(Succ, nullptr);
+    EXPECT_EQ(Succ->EntryVAddr, F->Body.back().VTarget);
   }
 }
 
@@ -98,13 +103,13 @@ TEST(TCacheProperty, IBasesAreMonotoneAndNonOverlapping) {
   EXPECT_EQ(Cache.totalBodyBytes(), 32u * 10u);
 }
 
-TEST(TCacheProperty, SelfLoopFragmentPatchesItself) {
-  // A fragment whose exit targets its own entry (a tight loop) must be
-  // chained to itself at install time.
+TEST(TCacheProperty, SelfLoopFragmentChainsToItself) {
+  // A fragment whose exit targets its own entry (a tight loop) is
+  // chained to itself as soon as it is installed.
   TranslationCache Cache;
   Fragment &F = Cache.install(makeFragment(0x30000, 0x30000));
-  EXPECT_FALSE(F.Exits[0].Pending);
-  EXPECT_EQ(Cache.patchCount(), 1u);
+  const TranslationCache &View = Cache;
+  EXPECT_EQ(View.lookup(F.Body.back().VTarget), &F);
 }
 
 TEST(TCacheProperty, FlushRestartsWithoutStaleState) {
@@ -130,16 +135,21 @@ TEST(TCacheProperty, FlushRestartsWithoutStaleState) {
   EXPECT_EQ(Cache.fragmentCount(), 1u);
 }
 
-TEST(TCacheProperty, PendingExitsDoNotSurviveFlush) {
-  // Fragment A pends on target T. Flush, then install a fragment at T:
-  // nothing should be patched (A is gone), and patch accounting must not
-  // count phantom work.
+TEST(TCacheProperty, ExitsDoNotSurviveFlush) {
+  // Fragment A exits to target T. Flush, then install a fragment at T:
+  // A is gone (its storage waits in the graveyard), only the new fragment
+  // is resident, and the flush moved the generation, so a successor slot
+  // filled before it is never trusted again.
   TranslationCache Cache;
   Cache.install(makeFragment(0x50000, 0x51000));
-  uint64_t PatchesBefore = Cache.patchCount();
+  uint64_t Gen = Cache.linkGeneration();
   Cache.flush();
+  EXPECT_NE(Cache.linkGeneration(), Gen);
   Cache.install(makeFragment(0x51000, 0x52000));
-  EXPECT_EQ(Cache.patchCount(), PatchesBefore);
+  EXPECT_FALSE(Cache.contains(0x50000));
+  ASSERT_EQ(Cache.fragmentCount(), 1u);
+  EXPECT_EQ(Cache.fragments()[0]->EntryVAddr, 0x51000u);
+  EXPECT_EQ(Cache.graveyardSize(), 1u);
 }
 
 TEST(TCacheProperty, UniqueSourceInstsUnionAcrossFragments) {

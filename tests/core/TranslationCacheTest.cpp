@@ -15,7 +15,7 @@ using namespace ildp::iisa;
 namespace {
 
 /// Minimal fragment: set_vpc_base + branch to \p Target.
-Fragment makeFragment(uint64_t Entry, uint64_t Target, bool Pending) {
+Fragment makeFragment(uint64_t Entry, uint64_t Target) {
   Fragment F;
   F.EntryVAddr = Entry;
   F.Variant = IsaVariant::Modified;
@@ -27,21 +27,25 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target, bool Pending) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Target;
-  Br.ToTranslator = Pending;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6};
   F.BodyBytes = 10;
-  F.Exits.push_back({1, Target, Pending});
   F.SourceVAddrs = {Entry};
   return F;
+}
+
+/// The successor \p F's branch resolves to under the derived rule: the
+/// fragment resident at its target, or null (a call-translator exit).
+const Fragment *successor(const TranslationCache &TC, const Fragment &F) {
+  return TC.lookup(F.Body[1].VTarget);
 }
 
 } // namespace
 
 TEST(TranslationCache, InstallAndLookup) {
   TranslationCache TC;
-  TC.install(makeFragment(0x1000, 0x2000, true));
+  TC.install(makeFragment(0x1000, 0x2000));
   EXPECT_TRUE(TC.contains(0x1000));
   EXPECT_FALSE(TC.contains(0x2000));
   ASSERT_NE(TC.lookup(0x1000), nullptr);
@@ -51,63 +55,59 @@ TEST(TranslationCache, InstallAndLookup) {
 
 TEST(TranslationCache, AssignsDistinctIBases) {
   TranslationCache TC;
-  Fragment &A = TC.install(makeFragment(0x1000, 0x2000, true));
-  Fragment &B = TC.install(makeFragment(0x3000, 0x4000, true));
+  Fragment &A = TC.install(makeFragment(0x1000, 0x2000));
+  Fragment &B = TC.install(makeFragment(0x3000, 0x4000));
   EXPECT_GE(A.IBase, TranslationCache::TCacheBase);
   EXPECT_GE(B.IBase, A.IBase + A.BodyBytes);
   EXPECT_EQ(TC.totalBodyBytes(), 20u);
 }
 
-TEST(TranslationCache, PatchesPendingExitsOnInstall) {
+TEST(TranslationCache, InstallChainsExitsIntoTheNewEntry) {
   TranslationCache TC;
-  Fragment &A = TC.install(makeFragment(0x1000, 0x2000, true));
-  EXPECT_TRUE(A.Exits[0].Pending);
-  EXPECT_TRUE(A.Body[1].ToTranslator);
+  Fragment &A = TC.install(makeFragment(0x1000, 0x2000));
+  EXPECT_EQ(successor(TC, A), nullptr); // A call-translator exit.
 
-  TC.install(makeFragment(0x2000, 0x1000, true));
-  // A's exit to 0x2000 is patched into a chained branch...
-  EXPECT_FALSE(A.Exits[0].Pending);
-  EXPECT_FALSE(A.Body[1].ToTranslator);
-  // ...and the new fragment's exit to (already installed) 0x1000 was
-  // resolved at install time.
-  EXPECT_FALSE(TC.lookup(0x2000)->Exits[0].Pending);
-  EXPECT_EQ(TC.patchCount(), 2u);
+  Fragment &B = TC.install(makeFragment(0x2000, 0x1000));
+  // A's exit to 0x2000 is now a chained branch...
+  EXPECT_EQ(successor(TC, A), &B);
+  // ...and so is the new fragment's exit to the already installed 0x1000.
+  EXPECT_EQ(successor(TC, B), &A);
 }
 
-TEST(TranslationCache, NonPendingExitsUntouched) {
+TEST(TranslationCache, UnrelatedInstallLeavesExitsAsTheyWere) {
   TranslationCache TC;
-  Fragment &A = TC.install(makeFragment(0x1000, 0x1000, false));
-  TC.install(makeFragment(0x2000, 0x3000, true));
-  EXPECT_FALSE(A.Exits[0].Pending);
-  EXPECT_EQ(TC.patchCount(), 0u);
+  Fragment &A = TC.install(makeFragment(0x1000, 0x1000));
+  Fragment &B = TC.install(makeFragment(0x2000, 0x3000));
+  EXPECT_EQ(successor(TC, A), &A);
+  EXPECT_EQ(successor(TC, B), nullptr);
 }
 
 TEST(TranslationCache, UniqueSourceInstsDeduplicated) {
   TranslationCache TC;
-  Fragment A = makeFragment(0x1000, 0x2000, true);
+  Fragment A = makeFragment(0x1000, 0x2000);
   A.SourceVAddrs = {0x1000, 0x1004, 0x1008};
-  Fragment B = makeFragment(0x1004, 0x2000, true);
+  Fragment B = makeFragment(0x1004, 0x2000);
   B.SourceVAddrs = {0x1004, 0x1008, 0x100C}; // overlaps A
   TC.install(std::move(A));
   TC.install(std::move(B));
   EXPECT_EQ(TC.uniqueSourceInsts(), 4u);
 }
 
-TEST(TranslationCache, ManyPendingExitsToSameTarget) {
+TEST(TranslationCache, ManyExitsToSameTargetChainTogether) {
   TranslationCache TC;
-  Fragment &A = TC.install(makeFragment(0x1000, 0x9000, true));
-  Fragment &B = TC.install(makeFragment(0x2000, 0x9000, true));
-  Fragment &C = TC.install(makeFragment(0x3000, 0x9000, true));
-  TC.install(makeFragment(0x9000, 0x9000, false));
-  EXPECT_FALSE(A.Exits[0].Pending);
-  EXPECT_FALSE(B.Exits[0].Pending);
-  EXPECT_FALSE(C.Exits[0].Pending);
-  EXPECT_EQ(TC.patchCount(), 3u);
+  Fragment &A = TC.install(makeFragment(0x1000, 0x9000));
+  Fragment &B = TC.install(makeFragment(0x2000, 0x9000));
+  Fragment &C = TC.install(makeFragment(0x3000, 0x9000));
+  for (const Fragment *F : {&A, &B, &C})
+    EXPECT_EQ(successor(TC, *F), nullptr);
+  Fragment &T = TC.install(makeFragment(0x9000, 0x9000));
+  for (const Fragment *F : {&A, &B, &C, &T})
+    EXPECT_EQ(successor(TC, *F), &T);
 }
 
 TEST(TranslationCache, InstPcFromOffsets) {
   TranslationCache TC;
-  Fragment &A = TC.install(makeFragment(0x1000, 0x2000, true));
+  Fragment &A = TC.install(makeFragment(0x1000, 0x2000));
   EXPECT_EQ(A.instPc(0), A.IBase);
   EXPECT_EQ(A.instPc(1), A.IBase + 6);
 }
@@ -115,7 +115,11 @@ TEST(TranslationCache, InstPcFromOffsets) {
 // ---- Link generation and the successor cache (DESIGN.md §16) ----
 
 TEST(TranslationCache, LinkGenerationChangesWithEveryLinkChange) {
+  // Linkage is derived from residency, so every residency change is a
+  // link change: a successor slot (or cached miss) filled before it must
+  // not be trusted after it.
   TranslationCache TC;
+  TC.setByteBudget(20); // Two 10-byte fragments.
   uint64_t Gen = TC.linkGeneration();
   auto Changed = [&] {
     uint64_t Now = TC.linkGeneration();
@@ -123,7 +127,7 @@ TEST(TranslationCache, LinkGenerationChangesWithEveryLinkChange) {
     Gen = Now;
     return Moved;
   };
-  Fragment &A = TC.install(makeFragment(0x1000, 0x2000, true));
+  Fragment &A = TC.install(makeFragment(0x1000, 0x2000));
   EXPECT_TRUE(Changed()); // Install.
   // Install-derived state is rebuilt, never inherited.
   EXPECT_EQ(A.Accounting.Cum.size(), A.Body.size());
@@ -132,15 +136,14 @@ TEST(TranslationCache, LinkGenerationChangesWithEveryLinkChange) {
 
   ASSERT_NE(TC.lookup(0x1000), nullptr);
   EXPECT_FALSE(Changed()); // Lookups never move it.
-  EXPECT_EQ(TC.patchPendingExitsTo(0x7777), 0u);
-  EXPECT_FALSE(Changed()); // Nothing patched.
+  TC.touch(A);
+  EXPECT_FALSE(Changed()); // Nor do recency stamps.
 
-  TC.install(makeFragment(0x2000, 0x3000, true));
-  EXPECT_TRUE(Changed());
-  EXPECT_EQ(TC.unchainExitsTo(0x2000), 1u);
-  EXPECT_TRUE(Changed()); // Unchain.
-  EXPECT_EQ(TC.patchPendingExitsTo(0x2000), 1u);
-  EXPECT_TRUE(Changed()); // Pending-exit patch.
+  TC.install(makeFragment(0x2000, 0x3000));
+  EXPECT_TRUE(Changed()); // Install: A's exit chains.
+  TC.install(makeFragment(0x3000, 0x1000));
+  EXPECT_TRUE(Changed()); // Evicting install: one entry left, one arrived.
+  ASSERT_EQ(TC.evictionCount(), 1u);
   TC.flush();
   EXPECT_TRUE(Changed()); // Flush.
 }
@@ -148,11 +151,11 @@ TEST(TranslationCache, LinkGenerationChangesWithEveryLinkChange) {
 TEST(TranslationCache, EvictionChangesLinkGeneration) {
   TranslationCache TC;
   TC.setByteBudget(20); // Two 10-byte fragments.
-  TC.install(makeFragment(0x1000, 0x2000, true));
-  TC.install(makeFragment(0x2000, 0x1000, true));
+  TC.install(makeFragment(0x1000, 0x2000));
+  TC.install(makeFragment(0x2000, 0x1000));
   uint64_t Gen = TC.linkGeneration();
   uint64_t Evictions = TC.evictionCount();
-  TC.install(makeFragment(0x3000, 0x1000, true));
+  TC.install(makeFragment(0x3000, 0x1000));
   EXPECT_EQ(TC.evictionCount(), Evictions + 1);
   EXPECT_GT(TC.linkGeneration(), Gen + 1); // The eviction and the install.
 }
@@ -163,9 +166,9 @@ TEST(TranslationCache, TouchStampsExactlyLikeLookup) {
   TranslationCache ByLookup, ByTouch;
   for (TranslationCache *TC : {&ByLookup, &ByTouch}) {
     TC->setByteBudget(30);
-    TC->install(makeFragment(0x1000, 0x2000, true));
-    TC->install(makeFragment(0x2000, 0x3000, true));
-    TC->install(makeFragment(0x3000, 0x1000, true));
+    TC->install(makeFragment(0x1000, 0x2000));
+    TC->install(makeFragment(0x2000, 0x3000));
+    TC->install(makeFragment(0x3000, 0x1000));
   }
   auto Resident = [](const TranslationCache &TC, uint64_t Entry) {
     for (const std::unique_ptr<Fragment> &F : TC.fragments())
@@ -182,8 +185,8 @@ TEST(TranslationCache, TouchStampsExactlyLikeLookup) {
               Resident(ByTouch, Entry)->LastUseTick);
   // Identical recency state: the same victims leave both caches.
   for (uint64_t New : {0x4000u, 0x5000u}) {
-    ByLookup.install(makeFragment(New, 0x1000, true));
-    ByTouch.install(makeFragment(New, 0x1000, true));
+    ByLookup.install(makeFragment(New, 0x1000));
+    ByTouch.install(makeFragment(New, 0x1000));
     for (uint64_t Entry : {0x1000u, 0x2000u, 0x3000u, 0x4000u, 0x5000u})
       EXPECT_EQ(ByLookup.contains(Entry), ByTouch.contains(Entry)) << Entry;
   }

@@ -61,9 +61,8 @@ TEST(IisaDisasm, CopiesAndControl) {
   Cond.AlphaOp = Opcode::BNE;
   Cond.A = IOperand::acc(1);
   Cond.VTarget = 0x1000;
+  // No linkage tag: whether an exit is chained is not in the instruction.
   EXPECT_EQ(disassemble(Cond), "P <- 0x1000, if (A1 != 0)");
-  Cond.ToTranslator = true;
-  EXPECT_EQ(disassemble(Cond), "P <- 0x1000, if (A1 != 0) [translator]");
 
   IisaInst Br;
   Br.Kind = IKind::Branch;

@@ -75,7 +75,7 @@ LoopEnv makeLoopFragment(iisa::IsaVariant Variant) {
   dbt::DbtConfig Config;
   Config.Variant = Variant;
   LoopEnv S;
-  S.Frag = dbt::translate(Builder.take(), Config, dbt::ChainEnv()).take().Frag;
+  S.Frag = dbt::translate(Builder.take(), Config).take().Frag;
   for (size_t I = 0; I != Words.size(); ++I)
     S.Mem.poke32(0x10000 + I * 4, Words[I]);
   S.Mem.mapRegion(DataBase, 0x1000);
@@ -101,12 +101,11 @@ TEST_P(ExecutorEventTest, OneOrderedEventPerExecutedInstruction) {
   std::vector<iisa::IisaEvent> Events;
   iisa::IExit Exit = run(S, &Events);
 
-  // The recorded loop-back is kept as a conditional chained exit to the
+  // The recorded loop-back is kept as a conditional direct exit to the
   // fragment's own entry (self-loop), with a fall-through exit after it;
   // a taken pass therefore executes exactly the instructions up to and
   // including that cond_exit — one event each, in body order.
-  ASSERT_TRUE(Exit.K == iisa::IExit::Kind::Chained ||
-              Exit.K == iisa::IExit::Kind::ToTranslator);
+  ASSERT_EQ(Exit.K, iisa::IExit::Kind::Direct);
   EXPECT_EQ(Exit.VTarget, S.LoopHead);
   ASSERT_LT(size_t(Exit.InstIndex), S.Frag.Body.size());
   ASSERT_EQ(Events.size(), size_t(Exit.InstIndex) + 1);

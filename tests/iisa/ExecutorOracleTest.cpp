@@ -175,17 +175,13 @@ IExit referenceExecute(const IisaInst *Insts, size_t Count, IExecState &State,
       Event.Taken = Taken;
       Record(Event);
       if (Taken)
-        return ExitAt(Inst.ToTranslator ? IExit::Kind::ToTranslator
-                                        : IExit::Kind::Chained,
-                      Index, Inst.VTarget);
+        return ExitAt(IExit::Kind::Direct, Index, Inst.VTarget);
       continue;
     }
     case IKind::Branch:
       Event.Taken = true;
       Record(Event);
-      return ExitAt(Inst.ToTranslator ? IExit::Kind::ToTranslator
-                                      : IExit::Kind::Chained,
-                    Index, Inst.VTarget);
+      return ExitAt(IExit::Kind::Direct, Index, Inst.VTarget);
     case IKind::JumpPredict: {
       bool Hit = readOperand(Inst.A, State) != 0;
       Event.Taken = Hit;

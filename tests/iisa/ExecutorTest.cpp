@@ -51,7 +51,7 @@ TEST(IisaExecutor, ComputeWritesAccAndGpr) {
       branchTo(0x2000),
   };
   IExit Exit = run(Body, S, Mem, nullptr);
-  EXPECT_EQ(Exit.K, IExit::Kind::Chained);
+  EXPECT_EQ(Exit.K, IExit::Kind::Direct);
   EXPECT_EQ(Exit.VTarget, 0x2000u);
   EXPECT_EQ(S.acc()[0], 42u);
   EXPECT_EQ(S.readGpr(5), 42u);
@@ -152,7 +152,7 @@ TEST(IisaExecutor, CondExitBothWays) {
   S.acc()[1] = 1; // taken
   std::vector<IisaEvent> Events;
   IExit Exit = run(Body, S, Mem, &Events);
-  EXPECT_EQ(Exit.K, IExit::Kind::Chained);
+  EXPECT_EQ(Exit.K, IExit::Kind::Direct);
   EXPECT_EQ(Exit.VTarget, 0x111u);
   EXPECT_TRUE(Events[0].Taken);
 

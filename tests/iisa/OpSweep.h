@@ -127,7 +127,6 @@ inline std::vector<IisaInst> sweepInstructions(Rng &R) {
     Inst.B = makeOperand(B, R);
     Inst.MemDisp = int32_t(R.nextInRange(-64, 64)) * 8;
     Inst.VTarget = R.next();
-    Inst.ToTranslator = R.nextChance(1, 2);
     switch (Kind) {
     case IKind::Compute:
     case IKind::CmovMask:

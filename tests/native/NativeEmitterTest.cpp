@@ -79,16 +79,15 @@ TEST(NativeEmitter, KeyIsDeterministic) {
             native::fragmentKey(Body, IsaVariant::Basic));
 }
 
-TEST(NativeEmitter, KeyIgnoresPatchableAndAccountingFields) {
+TEST(NativeEmitter, KeyIgnoresAccountingFields) {
   std::vector<IisaInst> Body = sampleBody();
   uint64_t Key = native::fragmentKey(Body, IsaVariant::Modified);
 
-  // Exit repatching flips ToTranslator; imports/eviction churn the
-  // accounting metadata. None of it changes the emitted code, so none of
-  // it may change the key — this is what keeps one compiled object valid
-  // across unchaining, re-install, and persist round-trips.
+  // Imports and eviction churn the accounting metadata. None of it
+  // changes the emitted code, so none of it may change the key — this is
+  // what keeps one compiled object valid across re-install and persist
+  // round-trips.
   std::vector<IisaInst> Patched = Body;
-  Patched.back().ToTranslator = !Patched.back().ToTranslator;
   Patched[1].VCredit = 3;
   Patched[1].IsSourceOp = true;
   Patched[1].Usage = UsageClass::CommGlobal;

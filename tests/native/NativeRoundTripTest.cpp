@@ -56,11 +56,10 @@ IisaInst compute(Opcode Op, IOperand A, IOperand B, uint8_t Acc,
   return I;
 }
 
-IisaInst branchTo(uint64_t Target, bool ToTranslator = false) {
+IisaInst branchTo(uint64_t Target) {
   IisaInst I;
   I.Kind = IKind::Branch;
   I.VTarget = Target;
-  I.ToTranslator = ToTranslator;
   return I;
 }
 
@@ -359,7 +358,7 @@ TEST_F(NativeRoundTrip, EmbeddedAddressSpecials) {
   Body.push_back(Emb);
   Body.push_back(compute(Opcode::CMPEQ, IOperand::acc(3), IOperand::gpr(5),
                          0, 7));
-  Body.push_back(branchTo(0x60200, /*ToTranslator=*/true));
+  Body.push_back(branchTo(0x60200));
   expectSameRun(Body, IsaVariant::Modified, "embedded-specials");
 }
 
@@ -605,7 +604,7 @@ TEST_F(NativeRoundTrip, EveryListedBranchPredicateMatchesSemantics) {
                             " A=" + std::to_string(A);
       IExit Exit = runAgainstExecutor(*Code, Body, Init, Context).second;
       bool Taken = alpha::evalBranchCond(BranchOps[I], A);
-      EXPECT_EQ(Exit.K, IExit::Kind::Chained) << Context;
+      EXPECT_EQ(Exit.K, IExit::Kind::Direct) << Context;
       EXPECT_EQ(Exit.InstIndex, Taken ? I : BranchOps.size()) << Context;
       Seen.insert(BranchOps[I]);
     }

@@ -66,12 +66,10 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Target;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6, 10};
   F.BodyBytes = 14;
-  F.Exits.push_back({2, Target, /*Pending=*/true});
   F.SourceVAddrs = {Entry};
   F.SourceInsts = 2;
   return F;
@@ -253,6 +251,11 @@ TEST(CacheStoreFuzz, ForeignMagicVersionAndGarbageAreRejected) {
   BadVersion[8] = uint8_t(CacheStoreVersion + 1);
   writeFile(Path, BadVersion);
   EXPECT_EQ(Store.open(Path), StoreStatus::BadVersion);
+  // The previous format revision, which persisted exit link state, is
+  // refused as a type too, not decoded as a payload.
+  BadVersion[8] = uint8_t(CacheStoreVersion - 1);
+  writeFile(Path, BadVersion);
+  EXPECT_EQ(Store.open(Path), StoreStatus::BadVersion);
 
   Rng R(0xBADF00Dull);
   std::vector<uint8_t> Garbage(Bytes.size());
@@ -315,6 +318,9 @@ TEST(CacheStoreFuzz, VmDegradesWithTypedReasonPerCorruption) {
   Cases.back().Bytes[0] ^= 0xFF;
   Cases.push_back({"version", "bad-version", Valid});
   Cases.back().Bytes[8] ^= 0x01;
+  // A store written by the previous format revision (with link state).
+  Cases.push_back({"previous-version", "bad-version", Valid});
+  Cases.back().Bytes[8] = uint8_t(CacheStoreVersion - 1);
   Cases.push_back({"truncated", "truncated",
                    {Valid.begin(), Valid.begin() + 10}});
   Cases.push_back({"index", "bad-index", Valid});

@@ -46,12 +46,10 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Target;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6};
   F.BodyBytes = 10;
-  F.Exits.push_back({1, Target, /*Pending=*/true});
   F.SourceVAddrs = {Entry};
   F.SourceInsts = 1;
   return F;

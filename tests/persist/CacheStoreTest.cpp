@@ -55,12 +55,10 @@ Fragment makeFragment(uint64_t Entry, uint64_t Target) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Target;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.Body.push_back(Br);
   F.InstOffset = {0, 6, 10};
   F.BodyBytes = 14;
-  F.Exits.push_back({2, Target, /*Pending=*/true});
   F.SourceVAddrs = {Entry};
   F.SourceInsts = 2;
   return F;
@@ -129,7 +127,7 @@ TEST(CacheStore, MultipleImagesRoundTripThroughOneFile) {
     for (const Fragment &F : Frags) {
       EXPECT_EQ(F.Body.size(), 3u);
       EXPECT_EQ(F.PeiTable.size(), 1u);
-      EXPECT_EQ(F.Exits.size(), 1u);
+      EXPECT_TRUE(F.Body.back().isDirectExit());
     }
   }
   EXPECT_EQ(Loaded.find(0xB2)->CostUnits, 222u);

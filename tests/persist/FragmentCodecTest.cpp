@@ -94,13 +94,10 @@ Fragment randomFragment(Rng &R, uint64_t Entry) {
   IisaInst Br;
   Br.Kind = IKind::Branch;
   Br.VTarget = Entry + 0x1000 + R.nextBelow(0x1000) * 4;
-  Br.ToTranslator = true;
   Br.SizeBytes = 4;
   F.InstOffset.push_back(Offset);
   Offset += Br.SizeBytes;
   F.Body.push_back(Br);
-  F.Exits.push_back(
-      {uint32_t(F.Body.size() - 1), Br.VTarget, /*Pending=*/true});
   F.BodyBytes = Offset;
   F.SourceInsts = BodySize;
   F.NopsRemoved = unsigned(R.nextBelow(5));
@@ -112,6 +109,18 @@ Fragment randomFragment(Rng &R, uint64_t Entry) {
 /// persisted field deterministically).
 void expectSameEncoding(const Fragment &A, const Fragment &B) {
   EXPECT_EQ(encodedBytes(A), encodedBytes(B));
+}
+
+/// Residency of every direct exit's target, in install and body order:
+/// a cache's whole linkage, since an exit is chained exactly when its
+/// target is resident.
+std::vector<bool> linkage(const TranslationCache &Cache) {
+  std::vector<bool> Out;
+  for (const std::unique_ptr<Fragment> &F : Cache.fragments())
+    for (const IisaInst &Inst : F->Body)
+      if (Inst.isDirectExit())
+        Out.push_back(Cache.contains(Inst.VTarget));
+  return Out;
 }
 
 } // namespace
@@ -136,7 +145,6 @@ TEST_P(CodecRoundTrip, DecodeReproducesEveryField) {
     ASSERT_EQ(Decoded.Body.size(), Orig.Body.size());
     EXPECT_EQ(Decoded.InstOffset, Orig.InstOffset);
     EXPECT_EQ(Decoded.PeiTable.size(), Orig.PeiTable.size());
-    EXPECT_EQ(Decoded.Exits.size(), Orig.Exits.size());
     EXPECT_EQ(Decoded.SourceVAddrs, Orig.SourceVAddrs);
     EXPECT_EQ(Decoded.BodyBytes, Orig.BodyBytes);
     // Install-time state is never persisted.
@@ -150,14 +158,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTrip, ::testing::Range(0u, 8u));
 namespace {
 
 /// A ring of N fragments (each exits to the next entry), installed into a
-/// cache so that every exit ends up patched.
+/// cache so that every exit ends up chained.
 TranslationCache makeRingCache(Rng &R, unsigned N, uint64_t Base) {
   TranslationCache Cache;
   std::vector<Fragment> Frags;
   for (unsigned I = 0; I != N; ++I) {
     Fragment F = randomFragment(R, Base + I * 0x400);
-    F.Exits[0].VTarget = Base + ((I + 1) % N) * 0x400;
-    F.Body[F.Exits[0].InstIndex].VTarget = F.Exits[0].VTarget;
+    F.Body.back().VTarget = Base + ((I + 1) % N) * 0x400;
     Frags.push_back(std::move(F));
   }
   for (Fragment &F : Frags)
@@ -190,31 +197,29 @@ TEST(ExportImport, RebuildsByteIdenticalChainedState) {
   EXPECT_EQ(Warm.uniqueSourceInsts(), Cold.uniqueSourceInsts());
 
   // Fragment-by-fragment: identical install order, I-PC layout, and
-  // byte-identical bodies (exit patching re-ran and converged to the same
-  // chained state).
+  // byte-identical bodies.
   for (size_t I = 0; I != Cold.fragments().size(); ++I) {
     const Fragment &A = *Cold.fragments()[I];
     const Fragment &B = *Warm.fragments()[I];
     EXPECT_EQ(B.IBase, A.IBase);
     expectSameEncoding(A, B);
-    for (size_t E = 0; E != A.Exits.size(); ++E)
-      EXPECT_EQ(B.Exits[E].Pending, A.Exits[E].Pending);
   }
-  // A full ring chains completely: importAll patched every exit again.
-  EXPECT_EQ(Warm.patchCount(), Cold.patchCount());
+  // A full ring chains completely in both.
+  EXPECT_EQ(linkage(Warm), std::vector<bool>(12, true));
+  EXPECT_EQ(linkage(Warm), linkage(Cold));
 }
 
-TEST(ExportImport, SubsequentInstallsPatchIdentically) {
-  // Cold cache: a chain A -> B -> C where C is NOT installed yet, so A's
-  // ring is broken and B's exit pends on C. The imported cache must pend
-  // on exactly the same target and patch at the same moment.
+TEST(ExportImport, SubsequentInstallsLinkIdentically) {
+  // Cold cache: a chain A -> B -> C where C is NOT installed yet, so B's
+  // exit leaves through the translator. The imported cache must leave
+  // through the translator at exactly the same exit and chain it at the
+  // same moment.
   Rng R(0x12345678ull);
   auto MakeChain = [&R](uint64_t Base) {
     std::vector<Fragment> Frags;
     for (unsigned I = 0; I != 3; ++I) {
       Fragment F = randomFragment(R, Base + I * 0x400);
-      F.Exits[0].VTarget = Base + (I + 1) * 0x400;
-      F.Body[F.Exits[0].InstIndex].VTarget = F.Exits[0].VTarget;
+      F.Body.back().VTarget = Base + (I + 1) * 0x400;
       Frags.push_back(std::move(F));
     }
     return Frags;
@@ -240,11 +245,11 @@ TEST(ExportImport, SubsequentInstallsPatchIdentically) {
 
   TranslationCache Warm;
   EXPECT_EQ(Warm.importAll(std::move(Decoded)), 2u);
-  uint64_t ColdPatches = Cold.patchCount();
-  uint64_t WarmPatches = Warm.patchCount();
+  EXPECT_EQ(linkage(Cold), (std::vector<bool>{true, false}));
+  EXPECT_EQ(linkage(Warm), linkage(Cold));
 
-  // Install the missing tail into both caches: the pending exit on it must
-  // patch in both, with the same per-install patch delta.
+  // Install the missing tail into both caches: the exit into it chains in
+  // both.
   Fragment TailCopy;
   {
     std::vector<uint8_t> TailBytes = encodedBytes(Tail);
@@ -253,7 +258,8 @@ TEST(ExportImport, SubsequentInstallsPatchIdentically) {
   }
   Cold.install(std::move(Tail));
   Warm.install(std::move(TailCopy));
-  EXPECT_EQ(Cold.patchCount() - ColdPatches, Warm.patchCount() - WarmPatches);
+  EXPECT_EQ(linkage(Cold), (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(linkage(Warm), linkage(Cold));
   for (size_t I = 0; I != Cold.fragments().size(); ++I)
     expectSameEncoding(*Cold.fragments()[I], *Warm.fragments()[I]);
 }

@@ -428,10 +428,9 @@ TEST(VmChainRunner, ExecutorEntriesAreTheExitsTheLoopMayNotFollow) {
       uint64_t Segments = S.get("vm.segments");
       EXPECT_EQ(S.get("vm.executor_calls"), Segments);
       // What ends a segment: an exit to untranslated code (a translator
-      // exit, an unresolved static exit or a dynamic exit whose target is
-      // not translated), a halt, a trap or the budget stop.
+      // exit, a predict hit or a dynamic exit whose target is not
+      // translated), a halt, a trap or the budget stop.
       uint64_t Static = S.get("exit.translator") +
-                        S.get("exit.chained_missing") +
                         S.get("exit.predict_hit_untranslated") +
                         S.get("exit.halt") + S.get("exit.trap");
       EXPECT_LE(Static, Segments);
@@ -477,10 +476,10 @@ TEST(VmChainRunner, NativeTierUpSeesEveryFragmentRun) {
     // One executor entry per fragment run: every run returned to the VM.
     uint64_t Exits = 0;
     for (const char *Key :
-         {"exit.chained", "exit.chained_missing", "exit.translator",
-          "exit.predict_hit", "exit.predict_hit_untranslated",
-          "exit.predict_miss", "exit.dispatch", "exit.return_hit",
-          "exit.return_miss", "exit.halt", "exit.trap"})
+         {"exit.chained", "exit.translator", "exit.predict_hit",
+          "exit.predict_hit_untranslated", "exit.predict_miss",
+          "exit.dispatch", "exit.return_hit", "exit.return_miss",
+          "exit.halt", "exit.trap"})
       Exits += S.get(Key);
     EXPECT_EQ(S.get("vm.executor_calls"), Exits);
     TierUps += Expected;

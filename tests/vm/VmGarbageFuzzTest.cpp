@@ -163,7 +163,7 @@ TEST(VmGarbageFuzz, RandomImagesNeverCrashSync) {
 }
 
 TEST(VmGarbageFuzz, RandomImagesNeverCrashUnderCacheChurn) {
-  // Garbage fragments evicted, unchained and flushed mid-run: a byte
+  // Garbage fragments evicted and flushed mid-run: a byte
   // budget that holds a few short fragments, plus phase flushes. Garbage
   // runs are short, so this sweep takes more seeds to reach the churn.
   VmConfig Config;
@@ -229,7 +229,7 @@ TEST(PipelineFuzz, RandomSuperblocksYieldFragmentOrTypedError) {
     Config.Variant = Variants[Trial % 3];
     Config.NumAccumulators = 2 + unsigned(Trial % 7);
     dbt::Expected<dbt::TranslationResult> R =
-        dbt::translate(Sb, Config, dbt::ChainEnv());
+        dbt::translate(Sb, Config);
     if (R) {
       ++Ok;
       EXPECT_FALSE(R->Frag.Body.empty()) << "trial " << Trial;

@@ -87,10 +87,10 @@ TEST_P(Consistency, StatisticsAddUp) {
   // ends in exactly one exit.
   uint64_t Exits = 0;
   for (const char *Name :
-       {"exit.chained", "exit.chained_missing", "exit.translator",
-        "exit.predict_hit", "exit.predict_hit_untranslated",
-        "exit.predict_miss", "exit.dispatch", "exit.return_hit",
-        "exit.return_miss", "exit.halt", "exit.trap"})
+       {"exit.chained", "exit.translator", "exit.predict_hit",
+        "exit.predict_hit_untranslated", "exit.predict_miss",
+        "exit.dispatch", "exit.return_hit", "exit.return_miss", "exit.halt",
+        "exit.trap"})
     Exits += S.get(Name);
   uint64_t FragExecs = 0;
   for (const auto &Frag : Vm.tcache().fragments())
